@@ -15,7 +15,6 @@ from .distributions import (ConvergentPair, b_occupation, b_occupation_jd,
                             cf_bounds, cf_convergent, f_occupation,
                             f_occupation_arcsin, f_occupation_series)
 from .errors import ConvergenceError, DomainError
-from .kernels import BACKEND
 from .oracle import (TraceSpec, basic_mean_closed_form,
                      check_detailed_trace_identity_b,
                      check_detailed_trace_identity_f,

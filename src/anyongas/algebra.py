@@ -7,6 +7,8 @@ terminates after two states for every q, i.e. the exclusion principle
 holds exactly on the whole interpolation range.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,7 @@ from .qcore import Family, QParam, as_qparam, basic_number
 from .report import CheckResult
 
 DEFAULT_B_DIM = 32
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -44,11 +47,33 @@ def _ladder_rep(family, qp, dim, weights):
     return FockRep(family, qp, dim, _freeze(a), _freeze(a.T.copy()), _freeze(n_op))
 
 
+def max_b_dim(q):
+    """Largest B truncation whose q^-(dim-1) and [dim-1] are finite doubles.
+
+    None in the classical limit, where neither grows exponentially.
+    [n] < q^-n / (2 sinh ln(1/q)), so both stay below the largest double
+    while (dim-1) ln(1/q) <= ln(max) + min(0, ln(2 sinh ln(1/q))); the
+    value returned keeps one further factor of q to spare for rounding.
+    """
+    qp = as_qparam(q)
+    if qp.is_classical_limit:
+        return None
+    log_inv = -math.log(qp.q)
+    headroom = _LOG_FLOAT_MAX + min(0.0, math.log(qp.inv_minus_q))
+    return int(headroom / log_inv)
+
+
 def build_b_rep(q, dim=DEFAULT_B_DIM):
     """B-family representation with a+ a = diag([0], [1], ..., [dim-1])."""
     if dim < 2:
         raise DomainError(f"need dim >= 2, got {dim!r}")
     qp = as_qparam(q)
+    largest = max_b_dim(qp)
+    if largest is not None and dim > largest:
+        raise DomainError(
+            f"dim={dim!r} at q={qp.q!r} overflows q^-(dim-1) in double "
+            f"precision; the largest usable dim is {largest}"
+        )
     return _ladder_rep(Family.B, qp, dim, eigenvalue_seq_b(qp, dim - 1))
 
 
@@ -139,17 +164,19 @@ def rep_report(rep):
     dim = rep.dim
     inputs = {"family": rep.family.value, "q": q, "dim": dim}
     checks = []
+    # (n-1) a - n a + a rounds to about n eps of |a| on row n
+    comm_threshold = max(1e-14, dim * np.finfo(float).eps)
 
     comm_n_a = rep.n_op @ rep.a - rep.a @ rep.n_op + rep.a
     comm_n_adag = rep.n_op @ rep.a_dag - rep.a_dag @ rep.n_op - rep.a_dag
     scale_a = np.maximum(1.0, np.abs(rep.a))
     checks.append(CheckResult.from_residual(
         "commutator-number-lowering", inputs,
-        float(np.max(np.abs(comm_n_a) / scale_a)), 1e-14,
+        float(np.max(np.abs(comm_n_a) / scale_a)), comm_threshold,
         note="entrywise residual scaled by max(1, |a|)"))
     checks.append(CheckResult.from_residual(
         "commutator-number-raising", inputs,
-        float(np.max(np.abs(comm_n_adag) / scale_a.T)), 1e-14,
+        float(np.max(np.abs(comm_n_adag) / scale_a.T)), comm_threshold,
         note="entrywise residual scaled by max(1, |a+|)"))
 
     ns = np.arange(dim, dtype=float)

@@ -24,7 +24,6 @@ import sys
 from . import distributions, oracle, thermo
 from .algebra import build_b_rep, build_f_rep, rep_report
 from .errors import ConvergenceError, DomainError
-from .plotscript import emit_plot_script
 from .qcore import Family, as_family, as_qparam
 from .thermo import GasParams
 from .units import UnitSystem
@@ -134,17 +133,6 @@ def _write(dataset, fmt, out_path, precision, extra_comments=()):
             fh.write(text)
 
 
-def _maybe_plot(dataset, kind, out_path, plot):
-    if not plot:
-        return
-    if out_path in (None, "-"):
-        raise DomainError("--plot needs --output so the script has a sibling path")
-    base, _ = os.path.splitext(out_path)
-    script = emit_plot_script(dataset, kind, png_name=os.path.basename(base) + ".png")
-    with open(base + ".gp", "w") as fh:
-        fh.write(script)
-
-
 # ---------------------------------------------------------------------------
 # per-command row builders (top level so worker pools can pickle them)
 
@@ -224,7 +212,7 @@ def _cmd_occupation(args):
     return {
         "schema_version": SCHEMA_VERSION, "command": "occupation",
         "config": config, "columns": columns, "rows": rows,
-    }, "occupation", 0
+    }, 0
 
 
 def _cmd_bounds(args):
@@ -252,7 +240,7 @@ def _cmd_bounds(args):
                   "convergent (a sharper lower bound, not an upper bound); "
                   "n_upper the rigorous bound with denominator shift 1/q",
     }
-    return dataset, "bounds", 0
+    return dataset, 0
 
 
 def _parse_q_list(raw):
@@ -327,7 +315,7 @@ def _cmd_eos(args):
     return {
         "schema_version": SCHEMA_VERSION, "command": "eos", "config": config,
         "columns": columns, "rows": rows,
-    }, "eos-isotherms", 0
+    }, 0
 
 
 def _cmd_virial(args):
@@ -347,7 +335,7 @@ def _cmd_virial(args):
             "detail": "F-family virial coefficients carry no q dependence; "
                       "the deformation enters only through z/q",
         }
-    return dataset, "virial-bars", 0
+    return dataset, 0
 
 
 def _cmd_fock(args):
@@ -366,7 +354,7 @@ def _cmd_fock(args):
         "columns": ["check", "residual", "threshold", "status"], "rows": rows,
     }
     status = 0 if all(c.passed for c in checks) else 1
-    return dataset, None, status
+    return dataset, status
 
 
 def _cmd_verify(args):
@@ -386,7 +374,7 @@ def _cmd_verify(args):
         "report": report.to_dict(),
         "_csv_comments": extra,
     }
-    return dataset, None, 0 if report.all_passed else 1
+    return dataset, 0 if report.all_passed else 1
 
 
 def _cmd_limits(args):
@@ -412,7 +400,7 @@ def _cmd_limits(args):
                     "tolerance", "status"],
         "rows": rows,
     }
-    return dataset, None, 0 if ok else 1
+    return dataset, 0 if ok else 1
 
 
 _COMMANDS = {
@@ -433,8 +421,6 @@ def _add_common(sub):
                      help="significant digits in emitted numbers (default 15)")
     sub.add_argument("--jobs", type=int, default=None,
                      help="worker processes for sweeps (default: cpu count)")
-    sub.add_argument("--plot", action="store_true", default=None,
-                     help="also emit a gnuplot script next to --output")
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="INI config file; flags override it")
 
@@ -509,17 +495,12 @@ def main(argv=None):
         config_path = getattr(args, "config", None)
         args._config_file = (_load_config_file(config_path)
                              if config_path else None)
-        dataset, plot_kind, status = _COMMANDS[args.command](args)
+        dataset, status = _COMMANDS[args.command](args)
         fmt = _resolve(args, "format", "csv")
         out_path = _resolve(args, "output")
         precision = _resolve(args, "precision", 15)
         comments = dataset.pop("_csv_comments", ())
         _write(dataset, fmt, out_path, precision, extra_comments=comments)
-        plot = getattr(args, "plot", None)
-        if plot:
-            if plot_kind is None:
-                raise DomainError(f"command {args.command} has no plot kind")
-            _maybe_plot(dataset, plot_kind, out_path, plot)
         return status
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -64,6 +64,11 @@ class QParam:
     def q_inv(self):
         return 1.0 / self.q
 
+    @property
+    def inv_minus_q(self):
+        """1/q - q, as -2 sinh(ln q): no cancellation as q -> 1."""
+        return -2.0 * math.sinh(math.log(self.q))
+
 
 def as_qparam(q):
     """Coerce a float or QParam into a QParam."""

@@ -60,9 +60,17 @@ class GasParams:
             raise DomainError("multiplicity must be a positive integer")
 
     def resolved_fugacity(self):
+        """The given fugacity, or the one that gives the given density.
+
+        The F-family density is gs f(z/q, 3/2), so the solve targets
+        density / gs; the B-family state functions carry no gs.
+        """
         if self.fugacity is not None:
             return float(self.fugacity)
-        return solve_fugacity(self.family, self.q, float(self.density))
+        density = float(self.density)
+        if self.family is Family.F:
+            density /= self.multiplicity
+        return solve_fugacity(self.family, self.q, density)
 
 
 @dataclass(frozen=True)
@@ -202,15 +210,15 @@ def solve_fugacity(family, q, target_density):
 
 
 def _zeta_series(family, qp, order_exponent, n_coeffs):
-    # fugacity-series coefficients of the density (exponent 5/2 or 3/2)
-    # and pressure (7/2 or 5/2) sums, as a PowerSeries
+    # coefficients of the density (exponent 5/2 or 3/2) and pressure (7/2
+    # or 5/2) sums as a PowerSeries: in z for B, in x = z/q for F, so the
+    # F series carry no q at all
     coeffs = []
     for r in range(1, n_coeffs + 1):
         if family is Family.B:
             c = basic_number(qp, r) / r ** order_exponent
         else:
-            base = 1.0 if qp.is_classical_limit else qp.q_inv
-            c = (-1.0) ** (r + 1) * base ** r / r ** order_exponent
+            c = (-1.0) ** (r + 1) / r ** order_exponent
         coeffs.append(c)
     return PowerSeries(tuple(coeffs))
 
@@ -220,7 +228,8 @@ def virial_coefficients(family, q, order):
 
     The density series in fugacity is reverted and substituted into the
     pressure series.  b_1 = 1 always; the F-family coefficients carry no
-    q dependence (the deformation enters both series only through z/q).
+    q dependence (the deformation enters both series only through z/q,
+    so they are built in x = z/q and b_1 = 1.0 exactly).
     """
     family = as_family(family)
     qp = as_qparam(q)

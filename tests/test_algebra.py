@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from anyongas.algebra import (build_b_rep, build_f_rep, eigenvalue_seq_b,
                               eigenvalue_seq_f, eigenvalue_seq_f_closed,
-                              rep_report, verify_no_basic_number_f)
+                              max_b_dim, rep_report, verify_no_basic_number_f)
 from anyongas.errors import DomainError
 from anyongas.qcore import Family, basic_number
 
@@ -53,6 +53,29 @@ class TestBRep:
         resid = np.abs(np.diag(lhs) - np.diag(rhs))
         assert resid[:-1].max() < 1e-12 * rhs.max()
         assert resid[-1] > 1.0
+
+    @pytest.mark.parametrize("q, dim", [(0.5, 200), (0.9, 400), (0.1, 308)])
+    def test_commutator_threshold_scales_with_dim(self, q, dim):
+        report = rep_report(build_b_rep(q, dim))
+        failed = [c for c in report if not c.passed]
+        assert not failed, failed
+        commutators = [c for c in report if c.check_id.startswith("commutator")]
+        assert all(c.threshold == dim * np.finfo(float).eps for c in commutators)
+
+    def test_small_dim_threshold_not_loosened(self):
+        report = rep_report(build_b_rep(0.5, 8))
+        assert all(c.threshold == 1e-14 for c in report
+                   if c.check_id.startswith("commutator"))
+
+    @pytest.mark.parametrize("q", [0.05, 0.1, 0.5])
+    def test_overflowing_dim_names_the_largest(self, q):
+        largest = max_b_dim(q)
+        assert math.isfinite((1.0 / q) ** (largest - 1))
+        with pytest.raises(DomainError, match=f"largest usable dim is {largest}$"):
+            build_b_rep(q, largest + 1)
+
+    def test_no_limit_in_classical_branch(self):
+        assert max_b_dim(1.0) is None
 
 
 class TestFRep:

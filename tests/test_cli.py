@@ -1,0 +1,169 @@
+"""The seven subcommands run through cli.main(argv), plus the oracle suite."""
+
+import json
+import math
+
+import pytest
+
+from anyongas import cli, oracle
+from anyongas.distributions import b_occupation
+from anyongas.qfunctions import bose_g
+
+
+def _run(tmp_path, argv):
+    """Run one subcommand with JSON output at round-trip precision."""
+    path = tmp_path / "out.json"
+    status = cli.main([*argv, "--format", "json", "--precision", "17",
+                       "--output", str(path)])
+    payload = json.loads(path.read_text())
+    rows = [dict(zip(payload["columns"], row)) for row in payload["rows"]]
+    return status, payload, rows
+
+
+def test_oracle_suite_passes():
+    report = oracle.run_verification()
+    assert report.all_passed, report.failed()
+
+
+class TestOccupation:
+    def test_b_family_values(self, tmp_path):
+        status, payload, rows = _run(tmp_path, [
+            "occupation", "--family", "b", "--q", "0.5", "--eta-min",
+            repr(math.log(4.0)), "--eta-max", "6", "--steps", "5", "--jobs", "1"])
+        assert status == 0
+        assert payload["columns"] == ["eta", "n_exact", "n_jd", "n_lower", "n_upper"]
+        assert len(rows) == 5
+        # ln(2/3.5) / (2 ln 0.5), from a 30-digit evaluation
+        assert rows[0]["n_exact"] == pytest.approx(0.403677461028802054, rel=1e-15)
+        for row in rows:
+            assert row["n_exact"] == b_occupation(0.5, row["eta"])
+            assert row["n_lower"] < row["n_exact"] < row["n_upper"]
+
+    def test_f_family_values(self, tmp_path):
+        status, _, rows = _run(tmp_path, [
+            "occupation", "--family", "f", "--q", "0.25", "--eta-min", "-3",
+            "--eta-max", "3", "--steps", "7", "--jobs", "1"])
+        assert status == 0
+        for row in rows:
+            assert row["n_exact"] == pytest.approx(
+                1.0 / (0.25 * math.exp(row["eta"]) + 1.0), rel=1e-15)
+            assert row["n_arcsin"] == pytest.approx(
+                2.0 / math.pi * math.asin(math.sqrt(row["n_exact"])), rel=1e-15)
+
+    def test_pool_gives_the_same_rows(self, tmp_path):
+        argv = ["occupation", "--family", "f", "--q", "0.5", "--steps", "9"]
+        _, _, serial = _run(tmp_path, [*argv, "--jobs", "1"])
+        _, _, pooled = _run(tmp_path, [*argv, "--jobs", "2"])
+        assert pooled == serial
+
+    def test_grid_below_pole_is_domain_error(self, tmp_path, capsys):
+        status = cli.main(["occupation", "--family", "b", "--q", "0.5",
+                           "--eta-min", "0.5", "--output", str(tmp_path / "x.csv")])
+        assert status == 3
+        assert "Raise --eta-min" in capsys.readouterr().err
+
+
+def test_bounds(tmp_path):
+    status, payload, rows = _run(tmp_path, [
+        "bounds", "--q", "0.5", "--eta-min", "1", "--eta-max", "4", "--steps", "4",
+        "--jobs", "1"])
+    assert status == 0
+    assert payload["config"]["upper_shift"] == 2.0
+    assert "convergent-bracketing" in payload["metadata"]["errata"]
+    for row in rows:
+        assert row["n_lower"] < row["n_second"] < row["n_exact"] < row["n_upper"]
+        assert row["width"] == pytest.approx(row["n_upper"] - row["n_lower"], rel=1e-15)
+
+
+class TestEos:
+    def test_b_fugacity_sweep(self, tmp_path):
+        status, _, rows = _run(tmp_path, [
+            "eos", "--family", "b", "--q", "0.5,0.8", "--z-min", "0.1", "--z-max",
+            "0.4", "--z-steps", "4", "--jobs", "1"])
+        assert status == 0
+        assert len(rows) == 8
+        for row in rows:
+            # lambda = h / sqrt(2 pi m k T) with h = m = k = T = 1
+            assert row["lambda3"] == pytest.approx((2.0 * math.pi) ** -1.5, rel=1e-15)
+            assert row["lambda3"] * row["number_density"] == pytest.approx(
+                bose_g(row["q"], row["fugacity"], 1.5), rel=1e-15)
+            assert row["internal_energy"] == pytest.approx(
+                1.5 * row["pressure"], rel=1e-15)
+
+    @pytest.mark.parametrize("family", ["b", "f"])
+    def test_density_is_met(self, tmp_path, family):
+        status, _, rows = _run(tmp_path, [
+            "eos", "--family", family, "--q", "0.5", "--density", "0.5",
+            "--t-min", "0.5", "--t-max", "2", "--t-steps", "3", "--jobs", "1"])
+        assert status == 0
+        for row in rows:
+            assert row["lambda3"] * row["number_density"] == pytest.approx(
+                0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("multiplicity", ["2", "3"])
+    def test_density_honours_multiplicity(self, tmp_path, multiplicity):
+        status, payload, rows = _run(tmp_path, [
+            "eos", "--family", "f", "--q", "0.5", "--density", "0.5",
+            "--multiplicity", multiplicity, "--jobs", "1"])
+        assert status == 0
+        assert payload["config"]["multiplicity"] == int(multiplicity)
+        (row,) = rows
+        assert row["lambda3"] * row["number_density"] == pytest.approx(
+            0.5, rel=1e-12)
+
+    def test_density_above_b_supremum_is_domain_error(self, tmp_path, capsys):
+        status = cli.main(["eos", "--family", "b", "--q", "0.5", "--density", "5",
+                           "--jobs", "1", "--output", str(tmp_path / "x.csv")])
+        assert status == 3
+        assert "supremum" in capsys.readouterr().err
+
+
+class TestVirial:
+    def test_b_family(self, tmp_path):
+        status, _, rows = _run(tmp_path, [
+            "virial", "--family", "b", "--q", "0.5", "--order", "4"])
+        assert status == 0
+        assert [row["k"] for row in rows] == [1, 2, 3, 4]
+        assert rows[0]["coefficient"] == 1.0
+        # b_2 = -[2] / 2^(7/2) with [2] = q + 1/q
+        assert rows[1]["coefficient"] == pytest.approx(-2.5 / 2.0 ** 3.5, rel=1e-14)
+
+    def test_f_family_first_coefficient_exact(self, tmp_path):
+        # q = 0.76 gave b_1 = 0.9999999999999999 while the series were built in z
+        status, payload, rows = _run(tmp_path, [
+            "virial", "--family", "f", "--q", "0.76", "--order", "60"])
+        assert status == 0
+        assert payload["metadata"]["q_independent"] is True
+        assert rows[0]["coefficient"] == 1.0
+        assert rows[1]["coefficient"] == pytest.approx(2.0 ** -2.5, rel=1e-15)
+
+
+class TestFock:
+    @pytest.mark.parametrize("family, dim", [("b", "32"), ("b", "200"), ("f", "2")])
+    def test_checks_pass(self, tmp_path, family, dim):
+        status, payload, rows = _run(tmp_path, [
+            "fock", "--family", family, "--q", "0.5", "--dim", dim])
+        assert status == 0
+        assert rows and all(row["status"] == "PASS" for row in rows)
+
+    def test_overflowing_dim_is_domain_error(self, tmp_path, capsys):
+        status = cli.main(["fock", "--family", "b", "--q", "0.1", "--dim", "400",
+                           "--output", str(tmp_path / "x.csv")])
+        assert status == 3
+        assert "largest usable dim is 308" in capsys.readouterr().err
+
+
+def test_verify(tmp_path):
+    status, payload, rows = _run(tmp_path, ["verify"])
+    assert status == 0
+    assert payload["report"]["all_passed"] is True
+    assert rows and all(row["status"] == "PASS" for row in rows)
+
+
+def test_limits_csv_to_stdout(capsys):
+    assert cli.main(["limits"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index("family,q,eta,value,reference,error,tolerance,status")
+    body = [line.split(",") for line in lines[header + 1:]]
+    assert len(body) == 16
+    assert all(fields[-1] == "PASS" for fields in body)

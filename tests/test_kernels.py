@@ -3,17 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from anyongas import _kernels_py
+from anyongas import kernels
 from anyongas.errors import ConvergenceError
-from anyongas.kernels import BACKEND
-
-try:
-    from anyongas import _ckernels
-except ImportError:
-    _ckernels = None
-
-needs_compiled = pytest.mark.skipif(
-    _ckernels is None, reason="compiled extension not built")
 
 
 def _reference_g_sum(q, z, order, terms=400_000):
@@ -29,17 +20,17 @@ class TestGSeries:
     def test_against_vectorized_reference(self):
         for q, z in ((1.0, 0.5), (0.6, 0.35), (0.9, 0.55), (0.3, 0.2)):
             for order in (1.5, 2.5):
-                got = _kernels_py.g_series_sum(q, z, order)
+                got = kernels.g_series_sum(q, z, order)
                 assert got == pytest.approx(
                     _reference_g_sum(q, z, order), rel=1e-13)
 
     def test_term_cap_raises(self):
         with pytest.raises(ConvergenceError):
-            _kernels_py.g_series_sum(0.5, 0.49999999, 1.5, max_terms=100)
+            kernels.g_series_sum(0.5, 0.49999999, 1.5, max_terms=100)
 
     def test_no_overflow_deep_in_the_series(self):
         # q^-r alone overflows past r ~ 1000; the paired products must not
-        value = _kernels_py.g_series_sum(0.5, 0.5 * (1 - 1e-4), 1.5)
+        value = kernels.g_series_sum(0.5, 0.5 * (1 - 1e-4), 1.5)
         assert math.isfinite(value) and value > 0
 
 
@@ -48,59 +39,26 @@ class TestAlternatingSeries:
         r = np.arange(1, 200, dtype=float)
         for x in (0.1, 0.3, 0.5):
             plain = float(np.sum((-1.0) ** (r + 1) * x ** r / r ** 1.5))
-            assert _kernels_py.f_series_sum(x, 1.5) == pytest.approx(
+            assert kernels.f_series_sum(x, 1.5) == pytest.approx(
                 plain, rel=1e-13)
 
     def test_endpoint_reaches_machine_precision(self):
-        assert _kernels_py.f_series_sum(1.0, 1.0) == pytest.approx(
+        assert kernels.f_series_sum(1.0, 1.0) == pytest.approx(
             math.log(2.0), abs=2e-16)
 
 
 class TestContinuedFraction:
     def test_first_two_convergents_closed_form(self):
         for y in (0.1, 0.5, 0.9):
-            assert _kernels_py.cf_convergent_value(y, 1) == y
-            assert _kernels_py.cf_convergent_value(y, 2) == pytest.approx(
+            assert kernels.cf_convergent_value(y, 1) == y
+            assert kernels.cf_convergent_value(y, 2) == pytest.approx(
                 y / (1.0 - y / 2.0), rel=1e-15)
 
     def test_converges_to_log(self):
         for y in (0.3, 0.7, 0.95):
-            got = _kernels_py.cf_convergent_value(y, 200)
+            got = kernels.cf_convergent_value(y, 200)
             assert got == pytest.approx(-math.log1p(-y), rel=1e-13)
 
     def test_rescaling_prevents_overflow(self):
-        assert math.isfinite(_kernels_py.cf_convergent_value(0.99, 5000))
+        assert math.isfinite(kernels.cf_convergent_value(0.99, 5000))
 
-
-@needs_compiled
-class TestBackendEquivalence:
-    def test_g_series_matches(self):
-        for q in (1.0, 0.3, 0.6, 0.9):
-            for z_frac in (0.2, 0.6, 0.95):
-                z = z_frac * (q if q < 1 else 1.0)
-                for order in (1.5, 2.5):
-                    a = _kernels_py.g_series_sum(q, z, order)
-                    b = _ckernels.g_series_sum(q, z, order)
-                    assert a == pytest.approx(b, rel=5e-16)
-
-    def test_f_series_matches(self):
-        for x in (0.05, 0.4, 0.8, 1.0):
-            for order in (1.0, 1.5, 2.5):
-                a = _kernels_py.f_series_sum(x, order)
-                b = _ckernels.f_series_sum(x, order)
-                assert a == pytest.approx(b, rel=5e-16)
-
-    def test_cf_matches(self):
-        for y in (0.1, 0.6, 0.9, 0.99):
-            for k in (1, 7, 33, 200):
-                a = _kernels_py.cf_convergent_value(y, k)
-                b = _ckernels.cf_convergent_value(y, k)
-                assert a == pytest.approx(b, rel=5e-16)
-
-    def test_compiled_raises_same_error(self):
-        with pytest.raises(ConvergenceError):
-            _ckernels.g_series_sum(0.5, 0.49999999, 1.5, max_terms=100)
-
-
-def test_backend_selected():
-    assert BACKEND in ("compiled", "python")

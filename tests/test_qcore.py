@@ -21,6 +21,15 @@ class TestQParam:
         assert not QParam(1.0 - 1e-9).is_classical_limit
         assert QParam(1.0 - 1e-9, classical_eps=1e-8).is_classical_limit
 
+    def test_inv_minus_q_keeps_precision_near_one(self):
+        assert QParam(0.5).inv_minus_q == pytest.approx(1.5, rel=1e-15)
+        assert QParam(1.0).inv_minus_q == 0.0
+        # 1/q - q = 2 eps + eps^3 + ... for q = 1 - eps; the subtraction
+        # would keep only about seven digits of it at eps = 1e-9
+        eps = 1.0 - (1.0 - 1e-9)  # the q below is 1 - eps exactly
+        assert QParam(1.0 - 1e-9).inv_minus_q == pytest.approx(
+            2.0 * eps + eps ** 2 + eps ** 3, rel=1e-15)
+
     def test_coercion(self):
         assert as_qparam(0.5).q == 0.5
         qp = QParam(0.7)
