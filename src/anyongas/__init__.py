@@ -22,8 +22,8 @@ from .oracle import (TraceSpec, basic_mean_closed_form,
                      taylor_reference, trace_average, trace_average_matrix)
 from .qcore import (Family, PowerSeries, QParam, as_qparam, basic_number,
                     jackson_derivative, q_factorial)
-from .qfunctions import (bose_g, fermi_f, sommerfeld_density_factor,
-                         thermal_wavelength)
+from .qfunctions import (bose_g, bose_g_supremum, fermi_f, polylog,
+                         sommerfeld_density_factor, thermal_wavelength)
 from .report import KNOWN_ERRATA, VerificationReport
 from .thermo import (GasParams, StateFunctions, b_partition_log, b_state,
                      b_density_supremum, b_number_from_partition,

@@ -2,9 +2,10 @@
 
 Subcommands: occupation, bounds, eos, virial, fock, verify, limits.
 Outputs are CSV or JSON with the full resolved configuration embedded
-for reproducibility, and identical configurations produce byte-identical
-files.  Exit codes: 0 success, 1 internal check or convergence failure,
-2 usage error, 3 domain error.
+for reproducibility.  Rows are computed in order in one process, so
+identical configurations produce byte-identical files on any machine.
+Exit codes: 0 success, 1 internal check or convergence failure, 2 usage
+error, 3 domain error.
 
 Options may also come from a config file (INI sections named after the
 subcommands plus a [constants] section); command-line flags override the
@@ -14,10 +15,8 @@ constants section only.
 
 import argparse
 import configparser
-import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 
@@ -35,8 +34,8 @@ _FLOAT_KEYS = {
     "q", "eta_min", "eta_max", "z", "z_min", "z_max", "temperature",
     "t_min", "t_max", "density", "mass", "volume", "h", "k",
 }
-_INT_KEYS = {"steps", "order", "dim", "jobs", "z_steps", "t_steps",
-             "multiplicity", "k_levels", "precision"}
+_INT_KEYS = {"steps", "order", "dim", "z_steps", "t_steps", "multiplicity",
+             "k_levels", "precision"}
 
 
 def _convert(key, raw):
@@ -94,13 +93,6 @@ def _linspace(lo, hi, steps):
     return [lo + i * h for i in range(steps)]
 
 
-def _map_rows(func, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(func, items)
-
-
 def _write(dataset, fmt, out_path, precision, extra_comments=()):
     if fmt == "json":
         payload = {
@@ -134,7 +126,7 @@ def _write(dataset, fmt, out_path, precision, extra_comments=()):
 
 
 # ---------------------------------------------------------------------------
-# per-command row builders (top level so worker pools can pickle them)
+# one output row per grid point, for each subcommand
 
 
 def _occupation_row_b(q, eta):
@@ -198,16 +190,15 @@ def _cmd_occupation(args):
                      _resolve(args, "eta_max", 6.0),
                      _resolve(args, "steps", 50))
     _check_eta_grid(family, q, etas)
-    jobs = _resolve(args, "jobs", os.cpu_count() or 1)
     if family is Family.B:
-        rows = _map_rows(functools.partial(_occupation_row_b, q), etas, jobs)
+        rows = [_occupation_row_b(q, eta) for eta in etas]
         columns = ["eta", "n_exact", "n_jd", "n_lower", "n_upper"]
     else:
-        rows = _map_rows(functools.partial(_occupation_row_f, q), etas, jobs)
+        rows = [_occupation_row_f(q, eta) for eta in etas]
         columns = ["eta", "n_exact", "n_arcsin"]
     config = {
         "family": family.value.lower(), "q": q, "eta_min": etas[0],
-        "eta_max": etas[-1], "steps": len(etas), "jobs": jobs,
+        "eta_max": etas[-1], "steps": len(etas),
     }
     return {
         "schema_version": SCHEMA_VERSION, "command": "occupation",
@@ -221,12 +212,10 @@ def _cmd_bounds(args):
                      _resolve(args, "eta_max", 6.0),
                      _resolve(args, "steps", 50))
     _check_eta_grid(Family.B, q, etas)
-    jobs = _resolve(args, "jobs", os.cpu_count() or 1)
-    rows = _map_rows(functools.partial(_bounds_row, q), etas, jobs)
+    rows = [_bounds_row(q, eta) for eta in etas]
     config = {
         "q": q, "eta_min": etas[0], "eta_max": etas[-1],
-        "steps": len(etas), "jobs": jobs,
-        "upper_shift": 1.0 / q,
+        "steps": len(etas), "upper_shift": 1.0 / q,
     }
     dataset = {
         "schema_version": SCHEMA_VERSION, "command": "bounds",
@@ -293,13 +282,12 @@ def _cmd_eos(args):
                 "is at or beyond the condensation-analog boundary"
             )
 
-    jobs = _resolve(args, "jobs", os.cpu_count() or 1)
-    worker = functools.partial(_eos_row, family, units, mass, volume, multiplicity)
-    rows = _map_rows(worker, items, jobs)
+    rows = [_eos_row(family, units, mass, volume, multiplicity, item)
+            for item in items]
     config = {
         "family": family.value.lower(), "q": ",".join(map(str, qs)),
         "temperature": t_fixed, "mass": mass, "volume": volume,
-        "multiplicity": multiplicity, "h": units.h, "k": units.k, "jobs": jobs,
+        "multiplicity": multiplicity, "h": units.h, "k": units.k,
     }
     if z_sweep:
         config.update(z_min=z_min, z_max=z_max, z_steps=z_steps)
@@ -419,8 +407,6 @@ def _add_common(sub):
     sub.add_argument("--output", default=None, metavar="PATH")
     sub.add_argument("--precision", type=int, default=None,
                      help="significant digits in emitted numbers (default 15)")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes for sweeps (default: cpu count)")
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="INI config file; flags override it")
 

@@ -1,59 +1,55 @@
 """Numeric hot loops behind the zeta functions and the continued fraction.
 
-The q-series g(q, z, s) = Sum [r]_q z^r / r^(s+1) of the boson-like
-family, the accelerated alternating sum of the fermion-like family, and
-the convergent recurrence of the occupation continued fraction, written
-as plain scalar loops.
+The direct polylogarithm series Li_s(x) = Sum x^r / r^s for x <= 1/2,
+the accelerated alternating sum of the fermion-like family (which at
+x = 1 is the Dirichlet eta function), and the convergent recurrence of
+the occupation continued fraction, written as plain scalar loops.  Each
+loop runs a number of terms fixed by its arguments; none stops on the
+size of a term.
 """
 
 import math
 
-from .errors import ConvergenceError
-
-GSERIES_REL_TOL = 1e-15
-GSERIES_MAX_TERMS = 1_000_000
 ALTERNATING_TERMS = 40
+# -ln of the relative size at which a direct-series tail is dropped; the
+# tail after n terms is below 2 x^n of the sum, and x^n <= e^-38 = 3e-17
+_DIRECT_SERIES_DIGITS = 38.0
 
 
-def g_series_sum(q, z, order, rel_tol=GSERIES_REL_TOL, max_terms=GSERIES_MAX_TERMS):
-    """Sum_{r>=1} [r]_q z^r / r^(order+1), for 0 < z < q <= 1.
+def g_series_sum(x, order):
+    """Li_order(x) = Sum_{r>=1} x^r / r^order, for 0 < x <= 1/2, order > 0.
 
-    Terms are added until |term| < rel_tol * |partial sum|; exceeding
-    max_terms raises ConvergenceError.  q == 1.0 selects the classical
-    branch where [r] = r exactly.
+    This is the q = 1 value of the boson-like g function.  The series runs
+    ceil(38 / ln(1/x)) terms, at most 55, so the dropped tail is below
+    1e-16 of the sum.
     """
-    expo = order + 1.0
+    n_terms = math.ceil(_DIRECT_SERIES_DIGITS / -math.log(x))
     s = 0.0
-    if q == 1.0:
-        zr = 1.0
-        for r in range(1, max_terms + 1):
-            zr *= z
-            term = zr / r ** order
-            s += term
-            if abs(term) < rel_tol * abs(s):
-                return s
-        raise ConvergenceError(
-            f"series for (q=1, z={z}, order={order}) not converged "
-            f"after {max_terms} terms"
-        )
-    # [r] z^r = ((q z)^r - (z/q)^r) / (q - 1/q); both bases are < 1 so the
-    # iterated powers can neither overflow nor lose the cancellation.
-    denom = q - 1.0 / q
-    u = q * z
-    v = z / q
-    ur = 1.0
-    vr = 1.0
-    for r in range(1, max_terms + 1):
-        ur *= u
-        vr *= v
-        term = ((ur - vr) / denom) / r ** expo
-        s += term
-        if abs(term) < rel_tol * abs(s):
-            return s
-    raise ConvergenceError(
-        f"series for (q={q}, z={z}, order={order}) not converged "
-        f"after {max_terms} terms"
-    )
+    xr = 1.0
+    for r in range(1, n_terms + 1):
+        xr *= x
+        s += xr / r ** order
+    return s
+
+
+def gq_series_sum(z, tau, order):
+    """Sum_{r>=1} [r]_q z^r / r^(order+1), q = e^-tau, for z/q <= 1/2.
+
+    The basic number is formed as [r]_q = sinh(r tau)/sinh(tau), which
+    keeps every digit as q -> 1, where the difference of the two
+    polylogarithms behind g cancels.  [r]_q z^r <= r q (z/q)^r, so
+    ceil(42 / ln(q/z)) terms leave a tail below 1e-16 of the sum; tau
+    must keep sinh(r tau) finite over those terms.
+    """
+    n_terms = math.ceil((_DIRECT_SERIES_DIGITS + 4.0) / (-math.log(z) - tau))
+    expo = order + 1.0
+    sinh_tau = math.sinh(tau)
+    s = 0.0
+    zr = 1.0
+    for r in range(1, n_terms + 1):
+        zr *= z
+        s += zr * (math.sinh(r * tau) / sinh_tau) / r ** expo
+    return s
 
 
 def f_series_sum(x, order, n_terms=ALTERNATING_TERMS):
@@ -62,7 +58,8 @@ def f_series_sum(x, order, n_terms=ALTERNATING_TERMS):
     Chebyshev-weighted acceleration (Cohen, Rodriguez Villegas, Zagier);
     the error decays like (3 + sqrt 8)^(-n_terms), so the default term
     count reaches double precision on the whole domain 0 < x <= 1,
-    including the conditionally convergent endpoint x = 1.
+    including the conditionally convergent endpoint x = 1, where the sum
+    is the Dirichlet eta function eta(order).
     """
     d = (3.0 + math.sqrt(8.0)) ** n_terms
     d = (d + 1.0 / d) / 2.0

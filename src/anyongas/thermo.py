@@ -8,23 +8,32 @@ generalized zeta functions supplying the q dependence:
 
 with lam the thermal wavelength and gs the multiplicity.  Natural units
 h = k = 1 by default; the constants enter explicitly so SI checks work.
-Virial coefficients are obtained by reverting the density-fugacity
-series and composing it into the pressure series.
+A given density is turned into a fugacity by a Brent-Dekker solve in
+ln(z/q) on a bracket from closed-form bounds.  Virial coefficients are
+obtained by reverting the density-fugacity series and composing it into
+the pressure series.
 """
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
 from .qcore import Family, PowerSeries, as_family, as_qparam, basic_number, jackson_derivative
-from .qfunctions import bose_g, fermi_f, thermal_wavelength
+from .qfunctions import bose_g, bose_g_supremum, fermi_f, thermal_wavelength
 from .units import NATURAL
 
 FUGACITY_REL_TOL = 1e-12
 FUGACITY_MAX_ITER = 200
-_B_SUPREMUM_CUTOFF = 1e-6  # z is capped at q (1 - cutoff) when probing the boundary
+FUGACITY_POLISH_STEPS = 16
+# largest ln x for which x = z/q, and so z, is a finite double
+_LN_X_MAX = math.log(sys.float_info.max)
+_GAMMA_5_2 = math.gamma(2.5)
+# widens the bracket in u past the rounding of the bounds it comes from
+_BRACKET_SLACK = 1e-12
+# Brent stops when the bracket in u is narrower than XTOL + RTOL |u|
+_BRENT_XTOL = 1e-20
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -160,53 +169,132 @@ def f_state(params):
 def b_density_supremum(q):
     """Largest reachable lam^3 N/V for the B family (condensation analog).
 
-    Evaluated just inside the boundary z -> q; densities at or above
-    this value have no fugacity solution.
+    The exact boundary value g(q, q, 3/2) = (Li_{5/2}(q^2) - zeta(5/2)) /
+    (q - 1/q), and zeta(3/2) at q = 1; densities at or above it have no
+    fugacity solution.
     """
-    qp = as_qparam(q)
-    z_top = (1.0 if qp.is_classical_limit else qp.q) * (1.0 - _B_SUPREMUM_CUTOFF)
-    return bose_g(qp, z_top, 1.5)
+    return bose_g_supremum(q, 1.5)
+
+
+def brentq(f, a, b):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent-Dekker: inverse quadratic or secant steps, with a bisection
+    whenever a step would not shrink the bracket fast enough.  Stops when
+    the bracket is narrower than 1e-20 + 4 eps |x|; raises
+    ConvergenceError if the endpoints do not bracket a root or after
+    FUGACITY_MAX_ITER evaluations.
+    """
+    x_pre, x_cur = a, b
+    f_pre, f_cur = f(a), f(b)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if (f_pre < 0.0) == (f_cur < 0.0):
+        raise ConvergenceError(f"no sign change of f on [{a!r}, {b!r}]")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(FUGACITY_MAX_ITER):
+        if (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre  # the far end of the bracket
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):  # keep the best estimate in x_cur
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (_BRENT_XTOL + _BRENT_RTOL * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        interpolated = False
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                trial = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) \
+                    / (d_blk * d_pre * (f_blk - f_pre))
+            interpolated = 2.0 * abs(trial) < min(abs(s_pre), 3.0 * abs(s_bis) - delta)
+        if interpolated:
+            s_pre, s_cur = s_cur, trial
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    raise ConvergenceError(
+        f"Brent solve not converged after {FUGACITY_MAX_ITER} evaluations")
 
 
 def solve_fugacity(family, q, target_density):
     """Invert the density relation for z on the monotone branch.
 
-    B family: g(q, z, 3/2) = target with z in (0, q); a target at or
-    above the supremum raises DomainError.  F family: f(z/q, 3/2) =
-    target, unbounded.  Bracketed root finding, relative residual 1e-12.
+    Solved in u = ln(z/q) by `brentq` on a bracket from closed-form
+    bounds; the result is the double z whose relative density residual is
+    at most 1e-12 or, where one ulp of z moves the density by more (z -> q
+    as q -> 1), the double z with the smallest residual.
+
+    B family: g(q, z, 3/2) = target with z in (0, q).  With S the exact
+    supremum (`b_density_supremum`), g(z) >= z and g(z)/z <= S/q put u in
+    [ln(target/S), min(ln(target/q), 0)]; a target at or above S, or
+    above g at the largest double below q, raises DomainError.  F family:
+    f(z/q, 3/2) = target.  f(x) <= x and f(e^mu) >= mu^(3/2)/Gamma(5/2)
+    put u in [ln target, (Gamma(5/2) target)^(2/3)]; a target whose z/q
+    would pass the largest double raises DomainError naming the largest
+    density allowed.
     """
     family = as_family(family)
     qp = as_qparam(q)
     target = float(target_density)
-    if not target > 0.0:
-        raise DomainError(f"target density must be positive, got {target!r}")
+    if not 0.0 < target < math.inf:
+        raise DomainError(f"target density must be positive and finite, got {target!r}")
     q_top = 1.0 if qp.is_classical_limit else qp.q
     if family is Family.B:
-        z_top = q_top * (1.0 - _B_SUPREMUM_CUTOFF)
-        supremum = bose_g(qp, z_top, 1.5)
+        supremum = b_density_supremum(qp)
         if target >= supremum:
             raise DomainError(
                 f"density {target!r} exceeds the condensation-analog supremum "
                 f"{supremum:.12g} at q={qp.q!r}"
             )
-        func = lambda z: bose_g(qp, z, 1.5) - target
-        hi = min(target, z_top)  # g(z) >= z, so the root lies below target
+        z_top = math.nextafter(q_top, 0.0)
+        density = lambda z: bose_g(qp, z, 1.5)
+        lo = math.log(target / supremum) - _BRACKET_SLACK
+        hi = min(math.log(target / q_top) + _BRACKET_SLACK, 0.0)
+        if hi == 0.0 and density(z_top) < target:
+            raise DomainError(
+                f"density {target!r} lies within {supremum - target:.3g} of the "
+                f"supremum at q={qp.q!r}, closer than any double z < q reaches"
+            )
     else:
-        func = lambda z: fermi_f(z / q_top, 1.5) - target
-        hi = max(target, 1.0)
-        for _ in range(FUGACITY_MAX_ITER):
-            if func(hi) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise ConvergenceError("could not bracket the F-family fugacity")
-    lo = min(1e-300, hi * 1e-6)
-    z = brentq(func, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=FUGACITY_MAX_ITER)
-    if abs(func(z)) > FUGACITY_REL_TOL * target:
-        raise ConvergenceError(
-            f"fugacity solve stalled: residual {func(z):.3e} at z={z!r}"
-        )
-    return z
+        z_top = q_top * math.exp(_LN_X_MAX)
+        density = lambda z: fermi_f(z / q_top, 1.5)
+        lo = math.log(target) - _BRACKET_SLACK
+        hi = min((_GAMMA_5_2 * target) ** (2.0 / 3.0), _LN_X_MAX)
+        if hi == _LN_X_MAX and density(z_top) < target:
+            raise DomainError(
+                f"density {target!r} needs z/q beyond the largest double; the "
+                f"largest density allowed is {density(z_top):.12g}"
+            )
+    fugacity = lambda u: min(q_top * math.exp(u), z_top)
+    u = brentq(lambda u: density(fugacity(u)) - target, lo, hi)
+    return _closest_fugacity(density, fugacity(u), z_top, target)
+
+
+def _closest_fugacity(density, z, z_top, target):
+    # step z by ulps, at most FUGACITY_POLISH_STEPS, until the residual meets
+    # the tolerance or no neighbouring double is closer (density increases in z)
+    residual = density(z) - target
+    for _ in range(FUGACITY_POLISH_STEPS):
+        if abs(residual) <= FUGACITY_REL_TOL * target:
+            return z
+        z_next = math.nextafter(z, 0.0 if residual > 0.0 else z_top)
+        next_residual = density(z_next) - target
+        if abs(next_residual) >= abs(residual):
+            return z
+        z, residual = z_next, next_residual
+    raise ConvergenceError(
+        f"fugacity solve stalled: residual {residual:.3e} at z={z!r}"
+    )
 
 
 def _zeta_series(family, qp, order_exponent, n_coeffs):

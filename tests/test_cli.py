@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -29,7 +32,7 @@ class TestOccupation:
     def test_b_family_values(self, tmp_path):
         status, payload, rows = _run(tmp_path, [
             "occupation", "--family", "b", "--q", "0.5", "--eta-min",
-            repr(math.log(4.0)), "--eta-max", "6", "--steps", "5", "--jobs", "1"])
+            repr(math.log(4.0)), "--eta-max", "6", "--steps", "5"])
         assert status == 0
         assert payload["columns"] == ["eta", "n_exact", "n_jd", "n_lower", "n_upper"]
         assert len(rows) == 5
@@ -42,7 +45,7 @@ class TestOccupation:
     def test_f_family_values(self, tmp_path):
         status, _, rows = _run(tmp_path, [
             "occupation", "--family", "f", "--q", "0.25", "--eta-min", "-3",
-            "--eta-max", "3", "--steps", "7", "--jobs", "1"])
+            "--eta-max", "3", "--steps", "7"])
         assert status == 0
         for row in rows:
             assert row["n_exact"] == pytest.approx(
@@ -50,11 +53,15 @@ class TestOccupation:
             assert row["n_arcsin"] == pytest.approx(
                 2.0 / math.pi * math.asin(math.sqrt(row["n_exact"])), rel=1e-15)
 
-    def test_pool_gives_the_same_rows(self, tmp_path):
-        argv = ["occupation", "--family", "f", "--q", "0.5", "--steps", "9"]
-        _, _, serial = _run(tmp_path, [*argv, "--jobs", "1"])
-        _, _, pooled = _run(tmp_path, [*argv, "--jobs", "2"])
-        assert pooled == serial
+    def test_same_configuration_writes_the_same_bytes(self, tmp_path):
+        argv = ["occupation", "--family", "b", "--q", "0.5", "--eta-min", "1",
+                "--steps", "9"]
+        paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        for path in paths:
+            assert cli.main([*argv, "--output", str(path)]) == 0
+        first, second = (path.read_bytes() for path in paths)
+        assert first == second
+        assert b"jobs" not in first
 
     def test_grid_below_pole_is_domain_error(self, tmp_path, capsys):
         status = cli.main(["occupation", "--family", "b", "--q", "0.5",
@@ -65,8 +72,7 @@ class TestOccupation:
 
 def test_bounds(tmp_path):
     status, payload, rows = _run(tmp_path, [
-        "bounds", "--q", "0.5", "--eta-min", "1", "--eta-max", "4", "--steps", "4",
-        "--jobs", "1"])
+        "bounds", "--q", "0.5", "--eta-min", "1", "--eta-max", "4", "--steps", "4"])
     assert status == 0
     assert payload["config"]["upper_shift"] == 2.0
     assert "convergent-bracketing" in payload["metadata"]["errata"]
@@ -79,7 +85,7 @@ class TestEos:
     def test_b_fugacity_sweep(self, tmp_path):
         status, _, rows = _run(tmp_path, [
             "eos", "--family", "b", "--q", "0.5,0.8", "--z-min", "0.1", "--z-max",
-            "0.4", "--z-steps", "4", "--jobs", "1"])
+            "0.4", "--z-steps", "4"])
         assert status == 0
         assert len(rows) == 8
         for row in rows:
@@ -94,7 +100,7 @@ class TestEos:
     def test_density_is_met(self, tmp_path, family):
         status, _, rows = _run(tmp_path, [
             "eos", "--family", family, "--q", "0.5", "--density", "0.5",
-            "--t-min", "0.5", "--t-max", "2", "--t-steps", "3", "--jobs", "1"])
+            "--t-min", "0.5", "--t-max", "2", "--t-steps", "3"])
         assert status == 0
         for row in rows:
             assert row["lambda3"] * row["number_density"] == pytest.approx(
@@ -104,16 +110,31 @@ class TestEos:
     def test_density_honours_multiplicity(self, tmp_path, multiplicity):
         status, payload, rows = _run(tmp_path, [
             "eos", "--family", "f", "--q", "0.5", "--density", "0.5",
-            "--multiplicity", multiplicity, "--jobs", "1"])
+            "--multiplicity", multiplicity])
         assert status == 0
         assert payload["config"]["multiplicity"] == int(multiplicity)
         (row,) = rows
         assert row["lambda3"] * row["number_density"] == pytest.approx(
             0.5, rel=1e-12)
 
+    def test_degenerate_f_density(self, tmp_path):
+        # beta mu = ln(z/q) is about 561 here, past where z doubled from 1 stops
+        status, _, rows = _run(tmp_path, [
+            "eos", "--family", "f", "--q", "0.5", "--density", "1e4"])
+        assert status == 0
+        (row,) = rows
+        assert row["lambda3"] * row["number_density"] == pytest.approx(1e4, rel=1e-12)
+        assert math.log(row["fugacity"] / 0.5) == pytest.approx(561.0, abs=1.0)
+
+    def test_f_density_past_the_largest_fugacity_is_domain_error(self, tmp_path, capsys):
+        status = cli.main(["eos", "--family", "f", "--q", "0.5", "--density", "2e4",
+                           "--output", str(tmp_path / "x.csv")])
+        assert status == 3
+        assert "largest density allowed is 14225" in capsys.readouterr().err
+
     def test_density_above_b_supremum_is_domain_error(self, tmp_path, capsys):
         status = cli.main(["eos", "--family", "b", "--q", "0.5", "--density", "5",
-                           "--jobs", "1", "--output", str(tmp_path / "x.csv")])
+                           "--output", str(tmp_path / "x.csv")])
         assert status == 3
         assert "supremum" in capsys.readouterr().err
 
@@ -167,3 +188,15 @@ def test_limits_csv_to_stdout(capsys):
     body = [line.split(",") for line in lines[header + 1:]]
     assert len(body) == 16
     assert all(fields[-1] == "PASS" for fields in body)
+
+
+def test_import_loads_neither_scipy_nor_mpmath():
+    code = ("import sys, anyongas.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'mpmath')))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"

@@ -1,37 +1,53 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from anyongas import kernels
-from anyongas.errors import ConvergenceError
 
 
-def _reference_g_sum(q, z, order, terms=400_000):
+def _reference_li_sum(x, order, terms=400):
     r = np.arange(1, terms + 1, dtype=float)
-    if q == 1.0:
-        return float(np.sum(z ** r / r ** order))
-    # [r] z^r written as paired sub-unit powers, else q^-r overflows alone
-    paired = ((q * z) ** r - (z / q) ** r) / (q - 1.0 / q)
-    return float(np.sum(paired / r ** (order + 1.0)))
+    return float(np.sum(x ** r / r ** order))
+
+
+def _reference_gq_sum(q, z, order, terms=200):
+    # Sum [r]_q z^r / r^(order+1) at 40 digits
+    with mpmath.workdps(40):
+        q, z = mpmath.mpf(q), mpmath.mpf(z)
+        return float(mpmath.fsum((q ** r - q ** -r) / (q - 1 / q) * z ** r
+                                 / mpmath.mpf(r) ** (order + 1)
+                                 for r in range(1, terms + 1)))
 
 
 class TestGSeries:
     def test_against_vectorized_reference(self):
-        for q, z in ((1.0, 0.5), (0.6, 0.35), (0.9, 0.55), (0.3, 0.2)):
-            for order in (1.5, 2.5):
-                got = kernels.g_series_sum(q, z, order)
+        for x in (1e-3, 0.1, 0.35, 0.5):
+            for order in (0.5, 1.5, 2.5):
+                got = kernels.g_series_sum(x, order)
                 assert got == pytest.approx(
-                    _reference_g_sum(q, z, order), rel=1e-13)
+                    _reference_li_sum(x, order), rel=1e-13)
 
-    def test_term_cap_raises(self):
-        with pytest.raises(ConvergenceError):
-            kernels.g_series_sum(0.5, 0.49999999, 1.5, max_terms=100)
+    def test_term_count_is_fixed_by_x(self):
+        # the sum up to ceil(38/ln(1/x)) terms equals the kernel bit for bit
+        x, order = 0.5, 1.5
+        n_terms = math.ceil(38.0 / math.log(2.0))
+        partial = 0.0
+        for r in range(1, n_terms + 1):
+            partial += x ** r / r ** order
+        assert kernels.g_series_sum(x, order) == pytest.approx(partial, rel=1e-15)
+        assert n_terms == 55
 
-    def test_no_overflow_deep_in_the_series(self):
-        # q^-r alone overflows past r ~ 1000; the paired products must not
-        value = kernels.g_series_sum(0.5, 0.5 * (1 - 1e-4), 1.5)
-        assert math.isfinite(value) and value > 0
+
+class TestDeformedGSeries:
+    @pytest.mark.parametrize("q", [0.8, 0.95, 1.0 - 1e-6, 1.0 - 1e-9])
+    @pytest.mark.parametrize("x", [1e-6, 0.1, 0.5])
+    @pytest.mark.parametrize("order", [1.5, 2.5])
+    def test_against_mpmath(self, q, x, order):
+        z = q * x
+        got = kernels.gq_series_sum(z, -math.log(q), order)
+        assert got == pytest.approx(_reference_gq_sum(q, z, order), rel=1e-14)
 
 
 class TestAlternatingSeries:

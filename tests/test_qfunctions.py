@@ -6,8 +6,8 @@ import pytest
 
 from anyongas.errors import DomainError
 from anyongas.qcore import basic_number
-from anyongas.qfunctions import (bose_g, fermi_f, sommerfeld_density_factor,
-                                 thermal_wavelength)
+from anyongas.qfunctions import (bose_g, bose_g_supremum, fermi_f, polylog, quad,
+                                 sommerfeld_density_factor, thermal_wavelength)
 from anyongas.units import SI, ELECTRON_MASS_SI, ELECTRON_VOLT_SI
 
 
@@ -58,6 +58,120 @@ class TestBoseG:
     def test_finite_near_boundary(self):
         value = bose_g(0.5, 0.5 * (1 - 1e-6), 1.5)
         assert math.isfinite(value)
+
+
+Q_GRID = (0.05, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0)
+X_GRID = (1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12)
+
+
+def reference_g(q, z, order):
+    """g(q, z, order) from mpmath polylogarithms at 40 digits."""
+    with mpmath.workdps(40):
+        q, z = mpmath.mpf(q), mpmath.mpf(z)
+        if q == 1:
+            return mpmath.polylog(order, z)
+        return (mpmath.polylog(order + 1, q * z)
+                - mpmath.polylog(order + 1, z / q)) / (q - 1 / q)
+
+
+def reference_f(x, order):
+    """-Li_order(-x) from mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        return -mpmath.re(mpmath.polylog(order, -mpmath.mpf(x)))
+
+
+def _rel(got, want):
+    return float(abs((got - want) / want))
+
+
+class TestBoseGAgainstMpmath:
+    """1e-13 relative over q in (0, 1] and z/q up to 1 - 1e-12."""
+
+    @pytest.mark.parametrize("order", [1.5, 2.5])
+    @pytest.mark.parametrize("q", Q_GRID)
+    def test_grid(self, q, order):
+        for x in X_GRID:
+            z = q * x
+            assert _rel(bose_g(q, z, order), reference_g(q, z, order)) < 1e-13, (q, x)
+
+    @pytest.mark.parametrize("order", [1.5, 2.5])
+    def test_branch_boundaries(self, order):
+        # either side of the divided-difference switch at ln(1/q) = 1/4 and
+        # of the direct/mu-series switch at z/q = 1/2
+        for q in (math.exp(-0.25) * (1 - 1e-12), math.exp(-0.25) * (1 + 1e-12)):
+            for x in (0.5 * (1 - 1e-12), 0.5 * (1 + 1e-12), 0.75):
+                z = q * x
+                assert _rel(bose_g(q, z, order), reference_g(q, z, order)) < 1e-13
+
+    @pytest.mark.parametrize("order", [1.0, 2.0])
+    def test_integer_orders(self, order):
+        # Li_{order+1} has a log term in place of the Gamma-zeta pole pair
+        for q in (0.5, 0.9, 1.0 - 1e-6, 1.0):
+            for x in (0.3, 0.9, 1.0 - 1e-9):
+                z = q * x
+                assert _rel(bose_g(q, z, order), reference_g(q, z, order)) < 1e-13
+
+    @pytest.mark.parametrize("q", Q_GRID)
+    def test_supremum(self, q):
+        with mpmath.workdps(40):
+            if q == 1.0:
+                want = mpmath.zeta(1.5)
+            else:
+                qm = mpmath.mpf(q)
+                want = (mpmath.polylog(2.5, qm * qm) - mpmath.zeta(2.5)) / (qm - 1 / qm)
+        assert _rel(bose_g_supremum(q, 1.5), want) < 1e-14
+
+    def test_supremum_diverges_at_q1_for_low_order(self):
+        with pytest.raises(DomainError):
+            bose_g_supremum(1.0, 1.0)
+
+
+class TestPolylog:
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.25])
+    def test_against_mpmath(self, s):
+        for x in (1e-5, 0.3, 0.5, 0.5 + 1e-12, 0.7, 0.9, 0.999, 1.0 - 1e-9, 1.0):
+            if x == 1.0 and s <= 1.0:
+                continue
+            with mpmath.workdps(40):
+                want = mpmath.polylog(s, mpmath.mpf(x))
+            assert _rel(polylog(s, x), want) < 1e-14, x
+
+    def test_at_one_is_zeta(self):
+        assert polylog(2.0, 1.0) == pytest.approx(math.pi ** 2 / 6, rel=1e-15)
+
+    def test_domain(self):
+        for s, x in ((1.5, 0.0), (1.5, 1.5), (1.0, 1.0), (0.0, 0.5), (-1.0, 0.5)):
+            with pytest.raises(DomainError):
+                polylog(s, x)
+
+
+class TestQuad:
+    def test_endpoint_singularities(self):
+        # Int_0^1 u^-1/2 du = 2 and Int_0^2 (2 - u)^(1/2) du = (2/3) 2^(3/2)
+        assert quad(lambda u, _: u ** -0.5, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert quad(lambda _, rest: rest ** 0.5, 2.0) == pytest.approx(
+            2.0 / 3.0 * 2.0 ** 1.5, rel=1e-14)
+
+
+class TestFermiFAgainstMpmath:
+    """1e-13 relative for ln x in [-20, 700], both sides of x = 1 included."""
+
+    LN_X = tuple(np.linspace(-20.0, 700.0, 73)) + (
+        -1.0, -1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3, 1.0, math.pi, 709.0)
+
+    @pytest.mark.parametrize("order", [1.5, 2.5])
+    def test_grid(self, order):
+        for ln_x in self.LN_X:
+            x = math.exp(ln_x)
+            assert _rel(fermi_f(x, order), reference_f(x, order)) < 1e-13, ln_x
+
+    @pytest.mark.parametrize("order", [1.5, 2.5])
+    def test_integral_method_below_one(self, order):
+        # the quadrature alone, where "auto" takes the series
+        for ln_x in (-20.0, -5.0, -1.0, -1e-9, 0.0):
+            x = math.exp(ln_x)
+            got = fermi_f(x, order, method="integral")
+            assert _rel(got, reference_f(x, order)) < 1e-13, ln_x
 
 
 class TestFermiF:
