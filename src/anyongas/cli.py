@@ -1,23 +1,18 @@
 """Command-line interface.
 
 Subcommands: occupation, bounds, eos, virial, fock, verify, limits.
-Outputs are CSV or JSON with the full resolved configuration embedded
+Outputs are CSV or JSON with the full configuration embedded
 for reproducibility.  Rows are computed in order in one process, so
 identical configurations produce byte-identical files on any machine.
 Exit codes: 0 success, 1 internal check or convergence failure, 2 usage
 error, 3 domain error.
-
-Options may also come from a config file (INI sections named after the
-subcommands plus a [constants] section); command-line flags override the
-file, and the environment variables ANYONGAS_H / ANYONGAS_K override the
-constants section only.
 """
 
 import argparse
-import configparser
+import functools
+import itertools
 import json
 import math
-import os
 import sys
 
 from . import distributions, oracle, thermo
@@ -28,48 +23,8 @@ from .thermo import GasParams
 from .units import UnitSystem
 
 SCHEMA_VERSION = "1"
-ENV_CONSTANTS = {"h": "ANYONGAS_H", "k": "ANYONGAS_K"}
-
-_FLOAT_KEYS = {
-    "q", "eta_min", "eta_max", "z", "z_min", "z_max", "temperature",
-    "t_min", "t_max", "density", "mass", "volume", "h", "k",
-}
-_INT_KEYS = {"steps", "order", "dim", "z_steps", "t_steps", "multiplicity",
-             "k_levels", "precision"}
-
-
-def _convert(key, raw):
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _INT_KEYS:
-        return int(raw)
-    return raw
-
-
-def _load_config_file(path):
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise DomainError(f"config file not found: {path}")
-    return parser
-
-
-def _resolve(args, key, default=None):
-    """Precedence: flag > env (constants only) > config file > default."""
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in ENV_CONSTANTS:
-        env_raw = os.environ.get(ENV_CONSTANTS[key])
-        if env_raw is not None:
-            return _convert(key, env_raw)
-    if args._config_file is not None:
-        for section in (args.command, "constants"):
-            if section == "constants" and key not in ("h", "k"):
-                continue
-            if args._config_file.has_option(section, key):
-                return _convert(key, args._config_file.get(section, key))
-    return default
+# the fugacity of an eos run given neither --z, a --z sweep nor --density
+_DEFAULT_FUGACITY = 0.25
 
 
 def _fmt(value, precision):
@@ -150,12 +105,11 @@ def _bounds_row(q, eta):
             pair.upper - pair.lower)
 
 
-def _eos_row(family, units, mass, volume, multiplicity, item):
-    q, temperature, z, density = item
+def _eos_row(args, units, q, temperature, z):
     params = GasParams(
-        family=family, q=q, temperature=temperature, fugacity=z,
-        density=density, mass=mass, volume=volume,
-        multiplicity=multiplicity, units=units,
+        family=args.family, q=q, temperature=temperature, fugacity=z,
+        density=args.density, mass=args.mass, volume=args.volume,
+        multiplicity=args.multiplicity, units=units,
     )
     state = thermo.b_state(params) if params.family is Family.B \
         else thermo.f_state(params)
@@ -184,11 +138,9 @@ def _check_eta_grid(family, q, etas):
 
 
 def _cmd_occupation(args):
-    family = as_family(_resolve(args, "family", "b"))
-    q = _resolve(args, "q", 0.5)
-    etas = _linspace(_resolve(args, "eta_min", 1.0),
-                     _resolve(args, "eta_max", 6.0),
-                     _resolve(args, "steps", 50))
+    family = as_family(args.family)
+    q = args.q
+    etas = _linspace(args.eta_min, args.eta_max, args.steps)
     _check_eta_grid(family, q, etas)
     if family is Family.B:
         rows = [_occupation_row_b(q, eta) for eta in etas]
@@ -207,10 +159,8 @@ def _cmd_occupation(args):
 
 
 def _cmd_bounds(args):
-    q = _resolve(args, "q", 0.5)
-    etas = _linspace(_resolve(args, "eta_min", 1.0),
-                     _resolve(args, "eta_max", 6.0),
-                     _resolve(args, "steps", 50))
+    q = args.q
+    etas = _linspace(args.eta_min, args.eta_max, args.steps)
     _check_eta_grid(Family.B, q, etas)
     rows = [_bounds_row(q, eta) for eta in etas]
     config = {
@@ -234,69 +184,56 @@ def _cmd_bounds(args):
 
 def _parse_q_list(raw):
     try:
-        return [float(tok) for tok in str(raw).split(",") if tok.strip()]
+        qs = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise DomainError(f"could not parse q list from {raw!r}") from None
+    if not qs:
+        raise DomainError(f"--q {raw!r} holds no value; give one q or a "
+                          "comma list such as 0.3,0.7")
+    return qs
 
 
 def _cmd_eos(args):
-    family = as_family(_resolve(args, "family", "b"))
-    qs = _parse_q_list(_resolve(args, "q", "0.5"))
-    units = UnitSystem(h=_resolve(args, "h", 1.0), k=_resolve(args, "k", 1.0))
-    mass = _resolve(args, "mass", 1.0)
-    volume = _resolve(args, "volume", 1.0)
-    multiplicity = _resolve(args, "multiplicity", 1)
-    density = _resolve(args, "density")
-    z_fixed = _resolve(args, "z")
-    z_min, z_max, z_steps = (_resolve(args, "z_min"), _resolve(args, "z_max"),
-                             _resolve(args, "z_steps", 20))
-    t_fixed = _resolve(args, "temperature", 1.0)
-    t_min, t_max, t_steps = (_resolve(args, "t_min"), _resolve(args, "t_max"),
-                             _resolve(args, "t_steps", 20))
-    z_sweep = z_min is not None and z_max is not None
-    t_sweep = t_min is not None and t_max is not None
+    family = as_family(args.family)
+    qs = _parse_q_list(args.q)
+    units = UnitSystem(h=args.h, k=args.k)
+    z_sweep = args.z_min is not None and args.z_max is not None
+    t_sweep = args.t_min is not None and args.t_max is not None
     if z_sweep and t_sweep:
         raise DomainError("sweep either fugacity or temperature, not both")
-    if density is not None and (z_fixed is not None or z_sweep):
+    if args.density is not None and (args.z is not None or z_sweep):
         raise DomainError("give either a density or a fugacity, not both")
-
-    items = []
-    if z_sweep:
-        for q in qs:
-            for z in _linspace(z_min, z_max, z_steps):
-                items.append((q, t_fixed, z, None))
-    elif t_sweep:
-        for q in qs:
-            for t in _linspace(t_min, t_max, t_steps):
-                items.append((q, t, z_fixed, density if z_fixed is None else None))
+    if args.density is not None:
+        z = None
     else:
-        z_val = z_fixed if density is None else None
-        if z_val is None and density is None:
-            z_val = 0.25
-        for q in qs:
-            items.append((q, t_fixed, z_val, density))
-    for q, _, z, _ in items:
-        if family is Family.B and z is not None and z >= min(q, 1.0):
+        z = _DEFAULT_FUGACITY if args.z is None else args.z
+    temperatures = (_linspace(args.t_min, args.t_max, args.t_steps) if t_sweep
+                    else [args.temperature])
+    fugacities = (_linspace(args.z_min, args.z_max, args.z_steps) if z_sweep
+                  else [z])
+    items = list(itertools.product(qs, temperatures, fugacities))
+    for q, _, fugacity in items:
+        if family is Family.B and fugacity is not None and fugacity >= min(q, 1.0):
             raise DomainError(
-                f"B-family fugacity must satisfy z < q; z={z:.6g} at q={q:.6g} "
+                f"B-family fugacity must satisfy z < q; z={fugacity:.6g} at q={q:.6g} "
                 "is at or beyond the condensation-analog boundary"
             )
 
-    rows = [_eos_row(family, units, mass, volume, multiplicity, item)
-            for item in items]
+    rows = [_eos_row(args, units, *item) for item in items]
     config = {
         "family": family.value.lower(), "q": ",".join(map(str, qs)),
-        "temperature": t_fixed, "mass": mass, "volume": volume,
-        "multiplicity": multiplicity, "h": units.h, "k": units.k,
+        "temperature": args.temperature, "mass": args.mass,
+        "volume": args.volume, "multiplicity": args.multiplicity,
+        "h": units.h, "k": units.k,
     }
     if z_sweep:
-        config.update(z_min=z_min, z_max=z_max, z_steps=z_steps)
+        config.update(z_min=args.z_min, z_max=args.z_max, z_steps=args.z_steps)
     elif t_sweep:
-        config.update(t_min=t_min, t_max=t_max, t_steps=t_steps)
-    if density is not None:
-        config["density"] = density
+        config.update(t_min=args.t_min, t_max=args.t_max, t_steps=args.t_steps)
+    if args.density is not None:
+        config["density"] = args.density
     elif not z_sweep:
-        config["z"] = items[0][2]
+        config["z"] = z
     columns = ["q", "temperature", "fugacity", "lambda3", "pressure",
                "number_density", "internal_energy", "entropy",
                "grand_potential"]
@@ -307,12 +244,10 @@ def _cmd_eos(args):
 
 
 def _cmd_virial(args):
-    family = as_family(_resolve(args, "family", "b"))
-    q = _resolve(args, "q", 0.5)
-    order = _resolve(args, "order", 4)
-    coeffs = thermo.virial_coefficients(family, q, order)
+    family = as_family(args.family)
+    coeffs = thermo.virial_coefficients(family, args.q, args.order)
     rows = [(k + 1, c) for k, c in enumerate(coeffs)]
-    config = {"family": family.value.lower(), "q": q, "order": order}
+    config = {"family": family.value.lower(), "q": args.q, "order": args.order}
     dataset = {
         "schema_version": SCHEMA_VERSION, "command": "virial",
         "config": config, "columns": ["k", "coefficient"], "rows": rows,
@@ -327,16 +262,15 @@ def _cmd_virial(args):
 
 
 def _cmd_fock(args):
-    family = as_family(_resolve(args, "family", "b"))
-    q = _resolve(args, "q", 0.5)
-    dim = _resolve(args, "dim", 32)
-    rep = build_b_rep(q, dim) if family is Family.B else build_f_rep(q)
+    family = as_family(args.family)
+    rep = (build_b_rep(args.q, args.dim) if family is Family.B
+           else build_f_rep(args.q))
     checks = rep_report(rep)
     rows = [
         (c.check_id, c.residual, c.threshold, "PASS" if c.passed else "FAIL")
         for c in checks
     ]
-    config = {"family": family.value.lower(), "q": q, "dim": rep.dim}
+    config = {"family": family.value.lower(), "q": args.q, "dim": rep.dim}
     dataset = {
         "schema_version": SCHEMA_VERSION, "command": "fock", "config": config,
         "columns": ["check", "residual", "threshold", "status"], "rows": rows,
@@ -402,15 +336,24 @@ _COMMANDS = {
 }
 
 
+def _positive_int(raw):
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return value
+
+
 def _add_common(sub):
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--output", default=None, metavar="PATH")
-    sub.add_argument("--precision", type=int, default=None,
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--output", metavar="PATH", help="default: standard output")
+    sub.add_argument("--precision", type=_positive_int, default=15,
                      help="significant digits in emitted numbers (default 15)")
-    sub.add_argument("--config", default=None, metavar="FILE",
-                     help="INI config file; flags override it")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="anyongas",
@@ -419,50 +362,51 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("occupation", help="occupation curves on an eta grid")
-    p.add_argument("--family", choices=("b", "f", "B", "F"), default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--eta-min", dest="eta_min", type=float, default=None)
-    p.add_argument("--eta-max", dest="eta_max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--family", choices=("b", "f", "B", "F"), default="b")
+    p.add_argument("--q", type=float, default=0.5)
+    p.add_argument("--eta-min", dest="eta_min", type=float, default=1.0)
+    p.add_argument("--eta-max", dest="eta_max", type=float, default=6.0)
+    p.add_argument("--steps", type=int, default=50)
     _add_common(p)
 
     p = sub.add_parser("bounds", help="continued-fraction convergent bounds (B)")
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--eta-min", dest="eta_min", type=float, default=None)
-    p.add_argument("--eta-max", dest="eta_max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--q", type=float, default=0.5)
+    p.add_argument("--eta-min", dest="eta_min", type=float, default=1.0)
+    p.add_argument("--eta-max", dest="eta_max", type=float, default=6.0)
+    p.add_argument("--steps", type=int, default=50)
     _add_common(p)
 
     p = sub.add_parser("eos", help="equation-of-state sweep")
-    p.add_argument("--family", choices=("b", "f", "B", "F"), default=None)
-    p.add_argument("--q", default=None, help="value or comma list")
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--z-min", dest="z_min", type=float, default=None)
-    p.add_argument("--z-max", dest="z_max", type=float, default=None)
-    p.add_argument("--z-steps", dest="z_steps", type=int, default=None)
-    p.add_argument("--density", type=float, default=None,
+    p.add_argument("--family", choices=("b", "f", "B", "F"), default="b")
+    p.add_argument("--q", default="0.5", help="value or comma list")
+    p.add_argument("--z", type=float,
+                   help=f"fugacity (default {_DEFAULT_FUGACITY} without --density)")
+    p.add_argument("--z-min", dest="z_min", type=float)
+    p.add_argument("--z-max", dest="z_max", type=float)
+    p.add_argument("--z-steps", dest="z_steps", type=int, default=20)
+    p.add_argument("--density", type=float,
                    help="lam^3 N/V as the independent variable")
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--t-min", dest="t_min", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--t-steps", dest="t_steps", type=int, default=None)
-    p.add_argument("--mass", type=float, default=None)
-    p.add_argument("--volume", type=float, default=None)
-    p.add_argument("--multiplicity", type=int, default=None)
-    p.add_argument("--h", type=float, default=None, help="Planck constant")
-    p.add_argument("--k", type=float, default=None, help="Boltzmann constant")
+    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--t-min", dest="t_min", type=float)
+    p.add_argument("--t-max", dest="t_max", type=float)
+    p.add_argument("--t-steps", dest="t_steps", type=int, default=20)
+    p.add_argument("--mass", type=float, default=1.0)
+    p.add_argument("--volume", type=float, default=1.0)
+    p.add_argument("--multiplicity", type=int, default=1)
+    p.add_argument("--h", type=float, default=1.0, help="Planck constant")
+    p.add_argument("--k", type=float, default=1.0, help="Boltzmann constant")
     _add_common(p)
 
     p = sub.add_parser("virial", help="virial coefficients b_1..b_K")
-    p.add_argument("--family", choices=("b", "f", "B", "F"), default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--family", choices=("b", "f", "B", "F"), default="b")
+    p.add_argument("--q", type=float, default=0.5)
+    p.add_argument("--order", type=int, default=4)
     _add_common(p)
 
     p = sub.add_parser("fock", help="algebra checks on a Fock representation")
-    p.add_argument("--family", choices=("b", "f", "B", "F"), default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--family", choices=("b", "f", "B", "F"), default="b")
+    p.add_argument("--q", type=float, default=0.5)
+    p.add_argument("--dim", type=int, default=32)
     _add_common(p)
 
     p = sub.add_parser("verify", help="full oracle suite; nonzero exit on failure")
@@ -475,18 +419,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config_path = getattr(args, "config", None)
-        args._config_file = (_load_config_file(config_path)
-                             if config_path else None)
         dataset, status = _COMMANDS[args.command](args)
-        fmt = _resolve(args, "format", "csv")
-        out_path = _resolve(args, "output")
-        precision = _resolve(args, "precision", 15)
         comments = dataset.pop("_csv_comments", ())
-        _write(dataset, fmt, out_path, precision, extra_comments=comments)
+        _write(dataset, args.format, args.output, args.precision,
+               extra_comments=comments)
         return status
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

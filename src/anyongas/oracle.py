@@ -125,13 +125,15 @@ def trace_average(spec):
         n_max *= 2
 
 
-def trace_average_matrix(spec, dim=64):
+def trace_average_matrix(spec):
     """Same average evaluated through the operator matrices.
 
     Weights e^(-eta n) multiply the diagonal of the observable in the
     Fock basis; ties the operator picture to the spectral picture.  The
-    a_adag observable is excluded (its top diagonal entry is a
-    truncation artifact).
+    B-family matrices span the states 0..spec.n_max, so they give the
+    same truncated sum as trace_average with that n_max.  The a_adag
+    observable is excluded (its top diagonal entry is a truncation
+    artifact).
     """
     qp = spec.q
     if spec.observable == "a_adag":
@@ -140,6 +142,9 @@ def trace_average_matrix(spec, dim=64):
         rep = build_f_rep(qp)
         dim = 2
     else:
+        if spec.n_max is None:
+            raise DomainError("the B-family matrices need a TraceSpec with n_max")
+        dim = spec.n_max + 1
         rep = build_b_rep(qp, dim)
     ns = np.arange(dim, dtype=float)
     matrices = {
@@ -250,10 +255,6 @@ def _arcsin_reference(n_coeffs):
     return PowerSeries(tuple(coeffs))
 
 
-def _identity_reference(n_coeffs):
-    return PowerSeries((1.0,) + (0.0,) * (n_coeffs - 1))
-
-
 def _degenerate_bracket_reference(n_coeffs):
     # bracket B(nu) = Gamma(5/2) f(e^nu, 3/2)/nu^(3/2) = 1 + c1 u + c2 u^2,
     # u = nu^-2; extrapolate (B-1)/u, then ((B-1)/u - c1)/u, to u -> 0
@@ -277,7 +278,6 @@ def _degenerate_bracket_reference(n_coeffs):
 
 _TAYLOR_REGISTRY = {
     "arcsin-sqrt": _arcsin_reference,
-    "identity": _identity_reference,
     "degenerate-density-bracket": _degenerate_bracket_reference,
 }
 
@@ -290,7 +290,7 @@ def taylor_reference(function_id, n_coeffs):
     g^(n+1/2) after u = sqrt(g)); computed by Richardson-extrapolated
     central differences.  "degenerate-density-bracket": coefficients of
     the asymptotic bracket in powers of (ln x)^-2, from quadrature
-    values; the first one recovers pi^2/8.  "identity": (1, 0, 0, ...).
+    values; the first one recovers pi^2/8.
     """
     try:
         builder = _TAYLOR_REGISTRY[function_id]
@@ -324,7 +324,7 @@ def _b_eta_grid(q):
     return [lo + d for d in (0.15, 0.7, 2.0)]
 
 
-def run_verification(qs=(0.3, 0.5, 0.7, 0.9), include_algebra=True):
+def run_verification():
     """Run the full self-check suite and return a VerificationReport.
 
     Covers the trace identities, the continued-fraction/closed-form
@@ -334,6 +334,7 @@ def run_verification(qs=(0.3, 0.5, 0.7, 0.9), include_algebra=True):
     The known-errata catalog and the side-by-side ambiguity notes are
     attached to the report.
     """
+    qs = (0.3, 0.5, 0.7, 0.9)  # grid of the trace, occupation and CF checks
     checks = []
     notes = []
 
@@ -362,7 +363,7 @@ def run_verification(qs=(0.3, 0.5, 0.7, 0.9), include_algebra=True):
             for obs in ("N", "qN", "q_inv_N", "basic_N"):
                 spec = TraceSpec(Family.B, qp, eta, obs, n_max=64)
                 worst = max(worst, abs(
-                    trace_average(spec) - trace_average_matrix(spec, dim=65)))
+                    trace_average(spec) - trace_average_matrix(spec)))
     checks.append(CheckResult.from_residual(
         "trace-matrix-vs-scalar", {"dims": 65}, worst, 1e-12))
 
@@ -434,19 +435,18 @@ def run_verification(qs=(0.3, 0.5, 0.7, 0.9), include_algebra=True):
         "fermi-limit-regression", {"scale": "1e-3 * relative at q=1-1e-9"},
         worst_f, 1e-9))
 
-    if include_algebra:
-        for q in (0.3, 0.6, 0.9):
-            checks.extend(rep_report(build_b_rep(q, 32)))
-            checks.extend(rep_report(build_f_rep(q)))
-            rec = eigenvalue_seq_f(q, 12)
-            closed = eigenvalue_seq_f_closed(q, 12)
-            checks.append(CheckResult.from_residual(
-                "f-eigenvalue-recurrence-closed-form", {"q": q, "n_max": 12},
-                max(abs(a - b) for a, b in zip(rec, closed)), 1e-300,
-                note="bit-exact by shared iterated-power construction"))
-            checks.append(CheckResult.from_residual(
-                "f-no-basic-number", {"q": q, "n_max": 4},
-                0.0 if verify_no_basic_number_f(q, 4) else 1.0, 0.5))
+    for q in (0.3, 0.6, 0.9):
+        checks.extend(rep_report(build_b_rep(q, 32)))
+        checks.extend(rep_report(build_f_rep(q)))
+        rec = eigenvalue_seq_f(q, 12)
+        closed = eigenvalue_seq_f_closed(q, 12)
+        checks.append(CheckResult.from_residual(
+            "f-eigenvalue-recurrence-closed-form", {"q": q, "n_max": 12},
+            max(abs(a - b) for a, b in zip(rec, closed)), 1e-300,
+            note="bit-exact by shared iterated-power construction"))
+        checks.append(CheckResult.from_residual(
+            "f-no-basic-number", {"q": q, "n_max": 4},
+            0.0 if verify_no_basic_number_f(q, 4) else 1.0, 0.5))
 
     oracle_series = taylor_reference("arcsin-sqrt", 3)
     closed = arcsin_series_coefficients(3)

@@ -14,11 +14,12 @@ operations branch to the analytic limit there instead of evaluating
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
 
-DEFAULT_CLASSICAL_EPS = 1e-12
+# |q - 1| below which q counts as the undeformed limit
+CLASSICAL_EPS = 1e-12
 
 
 class Family(enum.Enum):
@@ -42,13 +43,12 @@ def as_family(value):
 class QParam:
     """Statistics parameter q in (0, 1] with explicit classical-limit handling.
 
-    ``is_classical_limit`` is true iff |q - 1| < classical_eps; callers
+    ``is_classical_limit`` is true iff |q - 1| < 1e-12; callers
     must branch to the analytic q = 1 formulas in that case rather than
     evaluating the deformed expressions, which degenerate to 0/0.
     """
 
     q: float
-    classical_eps: float = field(default=DEFAULT_CLASSICAL_EPS, compare=False)
 
     def __post_init__(self):
         q = float(self.q)
@@ -58,7 +58,7 @@ class QParam:
 
     @property
     def is_classical_limit(self):
-        return abs(self.q - 1.0) < self.classical_eps
+        return abs(self.q - 1.0) < CLASSICAL_EPS
 
     @property
     def q_inv(self):
@@ -101,19 +101,19 @@ def q_factorial(q, n):
     return out
 
 
-def jackson_derivative(f, q, x, step=None):
+def jackson_derivative(f, q, x):
     """Finite q-difference derivative (f(qx) - f(x/q)) / (x (q - 1/q)).
 
     Reduces to the ordinary derivative as q -> 1; in the classical limit
-    a central difference with the given step (default 1e-6 * max(1, |x|))
-    is returned instead.  x = 0 is outside the domain.
+    a central difference with step 1e-6 * max(1, |x|) is returned
+    instead.  x = 0 is outside the domain.
     """
     qp = as_qparam(q)
     x = float(x)
     if x == 0.0:
         raise DomainError("Jackson derivative is undefined at x = 0")
     if qp.is_classical_limit:
-        h = step if step is not None else 1e-6 * max(1.0, abs(x))
+        h = 1e-6 * max(1.0, abs(x))
         return (f(x + h) - f(x - h)) / (2.0 * h)
     return (f(qp.q * x) - f(x / qp.q)) / (x * (qp.q - qp.q_inv))
 
@@ -170,7 +170,6 @@ class PowerSeries:
 
     def __add__(self, other):
         if isinstance(other, PowerSeries):
-            k = min(self.order, other.order)
             return PowerSeries(
                 tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
                 self.constant + other.constant,

@@ -7,7 +7,6 @@ of the record.  Notes carry side-by-side values for genuine ambiguities
 that are reported rather than resolved.
 """
 
-import json
 from dataclasses import asdict, dataclass, field
 
 
@@ -61,26 +60,6 @@ class VerificationReport:
             "errata": [asdict(e) for e in self.errata],
             "notes": [asdict(n) for n in self.notes],
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def to_text(self):
-        lines = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(
-                f"{status}  {c.check_id}  residual={c.residual:.3e}  "
-                f"threshold={c.threshold:.1e}  inputs={c.inputs}"
-                + (f"  note={c.note}" if c.note else "")
-            )
-        for e in self.errata:
-            lines.append(f"ERRATUM  {e.erratum_id}: printed [{e.printed}] "
-                         f"-> adopted [{e.adopted}]")
-        for n in self.notes:
-            lines.append(f"NOTE  {n.note_id}: {n.detail}  values={n.values}")
-        lines.append("OVERALL  " + ("PASS" if self.all_passed else "FAIL"))
-        return "\n".join(lines)
 
 
 # Catalog of internal contradictions in the source formulas, with the

@@ -42,8 +42,8 @@ class GasParams:
 
     Exactly one of ``fugacity`` and ``density`` must be given; density
     means the dimensionless combination lam^3 N / V.  ``multiplicity``
-    is the spin degeneracy factor (F family).  ``include_zero_mode``
-    adds the isolated zero-momentum term to the grand potential only.
+    is the spin degeneracy factor (F family).  Temperature, mass and
+    volume must be positive and finite.
     """
 
     family: Family
@@ -55,7 +55,6 @@ class GasParams:
     volume: float = 1.0
     multiplicity: int = 1
     units: object = NATURAL
-    include_zero_mode: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "family", as_family(self.family))
@@ -63,8 +62,9 @@ class GasParams:
         if (self.fugacity is None) == (self.density is None):
             raise DomainError("give exactly one of fugacity and density")
         for name in ("temperature", "mass", "volume"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value!r}")
         if self.multiplicity < 1:
             raise DomainError("multiplicity must be a positive integer")
 
@@ -94,16 +94,22 @@ class StateFunctions:
     fugacity: float
     thermal_wavelength: float
 
-    def as_dict(self):
-        return {
-            "pressure": self.pressure,
-            "internal_energy": self.internal_energy,
-            "entropy": self.entropy,
-            "number_density": self.number_density,
-            "grand_potential": self.grand_potential,
-            "fugacity": self.fugacity,
-            "thermal_wavelength": self.thermal_wavelength,
-        }
+
+def _thermal_wavelength_cubed(params):
+    # lam and lam^3, which the state functions divide by, so lam^3 must be
+    # a positive finite double
+    lam = thermal_wavelength(params.mass, params.temperature, params.units)
+    try:
+        lam3 = lam ** 3
+    except OverflowError:
+        lam3 = math.inf
+    if not 0.0 < lam3 < math.inf:
+        raise DomainError(
+            f"lam^3 = (h^2/(2 pi m k T))^(3/2) is {lam3!r} at m={params.mass!r}, "
+            f"T={params.temperature!r}, h={params.units.h!r}, k={params.units.k!r}; "
+            "bring m k T / h^2 closer to 1"
+        )
+    return lam, lam3
 
 
 def b_state(params):
@@ -112,8 +118,7 @@ def b_state(params):
         raise DomainError("b_state needs B-family params")
     qp = params.q
     z = params.resolved_fugacity()
-    lam = thermal_wavelength(params.mass, params.temperature, params.units)
-    lam3 = lam ** 3
+    lam, lam3 = _thermal_wavelength_cubed(params)
     kt = params.units.k * params.temperature
     g52 = bose_g(qp, z, 2.5)
     g32 = bose_g(qp, z, 1.5)
@@ -134,8 +139,7 @@ def f_state(params):
     """State functions of the fermion-like gas, any fugacity > 0.
 
     The multiplicity scales every extensive quantity (it multiplies the
-    mode sum); the optional isolated zero-momentum term enters the grand
-    potential only, never the bulk intensive functions.
+    mode sum).
     """
     if params.family is not Family.F:
         raise DomainError("f_state needs F-family params")
@@ -144,23 +148,19 @@ def f_state(params):
     if not z > 0.0:
         raise DomainError(f"fugacity must be positive, got {z!r}")
     x = z if qp.is_classical_limit else z / qp.q
-    lam = thermal_wavelength(params.mass, params.temperature, params.units)
-    lam3 = lam ** 3
+    lam, lam3 = _thermal_wavelength_cubed(params)
     kt = params.units.k * params.temperature
     gs = float(params.multiplicity)
     f52 = fermi_f(x, 2.5)
     f32 = fermi_f(x, 1.5)
     pressure = gs * kt * f52 / lam3
-    grand_potential = -pressure * params.volume
-    if params.include_zero_mode:
-        grand_potential -= gs * kt * math.log1p(x)
     return StateFunctions(
         pressure=pressure,
         internal_energy=1.5 * pressure * params.volume,
         entropy=params.volume * gs * params.units.k / lam3
         * (2.5 * f52 - f32 * math.log(z)),
         number_density=gs * f32 / lam3,
-        grand_potential=grand_potential,
+        grand_potential=-pressure * params.volume,
         fugacity=z,
         thermal_wavelength=lam,
     )
@@ -401,9 +401,9 @@ def f_partition_log(spectrum, z, beta, q):
     return sum(math.log1p(base * math.exp(-float(beta) * e)) for e in spectrum)
 
 
-def b_number_from_partition(spectrum, z, beta, q, step=None):
+def b_number_from_partition(spectrum, z, beta, q):
     """z D_q(z) ln Z for the B-family partition log (mode-sum occupation)."""
     qp = as_qparam(q)
     return float(z) * jackson_derivative(
-        lambda zz: b_partition_log(spectrum, zz, beta), qp, float(z), step=step
+        lambda zz: b_partition_log(spectrum, zz, beta), qp, float(z)
     )

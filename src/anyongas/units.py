@@ -5,7 +5,10 @@ provided for desk checks against tabulated numbers (CODATA 2018 exact
 values).
 """
 
+import math
 from dataclasses import dataclass
+
+from .errors import DomainError
 
 PLANCK_SI = 6.62607015e-34  # J s
 BOLTZMANN_SI = 1.380649e-23  # J / K
@@ -15,12 +18,16 @@ ELECTRON_VOLT_SI = 1.602176634e-19  # J
 
 @dataclass(frozen=True)
 class UnitSystem:
+    """Planck constant h and Boltzmann constant k, each positive and finite."""
+
     h: float = 1.0
     k: float = 1.0
 
-    @classmethod
-    def natural(cls):
-        return cls()
+    def __post_init__(self):
+        for name in ("h", "k"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
     @classmethod
     def si(cls):

@@ -10,6 +10,7 @@ import pytest
 
 from anyongas import cli, oracle
 from anyongas.distributions import b_occupation
+from anyongas.errors import DomainError
 from anyongas.qfunctions import bose_g
 
 
@@ -26,6 +27,16 @@ def _run(tmp_path, argv):
 def test_oracle_suite_passes():
     report = oracle.run_verification()
     assert report.all_passed, report.failed()
+
+
+def test_trace_matrices_span_the_n_max_states():
+    # 64 states meet the tail bound at this eta, so both sums are the same one
+    eta = math.log(2.0) + 2.0
+    spec = oracle.TraceSpec("b", 0.5, eta, "basic_N", n_max=64)
+    assert oracle.trace_average_matrix(spec) == pytest.approx(
+        oracle.trace_average(spec), abs=1e-12)
+    with pytest.raises(DomainError, match="n_max"):
+        oracle.trace_average_matrix(oracle.TraceSpec("b", 0.5, eta, "basic_N"))
 
 
 class TestOccupation:
@@ -139,6 +150,31 @@ class TestEos:
         assert "supremum" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--q", ","], "holds no value", id="empty-q"),
+        pytest.param(["--mass", "inf"], "mass must be positive and finite", id="mass-inf"),
+        pytest.param(["--temperature", "1e308"], "bring m k T / h^2 closer to 1",
+                     id="lambda-underflow"),
+        pytest.param(["--k", "0"], "k must be positive and finite", id="k-zero"),
+        pytest.param(["--h", "-1"], "h must be positive and finite", id="h-negative"),
+    ])
+    def test_invalid_input_is_domain_error(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "x.csv"
+        assert cli.main(["eos", *argv, "--output", str(path)]) == 3
+        assert message in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("sweep", [[], ["--t-min", "0.5", "--t-max", "2"]],
+                             ids=["single", "t-sweep"])
+    def test_default_fugacity(self, tmp_path, sweep):
+        # neither --z nor --density: z = 0.25, with or without a T-sweep
+        status, payload, rows = _run(tmp_path, ["eos", *sweep])
+        assert status == 0
+        assert payload["config"]["z"] == 0.25
+        assert len(rows) == (20 if sweep else 1)
+        assert all(row["fugacity"] == 0.25 for row in rows)
+
+
 class TestVirial:
     def test_b_family(self, tmp_path):
         status, _, rows = _run(tmp_path, [
@@ -188,6 +224,24 @@ def test_limits_csv_to_stdout(capsys):
     body = [line.split(",") for line in lines[header + 1:]]
     assert len(body) == 16
     assert all(fields[-1] == "PASS" for fields in body)
+
+
+@pytest.mark.parametrize("precision", ["-1", "0", "x"])
+def test_precision_below_one_is_usage_error(capsys, precision):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["virial", "--precision", precision])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+
+
+def test_calls_share_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["virial", "--precision", "5"]) == 0
+    assert cli.main(["virial"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    second = [line for line in lines if line.startswith("2,")]
+    # b_2 = -[2]/2^(7/2) at q = 0.5, at 5 and then at the default 15 digits
+    assert second == ["2,-0.22097", "2,-0.220970869120796"]
 
 
 def test_import_loads_neither_scipy_nor_mpmath():

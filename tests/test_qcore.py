@@ -19,7 +19,6 @@ class TestQParam:
         assert QParam(1.0).is_classical_limit
         assert QParam(1.0 - 1e-13).is_classical_limit
         assert not QParam(1.0 - 1e-9).is_classical_limit
-        assert QParam(1.0 - 1e-9, classical_eps=1e-8).is_classical_limit
 
     def test_inv_minus_q_keeps_precision_near_one(self):
         assert QParam(0.5).inv_minus_q == pytest.approx(1.5, rel=1e-15)
@@ -110,8 +109,6 @@ class TestJacksonDerivative:
     def test_classical_reduces_to_derivative(self):
         got = jackson_derivative(math.sin, 1.0, 1.2)
         assert got == pytest.approx(math.cos(1.2), abs=1e-9)
-        got = jackson_derivative(math.sin, 1.0, 1.2, step=1e-5)
-        assert got == pytest.approx(math.cos(1.2), abs=1e-8)
 
     def test_classical_polynomial_identity(self):
         # exact n x^(n-1) limit for polynomials as q -> 1

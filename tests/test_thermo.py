@@ -3,10 +3,14 @@ import math
 import mpmath
 import pytest
 
+from anyongas.distributions import f_occupation
 from anyongas.errors import ConvergenceError, DomainError
 from anyongas.qcore import Family
-from anyongas.thermo import (GasParams, b_density_supremum, brentq, f_state,
-                             solve_fugacity, virial_coefficients)
+from anyongas.qfunctions import thermal_wavelength
+from anyongas.thermo import (GasParams, b_density_supremum, b_state, brentq,
+                             chemical_potential_f, f_partition_log, f_state,
+                             fermi_energy, solve_fugacity, virial_coefficients)
+from anyongas.units import SI, UnitSystem
 
 Q_GRID = (0.05, 0.1, 0.3, 0.5, 0.7, 0.76, 0.9, 0.99, 1.0 - 1e-9, 1.0)
 
@@ -121,3 +125,82 @@ class TestBrent:
     def test_no_sign_change_raises(self):
         with pytest.raises(ConvergenceError):
             brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("h, k", [(-1.0, 1.0), (0.0, 1.0), (1.0, 0.0),
+                                      (math.inf, 1.0), (1.0, math.nan)])
+    def test_units_need_positive_finite_constants(self, h, k):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            UnitSystem(h=h, k=k)
+
+    @pytest.mark.parametrize("name", ["temperature", "mass", "volume"])
+    def test_gas_params_need_finite_inputs(self, name):
+        inputs = dict(temperature=1.0, mass=1.0, volume=1.0)
+        inputs[name] = math.inf
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+            GasParams(family=Family.B, q=0.5, fugacity=0.25, **inputs)
+
+    @pytest.mark.parametrize("state, family", [(b_state, Family.B), (f_state, Family.F)])
+    @pytest.mark.parametrize("temperature", [1e308, 1e-300])
+    def test_lambda_cubed_must_be_a_positive_finite_double(self, state, family,
+                                                           temperature):
+        # lam underflows lam^3 to 0 at the first temperature and overflows it
+        # at the second
+        params = GasParams(family=family, q=0.5, temperature=temperature,
+                           fugacity=0.25)
+        with pytest.raises(DomainError, match="lam\\^3"):
+            state(params)
+
+
+class TestFermiEnergy:
+    @pytest.mark.parametrize("multiplicity", [1, 2])
+    @pytest.mark.parametrize("temperature", [0.5, 2.0])
+    def test_zero_temperature_density_relation(self, multiplicity, temperature):
+        # the T -> 0 limit of the F density, lam^3 n = gs (E_F/kT)^(3/2)/Gamma(5/2),
+        # holds at every T once E_F is in closed form
+        n, mass = 7.0, 1.3
+        e_fermi = fermi_energy(n, multiplicity, mass)
+        lam3 = thermal_wavelength(mass, temperature) ** 3
+        assert lam3 * n == pytest.approx(
+            multiplicity * (e_fermi / temperature) ** 1.5 / math.gamma(2.5), rel=1e-14)
+
+    def test_si_electron_gas(self):
+        # copper: n = 8.47e28 m^-3, gs = 2 gives E_F = 7.03 eV
+        e_fermi = fermi_energy(8.47e28, 2, 9.1093837015e-31, SI)
+        assert e_fermi / 1.602176634e-19 == pytest.approx(7.03, abs=0.01)
+
+    def test_invalid_input_is_domain_error(self):
+        for args in ((0.0, 1, 1.0), (1.0, 0, 1.0), (1.0, 1, -1.0)):
+            with pytest.raises(DomainError):
+                fermi_energy(*args)
+
+
+class TestChemicalPotentialF:
+    """Sommerfeld expansion against kT ln z from the density solve, T = m = 1."""
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("lam3n", [1e2, 1e3, 1e4])
+    def test_against_the_density_solve(self, q, lam3n):
+        e_fermi = fermi_energy(lam3n / thermal_wavelength(1.0, 1.0) ** 3, 1, 1.0)
+        exact = math.log(solve_fugacity("f", q, lam3n))
+        ratio = 1.0 / e_fermi  # kT / E_F
+        # order 1 leaves the next Sommerfeld term, pi^4/80 E_F (kT/E_F)^4 and
+        # beyond: 1.22 E_F (kT/E_F)^4 measured
+        assert abs(chemical_potential_f(1.0, e_fermi, q) - exact) \
+            <= 1.3 * e_fermi * ratio ** 4
+        # order 0 misses the quadratic term, (pi^2/12) E_F (kT/E_F)^2
+        assert chemical_potential_f(1.0, e_fermi, q, approximation_order=0) - exact \
+            == pytest.approx(math.pi ** 2 / 12.0 * e_fermi * ratio ** 2, rel=1e-2)
+
+
+class TestFPartitionLog:
+    @pytest.mark.parametrize("q", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("z", [0.2, 1.5, 10.0])
+    def test_fugacity_derivative_is_the_occupation_sum(self, q, z):
+        spectrum, beta = (0.1, 0.5, 1.0, 2.0, 3.5), 1.3
+        h = 1e-5 * z
+        derivative = z * (f_partition_log(spectrum, z + h, beta, q)
+                          - f_partition_log(spectrum, z - h, beta, q)) / (2.0 * h)
+        occupations = sum(f_occupation(q, beta * e - math.log(z)) for e in spectrum)
+        assert derivative == pytest.approx(occupations, rel=1e-9)
