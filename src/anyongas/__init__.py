@@ -2,8 +2,8 @@
 
 Occupation functions in closed, continued-fraction and series forms for
 the boson-like and fermion-like families, the generalized zeta functions
-behind their equations of state, virial coefficients by series
-reversion, truncated Fock-space representations of the underlying
+behind their equations of state, virial coefficients by Lagrange
+inversion, truncated Fock-space representations of the underlying
 deformed oscillator algebras, and a brute-force trace oracle that
 verifies the whole stack.
 """

@@ -193,14 +193,30 @@ def _parse_q_list(raw):
     return qs
 
 
+def _is_sweep(args, name):
+    # whether --NAME-min and --NAME-max are both given; one alone is an error
+    has_min = getattr(args, f"{name}_min") is not None
+    has_max = getattr(args, f"{name}_max") is not None
+    if has_min != has_max:
+        flag, other = f"--{name}-min", f"--{name}-max"
+        if has_max:
+            flag, other = other, flag
+        raise DomainError(f"{flag} sweeps only together with {other}; "
+                          f"add {other} or drop {flag}")
+    return has_min
+
+
 def _cmd_eos(args):
     family = as_family(args.family)
     qs = _parse_q_list(args.q)
     units = UnitSystem(h=args.h, k=args.k)
-    z_sweep = args.z_min is not None and args.z_max is not None
-    t_sweep = args.t_min is not None and args.t_max is not None
+    z_sweep = _is_sweep(args, "z")
+    t_sweep = _is_sweep(args, "t")
     if z_sweep and t_sweep:
         raise DomainError("sweep either fugacity or temperature, not both")
+    if z_sweep and args.z is not None:
+        raise DomainError("--z and a --z-min/--z-max sweep both set the fugacity; "
+                          "drop --z or the sweep")
     if args.density is not None and (args.z is not None or z_sweep):
         raise DomainError("give either a density or a fugacity, not both")
     if args.density is not None:
@@ -251,13 +267,14 @@ def _cmd_virial(args):
     dataset = {
         "schema_version": SCHEMA_VERSION, "command": "virial",
         "config": config, "columns": ["k", "coefficient"], "rows": rows,
+        "metadata": {"working_digits": coeffs.working_digits},
     }
     if family is Family.F:
-        dataset["metadata"] = {
-            "q_independent": True,
-            "detail": "F-family virial coefficients carry no q dependence; "
-                      "the deformation enters only through z/q",
-        }
+        dataset["metadata"].update(
+            q_independent=True,
+            detail="F-family virial coefficients carry no q dependence; "
+                   "the deformation enters only through z/q",
+        )
     return dataset, 0
 
 

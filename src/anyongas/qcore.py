@@ -3,8 +3,9 @@
 Everything downstream is built from three primitives: the basic number
 [x] = (q^x - q^-x)/(q - q^-1), the Jackson finite-difference derivative
 that replaces d/dx in the boson-like thermodynamics, and a truncated
-formal power series supporting composition and reversion (used for the
-virial expansion).
+formal power series supporting composition and reversion in doubles
+(the oracle's reference expansions are PowerSeries; the virial
+coefficients are summed in decimal by `thermo.virial_coefficients`).
 
 The deformation parameter lives in (0, 1].  q = 0 is excluded because
 every formula involves q^-1; q = 1 is the undeformed limit and all

@@ -9,17 +9,21 @@ generalized zeta functions supplying the q dependence:
 with lam the thermal wavelength and gs the multiplicity.  Natural units
 h = k = 1 by default; the constants enter explicitly so SI checks work.
 A given density is turned into a fugacity by a Brent-Dekker solve in
-ln(z/q) on a bracket from closed-form bounds.  Virial coefficients are
-obtained by reverting the density-fugacity series and composing it into
-the pressure series.
+ln(z/q) on a bracket from closed-form bounds.  Virial coefficients come
+from Lagrange inversion of the density series in x = z/q, summed in
+stdlib decimal at a precision raised until the sum's own conditioning
+leaves every coefficient correct to a double.
 """
 
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .qcore import Family, PowerSeries, as_family, as_qparam, basic_number, jackson_derivative
+from .qcore import Family, as_family, as_qparam, jackson_derivative
 from .qfunctions import bose_g, bose_g_supremum, fermi_f, thermal_wavelength
 from .units import NATURAL
 
@@ -34,6 +38,14 @@ _BRACKET_SLACK = 1e-12
 # Brent stops when the bracket in u is narrower than XTOL + RTOL |u|
 _BRENT_XTOL = 1e-20
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
+# a double is fixed by 17 significant digits; the guard digits cover the
+# rounding that builds up over the O(K^3) products of the virial sum
+_DOUBLE_DIGITS = 17
+_VIRIAL_GUARD_DIGITS = 5
+# the virial sum starts at 34 digits and at least doubles them each pass;
+# the cap ends the loop should some b_n be exactly 0 or its scale overflow
+_VIRIAL_START_DIGITS = 34
+_VIRIAL_MAX_DIGITS = 34 * 2 ** 6
 
 
 @dataclass(frozen=True)
@@ -42,8 +54,9 @@ class GasParams:
 
     Exactly one of ``fugacity`` and ``density`` must be given; density
     means the dimensionless combination lam^3 N / V.  ``multiplicity``
-    is the spin degeneracy factor (F family).  Temperature, mass and
-    volume must be positive and finite.
+    is the spin degeneracy factor of the F family; the B state functions
+    carry none, so there it must be 1.  Temperature, mass and volume must
+    be positive and finite.
     """
 
     family: Family
@@ -67,6 +80,11 @@ class GasParams:
                 raise DomainError(f"{name} must be positive and finite, got {value!r}")
         if self.multiplicity < 1:
             raise DomainError("multiplicity must be a positive integer")
+        if self.family is Family.B and self.multiplicity != 1:
+            raise DomainError(
+                f"multiplicity {self.multiplicity!r} has no effect on the B family, "
+                "whose state functions carry no spin factor; give multiplicity 1"
+            )
 
     def resolved_fugacity(self):
         """The given fugacity, or the one that gives the given density.
@@ -95,9 +113,15 @@ class StateFunctions:
     thermal_wavelength: float
 
 
-def _thermal_wavelength_cubed(params):
-    # lam and lam^3, which the state functions divide by, so lam^3 must be
-    # a positive finite double
+def _thermal_scales(params):
+    # k T, lam and lam^3, which the state functions multiply and divide by,
+    # so k T must be finite and lam^3 a positive finite double
+    kt = params.units.k * params.temperature
+    if not kt < math.inf:
+        raise DomainError(
+            f"k T is {kt!r} at k={params.units.k!r}, T={params.temperature!r}; "
+            "bring k T below the largest double"
+        )
     lam = thermal_wavelength(params.mass, params.temperature, params.units)
     try:
         lam3 = lam ** 3
@@ -109,7 +133,7 @@ def _thermal_wavelength_cubed(params):
             f"T={params.temperature!r}, h={params.units.h!r}, k={params.units.k!r}; "
             "bring m k T / h^2 closer to 1"
         )
-    return lam, lam3
+    return kt, lam, lam3
 
 
 def b_state(params):
@@ -118,8 +142,7 @@ def b_state(params):
         raise DomainError("b_state needs B-family params")
     qp = params.q
     z = params.resolved_fugacity()
-    lam, lam3 = _thermal_wavelength_cubed(params)
-    kt = params.units.k * params.temperature
+    kt, lam, lam3 = _thermal_scales(params)
     g52 = bose_g(qp, z, 2.5)
     g32 = bose_g(qp, z, 1.5)
     pressure = kt * g52 / lam3
@@ -148,8 +171,7 @@ def f_state(params):
     if not z > 0.0:
         raise DomainError(f"fugacity must be positive, got {z!r}")
     x = z if qp.is_classical_limit else z / qp.q
-    lam, lam3 = _thermal_wavelength_cubed(params)
-    kt = params.units.k * params.temperature
+    kt, lam, lam3 = _thermal_scales(params)
     gs = float(params.multiplicity)
     f52 = fermi_f(x, 2.5)
     f32 = fermi_f(x, 1.5)
@@ -297,41 +319,121 @@ def _closest_fugacity(density, z, z_top, target):
     )
 
 
-def _zeta_series(family, qp, order_exponent, n_coeffs):
-    # coefficients of the density (exponent 5/2 or 3/2) and pressure (7/2
-    # or 5/2) sums as a PowerSeries: in z for B, in x = z/q for F, so the
-    # F series carry no q at all
-    coeffs = []
-    for r in range(1, n_coeffs + 1):
-        if family is Family.B:
-            c = basic_number(qp, r) / r ** order_exponent
-        else:
-            c = (-1.0) ** (r + 1) / r ** order_exponent
-        coeffs.append(c)
-    return PowerSeries(tuple(coeffs))
+class VirialCoefficients(list):
+    """b_1..b_K as doubles, with the decimal precision they were summed at."""
+
+    def __init__(self, coefficients, working_digits):
+        super().__init__(coefficients)
+        self.working_digits = working_digits
+
+
+def _density_per_x(family, q, order):
+    # density coefficients rho_1..rho_order in x = z/q at the context
+    # precision, rho_1 = 1.  B: g(q, z, 3/2) = q Sum_r c_r x^r / r^(5/2)
+    # with c_r = [r]_q q^(r-1) = 1 + q^2 + ... + q^(2r-2), a positive sum
+    # that is r at q = 1.  F: f(x, 3/2) = Sum_r (-1)^(r+1) x^r / r^(3/2)
+    rho = []
+    if family is Family.B:
+        q2 = q * q
+        weight, step = Decimal(0), Decimal(1)
+        for r in range(1, order + 1):
+            weight, step = weight + step, step * q2
+            rho.append(weight / (r * r * Decimal(r).sqrt()))
+    else:
+        for r in range(1, order + 1):
+            rho.append((1 if r % 2 else -1) / (r * Decimal(r).sqrt()))
+    return rho
+
+
+def _diagonal_over_n(phi, order):
+    # [x^(n-1)] phi(x)^(n-1) / n for n = 1..order, the powers of phi
+    # truncated at x^(order-1)
+    power = [Decimal(1)] + [Decimal(0)] * (order - 1)
+    out = [Decimal(1)]
+    for n in range(2, order + 1):
+        power = [sum(power[i] * phi[d - i] for i in range(d + 1))
+                 for d in range(order)]
+        out.append(power[n - 1] / n)
+    return out
+
+
+def _virial_scale(phi, order):
+    # the sums of _diagonal_over_n over the absolute values of every term,
+    # in doubles: rounding at P digits moves b_n by a few 10^-P scale_n
+    abs_phi = np.abs(np.array(phi, dtype=float))
+    power = np.zeros(order)
+    power[0] = 1.0
+    scale = [1.0]
+    for n in range(2, order + 1):
+        power = np.convolve(power, abs_phi)[:order]
+        scale.append(power[n - 1] / n)
+    return scale
+
+
+def _virial_pass(family, q, order):
+    # b_n q^(n-1) for n = 1..order at the context precision, and the
+    # digits that precision needs for every one of them to be right to a
+    # double; |b| >= 10^b.adjusted(), so that overestimates by under one
+    rho = _density_per_x(family, q, order)
+    phi = [Decimal(1)]  # x/rho(x)
+    for n in range(1, order):
+        phi.append(-sum(rho[k] * phi[n - k] for k in range(1, n + 1)))
+    coeffs = _diagonal_over_n(phi, order)
+    needed = max(
+        (_DOUBLE_DIGITS + _VIRIAL_GUARD_DIGITS + math.log10(s) - b.adjusted()
+         if b else math.inf)
+        for b, s in zip(coeffs, _virial_scale(phi, order)))
+    return coeffs, needed
 
 
 def virial_coefficients(family, q, order):
     """Coefficients b_1..b_order of Pv/kT = 1 + b_2 (lam^3/v) + ...
 
-    The density series in fugacity is reverted and substituted into the
-    pressure series.  b_1 = 1 always; the F-family coefficients carry no
-    q dependence (the deformation enters both series only through z/q,
-    so they are built in x = z/q and b_1 = 1.0 exactly).
+    Lagrange inversion in x = z/q.  In both families the density rho(x)
+    and the pressure p(x) satisfy x p'(x) = rho(x), so with
+    phi = x/rho(x)
+
+        b_n = (1/n) [x^(n-1)] p'(x) phi(x)^n = (1/n) [x^(n-1)] phi(x)^(n-1),
+
+    O(order^3) products in stdlib decimal.  The inputs are built in
+    decimal from the exact double q: B has g(q, z, 3/2) = q rho(x) with
+    the positive coefficients (1 + q^2 + ... + q^(2r-2))/r^(5/2), which
+    are r^(-3/2) at q = 1, and b_n picks up a factor q^(1-n); F has
+    f(x, 3/2) = rho(x) with no q at all, so its coefficients are the same
+    for every q.  b_1 = 1.0 exactly in both.
+
+    Precision: scale_n is the same sum over the absolute values of every
+    term, in doubles.  The working precision P starts at 34 digits and
+    at least doubles each pass until every n has
+    P >= 17 + 5 + log10(scale_n/|b_n|); each b_n is then correct to a
+    double.  The result is a list of floats whose ``working_digits`` is
+    that final P (68 for B at q = 0.5 and order 60, 136 for F at order
+    60).  An order whose b_n passes the largest double raises
+    DomainError.
     """
     family = as_family(family)
     qp = as_qparam(q)
     if order < 2:
         raise DomainError(f"virial expansion needs order >= 2, got {order!r}")
-    if family is Family.B:
-        density = _zeta_series(family, qp, 2.5, order)
-        pressure = _zeta_series(family, qp, 3.5, order)
-    else:
-        density = _zeta_series(family, qp, 1.5, order)
-        pressure = _zeta_series(family, qp, 2.5, order)
-    z_of_x = density.revert()
-    composed = pressure.compose(z_of_x)  # (Pv/kT) * x as a series in x
-    return list(composed.coeffs[:order])
+    # the q of x = z/q; 1 for F, whose series carry no q, and at q = 1
+    q_x = Decimal(1 if family is Family.F or qp.is_classical_limit else qp.q)
+    digits = _VIRIAL_START_DIGITS
+    while True:
+        with localcontext(Context(prec=digits)):
+            coeffs, needed = _virial_pass(family, q_x, order)
+            if digits >= needed:
+                coeffs = [float(b / q_x ** n) for n, b in enumerate(coeffs)]
+                break
+        digits = max(2 * digits, math.ceil(needed))
+        if digits > _VIRIAL_MAX_DIGITS:
+            raise ConvergenceError(
+                f"virial coefficients need more than {_VIRIAL_MAX_DIGITS} digits "
+                f"at family={family.value}, q={qp.q!r}, order={order}")
+    beyond = next((n for n, b in enumerate(coeffs, 1) if math.isinf(b)), 0)
+    if beyond:
+        raise DomainError(f"b_{beyond} is beyond the largest double at q={qp.q!r}; "
+                          f"give an order below {beyond} or a larger q")
+    return VirialCoefficients(coeffs, digits)
 
 
 def fermi_energy(number_density, multiplicity, mass, units=NATURAL):

@@ -157,6 +157,19 @@ class TestEos:
                      id="lambda-underflow"),
         pytest.param(["--k", "0"], "k must be positive and finite", id="k-zero"),
         pytest.param(["--h", "-1"], "h must be positive and finite", id="h-negative"),
+        pytest.param(["--z-min", "0.1", "--z-steps", "3"], "add --z-max or drop --z-min",
+                     id="z-min-alone"),
+        pytest.param(["--z-max", "0.2"], "add --z-min or drop --z-max", id="z-max-alone"),
+        pytest.param(["--t-min", "0.5"], "add --t-max or drop --t-min", id="t-min-alone"),
+        pytest.param(["--t-max", "2"], "add --t-min or drop --t-max", id="t-max-alone"),
+        pytest.param(["--z", "0.1", "--z-min", "0.05", "--z-max", "0.2"],
+                     "drop --z or the sweep", id="z-and-z-sweep"),
+        pytest.param(["--family", "b", "--multiplicity", "3"],
+                     "multiplicity 3 has no effect on the B family", id="b-multiplicity"),
+        # lam^3 = 0.0635 is finite here, but k T is not
+        pytest.param(["--k", "1e300", "--temperature", "1e300", "--mass", "1e-300",
+                      "--h", "1e150"], "k T is inf at k=1e+300, T=1e+300",
+                     id="kt-overflow"),
     ])
     def test_invalid_input_is_domain_error(self, tmp_path, capsys, argv, message):
         path = tmp_path / "x.csv"
@@ -184,6 +197,18 @@ class TestVirial:
         assert rows[0]["coefficient"] == 1.0
         # b_2 = -[2] / 2^(7/2) with [2] = q + 1/q
         assert rows[1]["coefficient"] == pytest.approx(-2.5 / 2.0 ** 3.5, rel=1e-14)
+
+    @pytest.mark.parametrize("q, last", [("0.5", "60,-1349.45469629984"),
+                                         ("0.9", "60,-2.17924771602382e-19")])
+    def test_b_family_order_60_to_the_last_digit(self, capsys, q, last):
+        # the double-precision reversion printed b_60 = -2402.9 and -1.65e-11
+        assert cli.main(["virial", "--family", "b", "--q", q, "--order", "60"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == last
+
+    def test_json_reports_the_working_digits(self, tmp_path):
+        _, payload, _ = _run(tmp_path, [
+            "virial", "--family", "b", "--q", "0.5", "--order", "60"])
+        assert payload["metadata"]["working_digits"] == 68
 
     def test_f_family_first_coefficient_exact(self, tmp_path):
         # q = 0.76 gave b_1 = 0.9999999999999999 while the series were built in z

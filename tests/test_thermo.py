@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -24,6 +25,74 @@ class TestVirialF:
         reference = virial_coefficients("f", 1.0, 20)
         for q in Q_GRID:
             assert virial_coefficients("f", q, 20) == reference
+
+
+@functools.lru_cache(maxsize=None)
+def _virial_reference(family, q, order):
+    """b_1..b_order by Lagrange inversion in mpmath at 150 digits.
+
+    Density rho(z) and pressure p(z) with coefficients [r]_q / r^(5/2)
+    and [r]_q / r^(7/2), [r]_q = (q^r - q^-r)/(q - 1/q) (B), or
+    (-1)^(r+1) / r^(3/2) and (-1)^(r+1) / r^(5/2) in x = z/q (F); with
+    phi = z/rho(z), b_n = (1/n) [z^(n-1)] p'(z) phi(z)^n.
+    """
+    with mpmath.workdps(150):
+        qm = mpmath.mpf(q)
+        rs = range(1, order + 1)
+        if family == "b":
+            top = [mpmath.mpf(r) if qm == 1 else (qm ** r - qm ** -r) / (qm - 1 / qm)
+                   for r in rs]
+            rho = [top[r - 1] / mpmath.mpf(r) ** 2.5 for r in rs]
+            p = [top[r - 1] / mpmath.mpf(r) ** 3.5 for r in rs]
+        else:
+            rho = [(-1) ** (r + 1) / mpmath.mpf(r) ** 1.5 for r in rs]
+            p = [(-1) ** (r + 1) / mpmath.mpf(r) ** 2.5 for r in rs]
+        dp = [r * p[r - 1] for r in rs]
+        phi = [1 / rho[0]]
+        for n in range(1, order):
+            phi.append(-mpmath.fsum(rho[k] * phi[n - k] for k in range(1, n + 1)) / rho[0])
+        power = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (order - 1)
+        coeffs = []
+        for n in range(1, order + 1):
+            power = [mpmath.fsum(power[i] * phi[d - i] for i in range(d + 1))
+                     for d in range(order)]
+            coeffs.append(float(mpmath.fsum(dp[j] * power[n - 1 - j] for j in range(n)) / n))
+        return coeffs
+
+
+class TestVirial:
+    @pytest.mark.parametrize("q, order", [(0.05, 60), (0.5, 60), (0.9, 60), (0.95, 60),
+                                          (1.0 - 1e-9, 60), (1.0, 60), (0.01, 100)])
+    def test_b_family(self, q, order):
+        want = _virial_reference("b", q, order)
+        assert all(math.isfinite(w) and w != 0.0 for w in want)
+        got = virial_coefficients("b", q, order)
+        assert len(got) == order
+        for n, (g, w) in enumerate(zip(got, want), start=1):
+            assert g == pytest.approx(w, rel=1e-15, abs=0.0), f"b_{n}"
+
+    def test_f_family(self):
+        want = _virial_reference("f", 1.0, 60)
+        got = virial_coefficients("f", 0.76, 60)
+        for n, (g, w) in enumerate(zip(got, want), start=1):
+            assert g == pytest.approx(w, rel=1e-15, abs=0.0), f"b_{n}"
+        assert got[-1] == pytest.approx(-5.39192635236125e-79, rel=1e-14)
+
+    @pytest.mark.parametrize("q", Q_GRID)
+    def test_b_first_coefficient_is_exactly_one(self, q):
+        assert virial_coefficients("b", q, 12)[0] == 1.0
+
+    def test_coefficient_past_the_largest_double_is_domain_error(self):
+        # b_n grows like q^(1-n): b_65 = -2.9e306 is the last finite one here
+        assert math.isfinite(virial_coefficients("b", 1e-5, 65)[-1])
+        with pytest.raises(DomainError, match="b_66 is beyond the largest double"):
+            virial_coefficients("b", 1e-5, 70)
+
+    def test_working_digits_follow_the_conditioning(self):
+        # b_60 at q = 0.5 needs 68 digits, the F series' cancellation 136
+        assert virial_coefficients("b", 0.3, 40).working_digits == 34
+        assert virial_coefficients("b", 0.5, 60).working_digits == 68
+        assert virial_coefficients("f", 0.5, 60).working_digits == 136
 
 
 class TestDensitySolve:
@@ -128,6 +197,19 @@ class TestBrent:
 
 
 class TestInputValidation:
+    def test_b_family_takes_no_multiplicity(self):
+        with pytest.raises(DomainError, match="give multiplicity 1"):
+            GasParams(family=Family.B, q=0.5, temperature=1.0, fugacity=0.25,
+                      multiplicity=3)
+
+    @pytest.mark.parametrize("state, family", [(b_state, Family.B), (f_state, Family.F)])
+    def test_k_t_must_be_finite(self, state, family):
+        # lam^3 = 0.0635 is a finite double here, k T = 1e600 is not
+        params = GasParams(family=family, q=0.5, temperature=1e300, mass=1e-300,
+                           fugacity=0.25, units=UnitSystem(h=1e150, k=1e300))
+        with pytest.raises(DomainError, match="k T is inf at k=1e\\+300, T=1e\\+300"):
+            state(params)
+
     @pytest.mark.parametrize("h, k", [(-1.0, 1.0), (0.0, 1.0), (1.0, 0.0),
                                       (math.inf, 1.0), (1.0, math.nan)])
     def test_units_need_positive_finite_constants(self, h, k):
