@@ -4,6 +4,17 @@ Subcommands: occupation, bounds, eos, virial, fock, verify, limits.
 Outputs are CSV or JSON with the full configuration embedded
 for reproducibility.  Rows are computed in order in one process, so
 identical configurations produce byte-identical files on any machine.
+Occupation and bounds grids build the QParam once per grid.
+
+The writer streams: it writes the head, then one line per row, then the
+tail, to the file or to standard output, without building the whole text.
+A CSV row is one %-format, %.Pg for a float and %s for anything else,
+which is the text of format(v, ".Pg") and str(v).  A JSON row is one
+line from json.dumps; the rest of the document keeps the indent=2
+layout.  Below 17 significant digits JSON floats are rounded to
+--precision; at 17 and above every double reads back unchanged, so they
+are written as they are.
+
 Exit codes: 0 success, 1 internal check or convergence failure, 2 usage
 error, 3 domain error.
 """
@@ -25,12 +36,8 @@ from .units import UnitSystem
 SCHEMA_VERSION = "1"
 # the fugacity of an eos run given neither --z, a --z sweep nor --density
 _DEFAULT_FUGACITY = 0.25
-
-
-def _fmt(value, precision):
-    if isinstance(value, float):
-        return format(value, f".{precision}g")
-    return str(value)
+# significant digits that read back as the same double for every double
+_ROUND_TRIP_DIGITS = 17
 
 
 def _jsonable(value, precision):
@@ -48,59 +55,80 @@ def _linspace(lo, hi, steps):
     return [lo + i * h for i in range(steps)]
 
 
+def _csv_text(dataset, precision, extra_comments):
+    lines = [f"# schema_version = {dataset['schema_version']}",
+             f"# command = {dataset['command']}"]
+    for key in sorted(dataset["config"]):
+        lines.append(f"# {key} = {dataset['config'][key]}")
+    lines.extend(extra_comments)
+    lines.append(",".join(dataset["columns"]))
+    yield "\n".join(lines) + "\n"
+    # one %-format per row tuple, built once per tuple of value types:
+    # %.Pg is format(v, ".Pg") for a float, %s is str(v) for anything else
+    formats = {}
+    for row in dataset["rows"]:
+        kinds = tuple(map(type, row))
+        line = formats.get(kinds)
+        if line is None:
+            line = formats[kinds] = ",".join(
+                f"%.{precision}g" if isinstance(v, float) else "%s"
+                for v in row) + "\n"
+        yield line % row
+
+
+def _json_text(dataset, precision):
+    head = {key: dataset[key]
+            for key in ("schema_version", "command", "config", "columns")}
+    tail = {key: dataset[key] for key in ("report", "metadata") if key in dataset}
+    # the indent=2 layout of head and tail, with "rows" between them: the
+    # head without its closing "\n}" and the tail without "{\n" and "\n}"
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
+    rows = dataset["rows"]
+    if precision < _ROUND_TRIP_DIGITS:
+        rows = ([_jsonable(v, precision) for v in row] for row in rows)
+    sep = "\n    "
+    for row in rows:
+        # without indent, json.dumps runs the C encoder
+        yield sep + json.dumps(row)
+        sep = ",\n    "
+    yield "\n  ]"
+    if tail:
+        yield ",\n" + json.dumps(tail, indent=2)[2:-2]
+    yield "\n}\n"
+
+
 def _write(dataset, fmt, out_path, precision, extra_comments=()):
-    if fmt == "json":
-        payload = {
-            "schema_version": dataset["schema_version"],
-            "command": dataset["command"],
-            "config": dataset["config"],
-            "columns": dataset["columns"],
-            "rows": [
-                [_jsonable(v, precision) for v in row] for row in dataset["rows"]
-            ],
-        }
-        for key in ("report", "metadata"):
-            if key in dataset:
-                payload[key] = dataset[key]
-        text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    else:
-        lines = [f"# schema_version = {dataset['schema_version']}",
-                 f"# command = {dataset['command']}"]
-        for key in sorted(dataset["config"]):
-            lines.append(f"# {key} = {dataset['config'][key]}")
-        lines.extend(extra_comments)
-        lines.append(",".join(dataset["columns"]))
-        for row in dataset["rows"]:
-            lines.append(",".join(_fmt(v, precision) for v in row))
-        text = "\n".join(lines) + "\n"
+    chunks = (_json_text(dataset, precision) if fmt == "json"
+              else _csv_text(dataset, precision, extra_comments))
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
-# one output row per grid point, for each subcommand
+# one output row, a tuple, per grid point, for each subcommand; occupation
+# and bounds rows take the grid's QParam, built once per grid
 
 
-def _occupation_row_b(q, eta):
-    pair = distributions.cf_bounds(q, eta)
-    n_jd = distributions.b_occupation_jd(q, math.exp(-eta))
+def _occupation_row_b(qp, eta):
+    pair = distributions.cf_bounds(qp, eta)
+    n_jd = distributions.b_occupation_jd(qp, math.exp(-eta))
     return (eta, pair.exact, n_jd, pair.lower, pair.upper)
 
 
-def _occupation_row_f(q, eta):
+def _occupation_row_f(qp, eta):
     return (
         eta,
-        distributions.f_occupation(q, eta),
-        distributions.f_occupation_arcsin(q, eta),
+        distributions.f_occupation(qp, eta),
+        distributions.f_occupation_arcsin(qp, eta),
     )
 
 
-def _bounds_row(q, eta):
-    pair = distributions.cf_bounds(q, eta)
-    second = distributions.cf_convergent(q, eta, 2)
+def _bounds_row(qp, eta):
+    pair = distributions.cf_bounds(qp, eta)
+    second = distributions.cf_convergent(qp, eta, 2)
     return (eta, pair.lower, second, pair.upper, pair.exact,
             pair.upper - pair.lower)
 
@@ -120,8 +148,7 @@ def _eos_row(args, units, q, temperature, z):
     )
 
 
-def _check_eta_grid(family, q, etas):
-    qp = as_qparam(q)
+def _check_eta_grid(family, qp, etas):
     if family is Family.B:
         floor = math.log(qp.q_inv)
         bad = [e for e in etas if e <= floor]
@@ -139,17 +166,17 @@ def _check_eta_grid(family, q, etas):
 
 def _cmd_occupation(args):
     family = as_family(args.family)
-    q = args.q
     etas = _linspace(args.eta_min, args.eta_max, args.steps)
-    _check_eta_grid(family, q, etas)
+    qp = as_qparam(args.q)
+    _check_eta_grid(family, qp, etas)
     if family is Family.B:
-        rows = [_occupation_row_b(q, eta) for eta in etas]
+        rows = [_occupation_row_b(qp, eta) for eta in etas]
         columns = ["eta", "n_exact", "n_jd", "n_lower", "n_upper"]
     else:
-        rows = [_occupation_row_f(q, eta) for eta in etas]
+        rows = [_occupation_row_f(qp, eta) for eta in etas]
         columns = ["eta", "n_exact", "n_arcsin"]
     config = {
-        "family": family.value.lower(), "q": q, "eta_min": etas[0],
+        "family": family.value.lower(), "q": args.q, "eta_min": etas[0],
         "eta_max": etas[-1], "steps": len(etas),
     }
     return {
@@ -159,13 +186,13 @@ def _cmd_occupation(args):
 
 
 def _cmd_bounds(args):
-    q = args.q
     etas = _linspace(args.eta_min, args.eta_max, args.steps)
-    _check_eta_grid(Family.B, q, etas)
-    rows = [_bounds_row(q, eta) for eta in etas]
+    qp = as_qparam(args.q)
+    _check_eta_grid(Family.B, qp, etas)
+    rows = [_bounds_row(qp, eta) for eta in etas]
     config = {
-        "q": q, "eta_min": etas[0], "eta_max": etas[-1],
-        "steps": len(etas), "upper_shift": 1.0 / q,
+        "q": args.q, "eta_min": etas[0], "eta_max": etas[-1],
+        "steps": len(etas), "upper_shift": qp.q_inv,
     }
     dataset = {
         "schema_version": SCHEMA_VERSION, "command": "bounds",

@@ -135,18 +135,20 @@ def cf_bounds(q, eta):
     1/q; it is valid and strict on the whole domain e^eta > 1/q.  The
     second convergent itself remains available as cf_convergent(q, eta, 2).
     In the classical limit y -> 0 and all three values collapse onto the
-    Bose occupation.
+    Bose occupation.  ``exact`` is b_occupation(q, eta) bit for bit: it
+    is the same expression of the same y.
     """
     qp = as_qparam(q)
     if qp.is_classical_limit:
         bose = _bose_occupation(float(eta))
         return ConvergentPair(lower=bose, upper=bose, exact=bose)
     y = _cf_argument(qp, eta)
-    pref = 1.0 / (2.0 * math.log(qp.q_inv))
+    two_log = 2.0 * math.log(qp.q_inv)
+    pref = 1.0 / two_log
     return ConvergentPair(
         lower=pref * y,
         upper=pref * y / (1.0 - y),
-        exact=b_occupation(qp, eta),
+        exact=-math.log1p(-y) / two_log,
     )
 
 

@@ -3,9 +3,10 @@
 Everything downstream is built from three primitives: the basic number
 [x] = (q^x - q^-x)/(q - q^-1), the Jackson finite-difference derivative
 that replaces d/dx in the boson-like thermodynamics, and a truncated
-formal power series supporting composition and reversion in doubles
-(the oracle's reference expansions are PowerSeries; the virial
-coefficients are summed in decimal by `thermo.virial_coefficients`).
+formal power series whose composition and reversion are summed exactly
+in rationals and rounded to doubles (the oracle's reference expansions
+are PowerSeries; the virial coefficients are summed in decimal by
+`thermo.virial_coefficients`).
 
 The deformation parameter lives in (0, 1].  q = 0 is excluded because
 every formula involves q^-1; q = 1 is the undeformed limit and all
@@ -16,6 +17,7 @@ operations branch to the analytic limit there instead of evaluating
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DomainError
 
@@ -56,14 +58,9 @@ class QParam:
         if not math.isfinite(q) or not 0.0 < q <= 1.0:
             raise DomainError(f"q must lie in (0, 1], got {self.q!r}")
         object.__setattr__(self, "q", q)
-
-    @property
-    def is_classical_limit(self):
-        return abs(self.q - 1.0) < CLASSICAL_EPS
-
-    @property
-    def q_inv(self):
-        return 1.0 / self.q
+        # derived once: the occupation kernels read both on every row
+        object.__setattr__(self, "is_classical_limit", abs(q - 1.0) < CLASSICAL_EPS)
+        object.__setattr__(self, "q_inv", 1.0 / q)
 
     @property
     def inv_minus_q(self):
@@ -120,8 +117,9 @@ def jackson_derivative(f, q, x):
 
 
 def _mul_trunc(a, b, order):
-    # raw coefficient lists indexed from power 0, product truncated at `order`
-    out = [0.0] * (order + 1)
+    # raw coefficient lists indexed from power 0, product truncated at `order`;
+    # the int zeros take the type of the entries (float or Fraction)
+    out = [0] * (order + 1)
     for i, ai in enumerate(a):
         if ai == 0.0 or i > order:
             continue
@@ -199,33 +197,61 @@ class PowerSeries:
         """Coefficients of self(inner(t)), truncated to the smaller order.
 
         The inner series must have zero constant term, otherwise the
-        composition would shift the expansion point.
+        composition would shift the expansion point.  The sum is exact and
+        each coefficient is rounded once.
         """
         if inner.constant != 0.0:
             raise DomainError("composition requires the inner constant term to be 0")
         k = min(self.order, inner.order)
-        inner_raw = inner._raw(k)
-        acc = [0.0] * (k + 1)
-        for c in reversed(self.coeffs[:k]):
-            acc[0] += c
-            acc = _mul_trunc(acc, inner_raw, k)
-        acc[0] += self.constant
+        acc = self._compose_exact(inner._raw(k), k)
         return PowerSeries(tuple(acc[1:]), acc[0])
+
+    def _compose_exact(self, inner_raw, k):
+        # raw coefficients of self(inner) up to t^k as Fractions (Horner)
+        inner_raw = [Fraction(c) for c in inner_raw[: k + 1]]
+        acc = [Fraction(0)] * (k + 1)
+        for c in reversed(self.coeffs[:k]):
+            acc[0] += Fraction(c)
+            acc = _mul_trunc(acc, inner_raw, k)
+        acc[0] += Fraction(self.constant)
+        return acc
 
     def revert(self):
         """The compositional inverse r with self(r(t)) = t up to order K.
 
         Computed by order-by-order substitution (equivalent to Lagrange
-        inversion).  Requires zero constant term and c1 != 0.
+        inversion).  Each residual is summed exactly from the already
+        rounded lower coefficients, so coefficient m of s(r(t)) - t comes
+        only from rounding r_m, at most |c1| ulp(r_m) / 2 for the nearest
+        double.  r_m also enters coefficient m + 1, so of the nearest
+        double and its two neighbours the one that leaves the smaller
+        residual over orders m and m + 1 is kept.
+        Requires zero constant term and c1 != 0.
         """
         if self.constant != 0.0:
             raise DomainError("reversion requires a zero constant term")
         if not self.coeffs or self.coeffs[0] == 0.0:
             raise DomainError("reversion requires a nonzero linear coefficient")
-        c1 = self.coeffs[0]
-        inv = [1.0 / c1]
-        for m in range(2, self.order + 1):
-            trial = PowerSeries(tuple(inv) + (0.0,) * (self.order - len(inv)))
-            resid = self.compose(trial).coeffs[m - 1]
-            inv.append(-resid / c1)
+        c1 = Fraction(self.coeffs[0])
+
+        def exact_next(inv):
+            # the rational r_m that zeroes coefficient m, given r_1..r_(m-1)
+            m = len(inv) + 1
+            return ((m == 1) - self._compose_exact([0.0] + inv, m)[m]) / c1
+
+        def rounding(x):
+            return abs(Fraction(float(x)) - x)
+
+        inv = []
+        for m in range(1, self.order + 1):
+            x = exact_next(inv)
+            r = float(x)
+            if m < self.order:
+                r = min(
+                    (r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf)),
+                    key=lambda c: max(
+                        abs(Fraction(c) - x), rounding(exact_next(inv + [c]))
+                    ),
+                )
+            inv.append(r)
         return PowerSeries(tuple(inv))

@@ -415,8 +415,10 @@ def virial_coefficients(family, q, order):
     qp = as_qparam(q)
     if order < 2:
         raise DomainError(f"virial expansion needs order >= 2, got {order!r}")
-    # the q of x = z/q; 1 for F, whose series carry no q, and at q = 1
-    q_x = Decimal(1 if family is Family.F or qp.is_classical_limit else qp.q)
+    # the q of x = z/q; 1 for F, whose series carry no q.  B takes the
+    # exact double q, however close to 1: its coefficients are a positive
+    # sum with no 0/0 at q = 1, and they move across |q - 1| < 1e-12
+    q_x = Decimal(1 if family is Family.F else qp.q)
     digits = _VIRIAL_START_DIGITS
     while True:
         with localcontext(Context(prec=digits)):

@@ -251,6 +251,87 @@ def test_limits_csv_to_stdout(capsys):
     assert all(fields[-1] == "PASS" for fields in body)
 
 
+class TestWriter:
+    OCCUPATION = ["occupation", "--family", "b", "--q", "0.5", "--eta-min", "1",
+                  "--eta-max", "3", "--steps", "3"]
+
+    def test_occupation_csv_text(self, capsys):
+        assert cli.main([*self.OCCUPATION, "--precision", "17"]) == 0
+        assert capsys.readouterr().out == (
+            "# schema_version = 1\n"
+            "# command = occupation\n"
+            "# eta_max = 3.0\n"
+            "# eta_min = 1.0\n"
+            "# family = b\n"
+            "# q = 0.5\n"
+            "# steps = 3\n"
+            "eta,n_exact,n_jd,n_lower,n_upper\n"
+            "1,0.81341037294411889,0.75175080885923951,0.4877744868957255,"
+            "1.506402136036241\n"
+            "2,0.1771368606361223,0.16370922069755753,0.15706379293887279,"
+            "0.20078122417048649\n"
+            "3,0.057476124960077868,0.053119218620785419,0.055245934023166771,"
+            "0.059827987704332466\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["virial", "--q", "0.5"], "2,-0.22097086912079611"),
+        (["fock", "--family", "f"], "raising-squared-is-zero,0,1e-300,PASS"),
+        (["limits"], "b,1,0.5,1.5414940825367982,1.5414940825367982,0,1e-14,PASS"),
+    ], ids=["virial", "fock", "limits"])
+    def test_csv_rows_with_ints_and_strings(self, capsys, argv, line):
+        assert cli.main([*argv, "--precision", "17"]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+    def test_json_rows_take_one_line_each(self, tmp_path):
+        path = tmp_path / "out.json"
+        assert cli.main(["bounds", "--steps", "4", "--format", "json",
+                         "--output", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        lines = path.read_text().splitlines()
+        first = lines.index('  "rows": [') + 1
+        rows = lines[first:first + 4]
+        assert [json.loads(line.strip().rstrip(",")) for line in rows] == payload["rows"]
+        assert lines[first + 4] == "  ],"
+        assert payload["metadata"]["errata"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--steps", "5"], ["virial", "--order", "6"], ["limits"]],
+        ids=["bounds", "virial", "limits"])
+    def test_json_and_csv_hold_the_same_doubles(self, tmp_path, argv):
+        def number(text):
+            try:
+                return float(text)
+            except ValueError:
+                return text
+
+        _, payload, _ = _run(tmp_path, argv)
+        path = tmp_path / "out.csv"
+        assert cli.main([*argv, "--precision", "17", "--output", str(path)]) == 0
+        lines = [line for line in path.read_text().splitlines()
+                 if not line.startswith("#")]
+        assert lines[0].split(",") == payload["columns"]
+        csv_rows = [[number(v) for v in line.split(",")] for line in lines[1:]]
+        assert csv_rows == payload["rows"]
+
+    def test_json_below_17_digits_is_rounded(self, tmp_path):
+        _, full, _ = _run(tmp_path, self.OCCUPATION)
+        path = tmp_path / "short.json"
+        assert cli.main([*self.OCCUPATION, "--format", "json", "--precision", "6",
+                         "--output", str(path)]) == 0
+        short = json.loads(path.read_text())
+        assert short["rows"] == [[float(format(v, ".6g")) for v in row]
+                                 for row in full["rows"]]
+        assert short["rows"] != full["rows"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_and_file_hold_the_same_bytes(self, tmp_path, capsys, fmt):
+        path = tmp_path / f"out.{fmt}"
+        argv = ["bounds", "--steps", "7", "--format", fmt]
+        assert cli.main([*argv, "--output", str(path)]) == 0
+        assert cli.main([*argv, "--output", "-"]) == 0
+        assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
 @pytest.mark.parametrize("precision", ["-1", "0", "x"])
 def test_precision_below_one_is_usage_error(capsys, precision):
     with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ from anyongas.distributions import (b_occupation, b_occupation_jd, cf_bounds,
                                     cf_convergent, f_occupation,
                                     f_occupation_arcsin, f_occupation_series)
 from anyongas.errors import DomainError
-from anyongas.qcore import basic_number
+from anyongas.qcore import QParam, basic_number
 
 ETA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 
@@ -174,6 +174,22 @@ class TestBounds:
     def test_classical_collapse(self):
         pair = cf_bounds(1.0, 1.0)
         assert pair.lower == pair.upper == pair.exact
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 1e-13, 1.0])
+    def test_exact_is_b_occupation(self, q):
+        # from just above the pole eta = ln(1/q) to past eta = 700, where
+        # e^eta is no longer formed; q = 1 - 1e-13 and 1 take the Bose branch
+        floor = math.log(1.0 / q)
+        etas = [floor + d for d in (1e-12, 1e-6, 1e-3, 0.5, 5.0, 50.0)]
+        etas += [700.5, 720.0, 745.0, 800.0]
+        for eta in etas:
+            pair = cf_bounds(q, eta)
+            assert pair.exact == b_occupation(q, eta), eta
+            # the Bose branch collapses all three; once 1 - y rounds to 1
+            # they agree to an ulp
+            y = (1.0 / q - q) / (math.exp(eta) - q) if eta < 700.0 else 0.0
+            if not QParam(q).is_classical_limit and y > 1e-8:
+                assert pair.lower < pair.exact < pair.upper, eta
 
     @given(st.floats(0.05, 0.99), st.floats(0.05, 8.0))
     @settings(max_examples=150, deadline=None)
