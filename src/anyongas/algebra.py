@@ -1,17 +1,22 @@
-"""Matrix representations of the deformed oscillator algebras.
+"""Fock-space representations of the deformed oscillator algebras.
 
 B family: a a+ - q a+ a = q^-N on a truncated Fock space (the relation
 cannot hold on the top state of a finite truncation, so checks exclude
 it).  F family: a a+ + (1/q) a+ a = q^-N, whose eigenvalue recurrence
 terminates after two states for every q, i.e. the exclusion principle
 holds exactly on the whole interpolation range.
+
+A representation is stored as bands, not dense matrices: the lowering
+operator a has its only nonzero entries a[n-1, n] = sqrt(alpha_n) one
+band above the diagonal, a+ is its transpose, and N is diagonal.  So
+a+ a, a a+ and q^-N are diagonal as well, a+ a+ has one band two below
+it, and every identity `rep_report` checks is O(dim) arithmetic on
+these vectors, entry for entry the values the matrix products hold.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .qcore import Family, QParam, as_qparam, basic_number
@@ -23,28 +28,25 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class FockRep:
-    """Dense ladder-operator matrices on a truncated Fock space."""
+    """Ladder operators on a truncated Fock space, as bands.
+
+    ``band[n - 1]`` is the entry a[n-1, n] = a+[n, n-1] = sqrt(alpha_n),
+    n = 1..dim-1, with alpha_n the eigenvalue of a+ a on state n;
+    ``number`` is the diagonal 0, 1, ..., dim-1 of N.  Every other entry
+    of a, a+ and N is zero.
+    """
 
     family: Family
     q: QParam
     dim: int
-    a: np.ndarray
-    a_dag: np.ndarray
-    n_op: np.ndarray
-
-
-def _freeze(m):
-    m.setflags(write=False)
-    return m
+    band: tuple
+    number: tuple
 
 
 def _ladder_rep(family, qp, dim, weights):
     # weights[n] is the eigenvalue of a+ a on state n
-    a = np.zeros((dim, dim))
-    for n in range(1, dim):
-        a[n - 1, n] = np.sqrt(weights[n])
-    n_op = np.diag(np.arange(dim, dtype=float))
-    return FockRep(family, qp, dim, _freeze(a), _freeze(a.T.copy()), _freeze(n_op))
+    band = tuple(math.sqrt(w) for w in weights[1:dim])
+    return FockRep(family, qp, dim, band, tuple(float(n) for n in range(dim)))
 
 
 def max_b_dim(q):
@@ -148,8 +150,12 @@ def verify_no_basic_number_f(q, n_max, rel_tol=1e-12):
 
 
 def _scaled_residual(actual, expected):
-    scale = np.maximum(1.0, np.abs(expected))
-    return float(np.max(np.abs(actual - expected) / scale))
+    return max((abs(x - e) / max(1.0, abs(e)) for x, e in zip(actual, expected)),
+               default=0.0)
+
+
+def _max_abs(values):
+    return max(map(abs, values), default=0.0)
 
 
 def rep_report(rep):
@@ -158,76 +164,82 @@ def rep_report(rep):
     The B algebra relation is checked on states 0..dim-2 (the top state
     of a finite truncation is an artifact); residuals of the relation are
     scaled entrywise by max(1, |expected|) since the eigenvalues grow
-    like q^-n.
+    like q^-n.  Each check runs on the bands in O(dim): with s_n the
+    band entry and s_0 = s_dim = 0, the diagonal of a+ a is s_n^2, that
+    of a a+ is s_(n+1)^2, and the commutators [N, a] + a and
+    [N, a+] - a+ have their only entries (n-1) s_n - n s_n + s_n and
+    n s_n - (n-1) s_n - s_n on the band.
     """
     q = rep.q.q
     dim = rep.dim
     inputs = {"family": rep.family.value, "q": q, "dim": dim}
     checks = []
     # (n-1) a - n a + a rounds to about n eps of |a| on row n
-    comm_threshold = max(1e-14, dim * np.finfo(float).eps)
+    comm_threshold = max(1e-14, dim * sys.float_info.epsilon)
 
-    comm_n_a = rep.n_op @ rep.a - rep.a @ rep.n_op + rep.a
-    comm_n_adag = rep.n_op @ rep.a_dag - rep.a_dag @ rep.n_op - rep.a_dag
-    scale_a = np.maximum(1.0, np.abs(rep.a))
+    band = rep.band
+    below, above = rep.number[:-1], rep.number[1:]  # N on rows n-1 and n
+    scales = [max(1.0, abs(s)) for s in band]
     checks.append(CheckResult.from_residual(
         "commutator-number-lowering", inputs,
-        float(np.max(np.abs(comm_n_a) / scale_a)), comm_threshold,
-        note="entrywise residual scaled by max(1, |a|)"))
+        max((abs(m * s - n * s + s) / c
+             for m, n, s, c in zip(below, above, band, scales)), default=0.0),
+        comm_threshold, note="entrywise residual scaled by max(1, |a|)"))
     checks.append(CheckResult.from_residual(
         "commutator-number-raising", inputs,
-        float(np.max(np.abs(comm_n_adag) / scale_a.T)), comm_threshold,
-        note="entrywise residual scaled by max(1, |a+|)"))
+        max((abs(n * s - m * s - s) / c
+             for m, n, s, c in zip(below, above, band, scales)), default=0.0),
+        comm_threshold, note="entrywise residual scaled by max(1, |a+|)"))
 
-    ns = np.arange(dim, dtype=float)
-    q_inv_n = (1.0 / q) ** ns
+    n_hat = [0.0] + [s * s for s in band]  # diagonal of a+ a
+    a_adag = n_hat[1:] + [0.0]  # diagonal of a a+
+    q_inv_n = [(1.0 / q) ** n for n in range(dim)]
     if rep.family is Family.B:
-        lhs = rep.a @ rep.a_dag - q * (rep.a_dag @ rep.a)
-        interior = slice(0, dim - 1)
+        lhs = [x - q * y for x, y in zip(a_adag, n_hat)]
         checks.append(CheckResult.from_residual(
             "algebra-relation-interior", inputs,
-            _scaled_residual(np.diag(lhs)[interior], q_inv_n[interior]),
-            1e-12,
+            _scaled_residual(lhs[:-1], q_inv_n[:-1]), 1e-12,
             note="scaled residual; top truncated state excluded"))
-        num_expected = np.array([basic_number(rep.q, n) for n in range(dim)])
+        num_expected = [basic_number(rep.q, n) for n in range(dim)]
         checks.append(CheckResult.from_residual(
             "number-eigenvalues-basic", inputs,
-            _scaled_residual(np.diag(rep.a_dag @ rep.a), num_expected), 1e-12))
+            _scaled_residual(n_hat, num_expected), 1e-12))
     else:
-        lhs = rep.a @ rep.a_dag + (1.0 / q) * (rep.a_dag @ rep.a)
+        # a a+ and a+ a are diagonal, so their off-diagonal residuals are 0
+        lhs = [x + (1.0 / q) * y for x, y in zip(a_adag, n_hat)]
         checks.append(CheckResult.from_residual(
             "algebra-relation-exact", inputs,
-            float(np.max(np.abs(lhs - np.diag(q_inv_n)))), 1e-15,
+            _max_abs([x - e for x, e in zip(lhs, q_inv_n)]), 1e-15,
             note="holds on both states; no truncation artifact"))
-        n_hat = rep.a_dag @ rep.a
-        parity = (1.0 - (-1.0) ** ns) / 2.0
-        n_hat_closed = np.diag(parity * (1.0 / q) ** (ns - 1.0))
+        n_hat_closed = [(1.0 - (-1.0) ** n) / 2.0 * (1.0 / q) ** (n - 1.0)
+                        for n in range(dim)]
         checks.append(CheckResult.from_residual(
             "number-operator-parity-form", inputs,
-            float(np.max(np.abs(n_hat - n_hat_closed))), 1e-15))
-        aad_closed = np.diag(q_inv_n) - (1.0 / q) * n_hat
+            _max_abs([x - e for x, e in zip(n_hat, n_hat_closed)]), 1e-15))
+        aad_closed = [e - (1.0 / q) * x for e, x in zip(q_inv_n, n_hat)]
         checks.append(CheckResult.from_residual(
             "lowering-raising-product-form", inputs,
-            float(np.max(np.abs(rep.a @ rep.a_dag - aad_closed))), 1e-15))
+            _max_abs([x - e for x, e in zip(a_adag, aad_closed)]), 1e-15))
+        # a+ a+ [n+2, n] = s_(n+2) s_(n+1), the only band of a+ a+
         checks.append(CheckResult.from_residual(
             "raising-squared-is-zero", inputs,
-            float(np.max(np.abs(rep.a_dag @ rep.a_dag))), 0.0 + 1e-300,
+            _max_abs([s * t for s, t in zip(band[1:], band)]), 0.0 + 1e-300,
             note="exclusion principle: the raising operator is nilpotent"))
-        evals = np.sort(np.diag(n_hat))
         checks.append(CheckResult.from_residual(
             "occupancy-spectrum-zero-one", inputs,
-            float(np.max(np.abs(evals - np.array([0.0, 1.0])))), 1e-15))
+            _max_abs([x - e for x, e in zip(sorted(n_hat), (0.0, 1.0))]), 1e-15))
 
     # unit norm of the normalized ladder states, built stepwise to avoid
-    # overflowing the factorial of the eigenvalues
-    vec = np.zeros(dim)
-    vec[0] = 1.0
+    # overflowing the factorial of the eigenvalues: a+ maps the single
+    # nonzero entry c of |n-1> to c s_n on state n, so |n> = a+|n-1>/sqrt(alpha_n)
+    # has the single entry c s_n/sqrt(alpha_n) and norm its absolute value
+    entry = 1.0
     worst = 0.0
     weights = (eigenvalue_seq_b(rep.q, dim - 1) if rep.family is Family.B
                else eigenvalue_seq_f(rep.q, dim - 1))
-    for n in range(1, dim):
-        vec = rep.a_dag @ vec / np.sqrt(weights[n])
-        worst = max(worst, abs(float(np.linalg.norm(vec)) - 1.0))
+    for s, weight in zip(band, weights[1:]):
+        entry = s * entry / math.sqrt(weight)
+        worst = max(worst, abs(abs(entry) - 1.0))
     checks.append(CheckResult.from_residual(
         "fock-state-normalization", inputs, worst, 1e-12))
     return checks

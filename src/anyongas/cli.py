@@ -4,7 +4,10 @@ Subcommands: occupation, bounds, eos, virial, fock, verify, limits.
 Outputs are CSV or JSON with the full configuration embedded
 for reproducibility.  Rows are computed in order in one process, so
 identical configurations produce byte-identical files on any machine.
-Occupation and bounds grids build the QParam once per grid.
+Occupation and bounds grids build the QParam once per grid, and an eos
+--density run solves for the fugacity once per q.  The algebra and the
+oracle are imported by the fock and verify commands alone, so the other
+commands load neither; no command imports numpy.
 
 The writer streams: it writes the head, then one line per row, then the
 tail, to the file or to standard output, without building the whole text.
@@ -26,8 +29,7 @@ import json
 import math
 import sys
 
-from . import distributions, oracle, thermo
-from .algebra import build_b_rep, build_f_rep, rep_report
+from . import distributions, thermo
 from .errors import ConvergenceError, DomainError
 from .qcore import Family, as_family, as_qparam
 from .thermo import GasParams
@@ -113,9 +115,9 @@ def _write(dataset, fmt, out_path, precision, extra_comments=()):
 
 
 def _occupation_row_b(qp, eta):
-    pair = distributions.cf_bounds(qp, eta)
+    lower, upper, exact = distributions.cf_bounds(qp, eta)
     n_jd = distributions.b_occupation_jd(qp, math.exp(-eta))
-    return (eta, pair.exact, n_jd, pair.lower, pair.upper)
+    return (eta, exact, n_jd, lower, upper)
 
 
 def _occupation_row_f(qp, eta):
@@ -127,18 +129,24 @@ def _occupation_row_f(qp, eta):
 
 
 def _bounds_row(qp, eta):
-    pair = distributions.cf_bounds(qp, eta)
+    lower, upper, exact = distributions.cf_bounds(qp, eta)
     second = distributions.cf_convergent(qp, eta, 2)
-    return (eta, pair.lower, second, pair.upper, pair.exact,
-            pair.upper - pair.lower)
+    return (eta, lower, second, upper, exact, upper - lower)
 
 
-def _eos_row(args, units, q, temperature, z):
-    params = GasParams(
-        family=args.family, q=q, temperature=temperature, fugacity=z,
-        density=args.density, mass=args.mass, volume=args.volume,
-        multiplicity=args.multiplicity, units=units,
+def _eos_row(args, units, solved, q, temperature, z):
+    # solved maps q to the fugacity of the --density solve, which depends on
+    # neither T nor the row: each q solves once in a command call
+    gas = functools.partial(
+        GasParams, family=args.family, q=q, temperature=temperature,
+        mass=args.mass, volume=args.volume, multiplicity=args.multiplicity,
+        units=units,
     )
+    if args.density is not None:
+        if q not in solved:
+            solved[q] = gas(density=args.density).resolved_fugacity()
+        z = solved[q]
+    params = gas(fugacity=z)
     state = thermo.b_state(params) if params.family is Family.B \
         else thermo.f_state(params)
     return (
@@ -262,7 +270,8 @@ def _cmd_eos(args):
                 "is at or beyond the condensation-analog boundary"
             )
 
-    rows = [_eos_row(args, units, *item) for item in items]
+    solved = {}
+    rows = [_eos_row(args, units, solved, *item) for item in items]
     config = {
         "family": family.value.lower(), "q": ",".join(map(str, qs)),
         "temperature": args.temperature, "mass": args.mass,
@@ -306,6 +315,8 @@ def _cmd_virial(args):
 
 
 def _cmd_fock(args):
+    from .algebra import build_b_rep, build_f_rep, rep_report
+
     family = as_family(args.family)
     rep = (build_b_rep(args.q, args.dim) if family is Family.B
            else build_f_rep(args.q))
@@ -324,6 +335,8 @@ def _cmd_fock(args):
 
 
 def _cmd_verify(args):
+    from . import oracle
+
     report = oracle.run_verification()
     rows = [
         (c.check_id, c.residual, c.threshold, "PASS" if c.passed else "FAIL")

@@ -9,9 +9,8 @@ the whole suite into a machine-readable report.
 """
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+import operator
+from dataclasses import dataclass
 
 from . import distributions, qfunctions, thermo
 from .algebra import (build_b_rep, build_f_rep, eigenvalue_seq_f,
@@ -126,12 +125,14 @@ def trace_average(spec):
 
 
 def trace_average_matrix(spec):
-    """Same average evaluated through the operator matrices.
+    """Same average evaluated through the operator representation.
 
     Weights e^(-eta n) multiply the diagonal of the observable in the
-    Fock basis; ties the operator picture to the spectral picture.  The
-    B-family matrices span the states 0..spec.n_max, so they give the
-    same truncated sum as trace_average with that n_max.  The a_adag
+    Fock basis, read from the representation's bands (a+ a has the
+    diagonal s_n^2 of the band entries s_n) rather than from the closed
+    forms; ties the operator picture to the spectral picture.  The
+    B-family representation spans the states 0..spec.n_max, so it gives
+    the same truncated sum as trace_average with that n_max.  The a_adag
     observable is excluded (its top diagonal entry is a truncation
     artifact).
     """
@@ -140,23 +141,23 @@ def trace_average_matrix(spec):
         raise DomainError("a_adag has a truncation artifact; use trace_average")
     if spec.family is Family.F:
         rep = build_f_rep(qp)
-        dim = 2
     else:
         if spec.n_max is None:
-            raise DomainError("the B-family matrices need a TraceSpec with n_max")
-        dim = spec.n_max + 1
-        rep = build_b_rep(qp, dim)
-    ns = np.arange(dim, dtype=float)
-    matrices = {
-        "N": lambda: rep.n_op,
-        "qN": lambda: np.diag(qp.q ** ns),
-        "q_inv_N": lambda: np.diag(qp.q_inv ** ns),
-        "basic_N": lambda: rep.a_dag @ rep.a,
-        "adag_a": lambda: rep.a_dag @ rep.a,
+            raise DomainError(
+                "the B-family representation needs a TraceSpec with n_max")
+        rep = build_b_rep(qp, spec.n_max + 1)
+    ns = range(rep.dim)
+    diagonals = {
+        "N": lambda: rep.number,
+        "qN": lambda: [qp.q ** n for n in ns],
+        "q_inv_N": lambda: [qp.q_inv ** n for n in ns],
+        "basic_N": lambda: [0.0] + [s * s for s in rep.band],
+        "adag_a": lambda: [0.0] + [s * s for s in rep.band],
     }
-    diag = np.diag(matrices[spec.observable]())
-    weights = np.exp(-float(spec.eta) * ns)
-    return float(np.sum(diag * weights) / np.sum(weights))
+    diag = diagonals[spec.observable]()
+    eta = float(spec.eta)
+    weights = [math.exp(-eta * n) for n in ns]
+    return math.fsum(map(operator.mul, diag, weights)) / math.fsum(weights)
 
 
 def basic_mean_closed_form(q, eta):
@@ -210,12 +211,15 @@ def occupation_relation_residual(q, eta):
 
 def _odd_stencil_weights(m):
     # minimal symmetric stencil for the coefficient of u^(2m+1): solve
-    # sum_j w_j j^(2i+1) = delta_{i,m} over nodes j = 1..m+1
-    js = np.arange(1, m + 2, dtype=float)
-    powers = np.array([[j ** (2 * i + 1) for j in js] for i in range(m + 1)])
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    return js, np.linalg.solve(powers, rhs)
+    # sum_j w_j j^(2i+1) = delta_{i,m} over nodes j = 1..m+1.  With
+    # x_j = j^2 this is a Vandermonde system in j w_j, solved by the
+    # leading coefficients of the Lagrange basis: j w_j = 1/prod_k (x_j - x_k),
+    # k != j.  The product is an exact integer, so each weight is the
+    # exact solution rounded once
+    js = range(1, m + 2)
+    weights = [1 / (j * math.prod(j * j - k * k for k in js if k != j))
+               for j in js]
+    return [float(j) for j in js], weights
 
 
 def _neville_to_zero(xs, ys):

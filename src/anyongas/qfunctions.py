@@ -27,15 +27,15 @@ integral, split at the Fermi level mu = ln x,
     f = (1/Gamma(s)) [mu^s/s + Int_0^inf (mu+u)^(s-1)/(e^u+1) du
                              - Int_0^mu (mu-u)^(s-1)/(e^u+1) du],
 
-and each integral is a fixed 121-node tanh-sinh rule (`quad`).  The
+and each integral is a fixed 121-node tanh-sinh rule (`quad`), summed
+by math.fsum over the weighted integrand at the nodes; the rule over
+[0, 60] carries 1/(e^u + 1) in weights built once at import.  The
 degenerate (large ln x) regime is also covered by an asymptotic
 expansion whose first correction has coefficient pi^2/8.
 """
 
 import functools
 import math
-
-import numpy as np
 
 from . import kernels
 from .errors import DomainError
@@ -61,26 +61,46 @@ _FERMI_CUTOFF = 60.0
 def _tanh_sinh_rule():
     # u/length = (1 + tanh y)/2 and (length - u)/length = (1 - tanh y)/2 with
     # y = (pi/2) sinh t, each formed without cancellation near its endpoint
-    t = _TS_STEP * np.arange(-_TS_HALF_NODES, _TS_HALF_NODES + 1)
-    y = 0.5 * math.pi * np.sinh(t)
-    left = 1.0 / (1.0 + np.exp(-2.0 * y))
-    right = 1.0 / (1.0 + np.exp(2.0 * y))
-    weight = _TS_STEP * 0.25 * math.pi * np.cosh(t) / np.cosh(y) ** 2
-    return left, right, weight
+    left, right, weight = [], [], []
+    for k in range(-_TS_HALF_NODES, _TS_HALF_NODES + 1):
+        t = _TS_STEP * k
+        y = 0.5 * math.pi * math.sinh(t)
+        left.append(1.0 / (1.0 + math.exp(-2.0 * y)))
+        right.append(1.0 / (1.0 + math.exp(2.0 * y)))
+        weight.append(_TS_STEP * 0.25 * math.pi * math.cosh(t) / math.cosh(y) ** 2)
+    return tuple(left), tuple(right), tuple(weight)
 
 
 _TS_LEFT, _TS_RIGHT, _TS_WEIGHT = _tanh_sinh_rule()
 
 
-def quad(integrand, length):
+def quad_nodes(length):
+    """The 121-node tanh-sinh rule on [0, length]: weights, nodes u, rest = length - u.
+
+    The weights are those of the rule on [0, 1]; `quad` scales the sum
+    by length.  u and rest are both at full relative precision, so an
+    endpoint singularity at either end is evaluated at its exact distance.
+    """
+    return (_TS_WEIGHT, tuple([length * left for left in _TS_LEFT]),
+            tuple([length * right for right in _TS_RIGHT]))
+
+
+def quad(weighted, length):
     """Int_0^length by the fixed 121-node tanh-sinh rule.
 
-    ``integrand(u, rest)`` receives the node arrays u and rest = length - u,
-    each computed at full relative precision, so an endpoint singularity
-    at either end is evaluated at its exact distance.
+    ``weighted`` holds the integrand times the weight at each node of
+    `quad_nodes(length)`; a factor of the integrand that is the same on
+    every call may be folded into the weights once.  The sum is math.fsum.
     """
-    values = integrand(length * _TS_LEFT, length * _TS_RIGHT)
-    return length * float(np.dot(_TS_WEIGHT, values))
+    return length * math.fsum(weighted)
+
+
+# the Fermi integrals over [0, 60], the same for every x: the nodes u and
+# rest = 60 - u, e^-u at the nodes, and the weights times 1/(e^u + 1)
+_, _CUT_NODES, _CUT_REST = quad_nodes(_FERMI_CUTOFF)
+_CUT_EXP_NEG = tuple(math.exp(-u) for u in _CUT_NODES)
+_CUT_FERMI_WEIGHT = tuple(w / (math.exp(u) + 1.0)
+                          for w, u in zip(_TS_WEIGHT, _CUT_NODES))
 
 
 def _zeta(s):
@@ -289,14 +309,21 @@ def _fermi_integral(x, order):
     mu = math.log(x)
     if mu <= 0.0:
         # t^(s-1)/(e^t/x + 1), written in e^-t so a small x cannot overflow
-        value = quad(lambda t, _: t ** p * x * np.exp(-t) / (1.0 + x * np.exp(-t)),
-                     _FERMI_CUTOFF)
+        value = quad([w * t ** p * x * e / (1.0 + x * e) for w, t, e
+                      in zip(_TS_WEIGHT, _CUT_NODES, _CUT_EXP_NEG)], _FERMI_CUTOFF)
         return value / math.gamma(order)
-    below_length = min(mu, _FERMI_CUTOFF)
-    shift = mu - below_length  # 0 unless the lower integral is cut at u = 60
-    above = quad(lambda u, _: (mu + u) ** p / (np.exp(u) + 1.0), _FERMI_CUTOFF)
-    below = quad(lambda u, rest: (rest + shift) ** p / (np.exp(u) + 1.0),
-                 below_length)
+    above = quad([w * (mu + u) ** p
+                  for w, u in zip(_CUT_FERMI_WEIGHT, _CUT_NODES)], _FERMI_CUTOFF)
+    if mu >= _FERMI_CUTOFF:
+        # the lower integral is cut at u = 60 too, and rest becomes rest + shift
+        shift = mu - _FERMI_CUTOFF
+        below = quad([w * (rest + shift) ** p
+                      for w, rest in zip(_CUT_FERMI_WEIGHT, _CUT_REST)], _FERMI_CUTOFF)
+    else:
+        # the nodes of quad_nodes(mu), formed inline
+        exp = math.exp
+        below = quad([w * (mu * right) ** p / (exp(mu * left) + 1.0) for w, left, right
+                      in zip(_TS_WEIGHT, _TS_LEFT, _TS_RIGHT)], mu)
     return (mu ** order / order + above - below) / math.gamma(order)
 
 

@@ -19,8 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-
-import numpy as np
+from operator import mul
 
 from .errors import ConvergenceError, DomainError
 from .qcore import Family, as_family, as_qparam, jackson_derivative
@@ -345,29 +344,27 @@ def _density_per_x(family, q, order):
     return rho
 
 
-def _diagonal_over_n(phi, order):
-    # [x^(n-1)] phi(x)^(n-1) / n for n = 1..order, the powers of phi
-    # truncated at x^(order-1)
-    power = [Decimal(1)] + [Decimal(0)] * (order - 1)
-    out = [Decimal(1)]
+def _diagonal_over_n(phi, order, zero):
+    # [x^(n-1)] phi(x)^(n-1) / n for n = 1..order, meeting in the middle:
+    # the coefficient is the dot product of phi^floor((n-1)/2) and
+    # phi^ceil((n-1)/2), so only the powers up to order // 2 are built,
+    # each truncated at x^(order-1).  zero is the 0 of phi's number type
+    powers = [[zero + 1] + [zero] * (order - 1), phi]
+    for _ in range(2, order // 2 + 1):
+        last = powers[-1]
+        powers.append([sum(map(mul, last[:d + 1], reversed(phi[:d + 1])))
+                       for d in range(order)])
+    out = [zero + 1]
     for n in range(2, order + 1):
-        power = [sum(power[i] * phi[d - i] for i in range(d + 1))
-                 for d in range(order)]
-        out.append(power[n - 1] / n)
+        low, high = powers[(n - 1) // 2], powers[n // 2]
+        out.append(sum(map(mul, low[:n], reversed(high[:n]))) / n)
     return out
 
 
 def _virial_scale(phi, order):
     # the sums of _diagonal_over_n over the absolute values of every term,
     # in doubles: rounding at P digits moves b_n by a few 10^-P scale_n
-    abs_phi = np.abs(np.array(phi, dtype=float))
-    power = np.zeros(order)
-    power[0] = 1.0
-    scale = [1.0]
-    for n in range(2, order + 1):
-        power = np.convolve(power, abs_phi)[:order]
-        scale.append(power[n - 1] / n)
-    return scale
+    return _diagonal_over_n([abs(float(c)) for c in phi], order, 0.0)
 
 
 def _virial_pass(family, q, order):
@@ -378,7 +375,7 @@ def _virial_pass(family, q, order):
     phi = [Decimal(1)]  # x/rho(x)
     for n in range(1, order):
         phi.append(-sum(rho[k] * phi[n - k] for k in range(1, n + 1)))
-    coeffs = _diagonal_over_n(phi, order)
+    coeffs = _diagonal_over_n(phi, order, Decimal(0))
     needed = max(
         (_DOUBLE_DIGITS + _VIRIAL_GUARD_DIGITS + math.log10(s) - b.adjusted()
          if b else math.inf)
@@ -395,7 +392,10 @@ def virial_coefficients(family, q, order):
 
         b_n = (1/n) [x^(n-1)] p'(x) phi(x)^n = (1/n) [x^(n-1)] phi(x)^(n-1),
 
-    O(order^3) products in stdlib decimal.  The inputs are built in
+    in stdlib decimal.  The coefficient [x^(n-1)] phi^(n-1) is the dot
+    product of phi^floor((n-1)/2) and phi^ceil((n-1)/2), so only the
+    powers up to phi^(order//2) are built, each truncated at
+    x^(order-1): about order^3/4 products.  The inputs are built in
     decimal from the exact double q: B has g(q, z, 3/2) = q rho(x) with
     the positive coefficients (1 + q^2 + ... + q^(2r-2))/r^(5/2), which
     are r^(-3/2) at q = 1, and b_n picks up a factor q^(1-n); F has
@@ -403,8 +403,9 @@ def virial_coefficients(family, q, order):
     for every q.  b_1 = 1.0 exactly in both.
 
     Precision: scale_n is the same sum over the absolute values of every
-    term, in doubles.  The working precision P starts at 34 digits and
-    at least doubles each pass until every n has
+    term, from the same meet-in-the-middle powers of |phi| in plain
+    floats.  The working precision P starts at 34 digits and at least
+    doubles each pass until every n has
     P >= 17 + 5 + log10(scale_n/|b_n|); each b_n is then correct to a
     double.  The result is a list of floats whose ``working_digits`` is
     that final P (68 for B at q = 0.5 and order 60, 136 for F at order

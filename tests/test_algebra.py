@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,22 +14,32 @@ from anyongas.errors import DomainError
 from anyongas.qcore import Family, basic_number
 
 
+def _dense(rep):
+    """a, a+ and N as dense matrices built from the representation's bands."""
+    a = np.diag(np.array(rep.band), 1)
+    return a, a.T, np.diag(np.array(rep.number))
+
+
 class TestBRep:
     def test_bose_limit_is_ordinary_ladder(self):
         rep = build_b_rep(1.0, 5)
         expected = np.diag(np.sqrt(np.arange(1.0, 5.0)), 1)
-        assert np.array_equal(rep.a, expected)
-        assert np.array_equal(rep.a_dag, expected.T)
+        a, a_dag, _ = _dense(rep)
+        assert np.array_equal(a, expected)
+        assert np.array_equal(a_dag, expected.T)
 
     def test_number_operator_diagonal(self):
         rep = build_b_rep(0.5, 4)
-        assert np.array_equal(np.diag(rep.n_op), [0.0, 1.0, 2.0, 3.0])
-        got = np.diag(rep.a_dag @ rep.a)
+        a, a_dag, n_op = _dense(rep)
+        assert np.array_equal(np.diag(n_op), [0.0, 1.0, 2.0, 3.0])
+        got = np.diag(a_dag @ a)
         assert got == pytest.approx([0.0, 1.0, 2.5, 5.25], rel=1e-14)
 
     def test_raising_is_transpose(self):
+        # a[n-1, n] = a+[n, n-1] = sqrt(alpha_n) is the one band of both
         rep = build_b_rep(0.7, 6)
-        assert np.array_equal(rep.a_dag, rep.a.T)
+        assert rep.band == tuple(math.sqrt(w) for w in eigenvalue_seq_b(0.7, 5)[1:])
+        assert len(rep.number) == rep.dim == 6
 
     def test_needs_two_states(self):
         with pytest.raises(DomainError):
@@ -35,8 +47,10 @@ class TestBRep:
 
     def test_matrices_are_frozen(self):
         rep = build_b_rep(0.5, 4)
-        with pytest.raises(ValueError):
-            rep.a[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            rep.band[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.band = (1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("dim", [2, 8, 32, 64])
@@ -47,8 +61,8 @@ class TestBRep:
 
     def test_relation_holds_on_interior_only(self):
         # aa+ - q a+a - q^-N is nonzero on the top truncated state
-        rep = build_b_rep(0.5, 6)
-        lhs = rep.a @ rep.a_dag - 0.5 * (rep.a_dag @ rep.a)
+        a, a_dag, _ = _dense(build_b_rep(0.5, 6))
+        lhs = a @ a_dag - 0.5 * (a_dag @ a)
         rhs = np.diag(2.0 ** np.arange(6.0))
         resid = np.abs(np.diag(lhs) - np.diag(rhs))
         assert resid[:-1].max() < 1e-12 * rhs.max()
@@ -67,6 +81,34 @@ class TestBRep:
         assert all(c.threshold == 1e-14 for c in report
                    if c.check_id.startswith("commutator"))
 
+    def test_largest_dim_at_q09_checks_in_under_a_second(self):
+        assert max_b_dim(0.9) == 6721
+        start = time.perf_counter()
+        report = rep_report(build_b_rep(0.9, 6721))
+        elapsed = time.perf_counter() - start
+        failed = [c for c in report if not c.passed]
+        assert not failed, failed
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("q, dim", [(0.5, 64), (0.9, 200), (1.0, 64)])
+    def test_band_residuals_are_the_dense_products(self, q, dim):
+        # the residuals of rep_report, formed from dense matrix products
+        rep = build_b_rep(q, dim)
+        a, a_dag, n_op = _dense(rep)
+        scale = np.maximum(1.0, np.abs(a))
+        got = {c.check_id: c.residual for c in rep_report(rep)}
+        lowering = np.abs(n_op @ a - a @ n_op + a) / scale
+        raising = np.abs(n_op @ a_dag - a_dag @ n_op - a_dag) / scale.T
+        assert got["commutator-number-lowering"] == lowering.max()
+        assert got["commutator-number-raising"] == raising.max()
+        q_inv_n = (1.0 / q) ** np.arange(dim - 1.0)
+        relation = np.diag(a @ a_dag - q * (a_dag @ a))[:-1]
+        assert got["algebra-relation-interior"] == pytest.approx(
+            np.max(np.abs(relation - q_inv_n) / np.maximum(1.0, q_inv_n)), abs=1e-15)
+        basic = np.array([basic_number(q, n) for n in range(dim)])
+        assert got["number-eigenvalues-basic"] == np.max(
+            np.abs(np.diag(a_dag @ a) - basic) / np.maximum(1.0, basic))
+
     @pytest.mark.parametrize("q", [0.05, 0.1, 0.5])
     def test_overflowing_dim_names_the_largest(self, q):
         largest = max_b_dim(q)
@@ -84,31 +126,46 @@ class TestFRep:
             assert build_f_rep(q).dim == 2
 
     def test_fermi_limit(self):
-        rep = build_f_rep(1.0)
-        assert np.array_equal(rep.a, [[0.0, 1.0], [0.0, 0.0]])
+        a, _, _ = _dense(build_f_rep(1.0))
+        assert np.array_equal(a, [[0.0, 1.0], [0.0, 0.0]])
 
     def test_pauli_structure(self):
         for q in (0.25, 0.5, 0.8):
-            rep = build_f_rep(q)
-            assert np.array_equal(np.diag(rep.a_dag @ rep.a), [0.0, 1.0])
-            assert np.count_nonzero(rep.a_dag @ rep.a_dag) == 0
+            a, a_dag, _ = _dense(build_f_rep(q))
+            assert np.array_equal(np.diag(a_dag @ a), [0.0, 1.0])
+            assert np.count_nonzero(a_dag @ a_dag) == 0
 
     def test_algebra_relation_exact(self):
         for q in (0.25, 0.5, 0.8):
-            rep = build_f_rep(q)
-            lhs = rep.a @ rep.a_dag + (1.0 / q) * (rep.a_dag @ rep.a)
+            a, a_dag, _ = _dense(build_f_rep(q))
+            lhs = a @ a_dag + (1.0 / q) * (a_dag @ a)
             rhs = np.diag([1.0, 1.0 / q])
             assert np.array_equal(lhs, rhs)
 
     def test_product_parity_identities(self):
         # a+a = (1 - (-1)^N)/2 q^(-N+1) and aa+ = q^-N - (1/q) a+a
         for q in (0.25, 0.5, 0.8):
-            rep = build_f_rep(q)
-            n_hat = rep.a_dag @ rep.a
+            a, a_dag, _ = _dense(build_f_rep(q))
+            n_hat = a_dag @ a
             assert np.array_equal(n_hat, np.diag([0.0, 1.0]))
-            aad = rep.a @ rep.a_dag
+            aad = a @ a_dag
             expect = np.diag([1.0, 1.0 / q]) - (1.0 / q) * n_hat
             assert np.array_equal(aad, expect)
+
+    @pytest.mark.parametrize("q", [0.25, 0.5, 0.8, 1.0])
+    def test_f_band_residuals_are_the_dense_products(self, q):
+        rep = build_f_rep(q)
+        a, a_dag, _ = _dense(rep)
+        got = {c.check_id: c.residual for c in rep_report(rep)}
+        q_inv_n = np.diag([1.0, 1.0 / q])
+        n_hat = a_dag @ a
+        assert got["algebra-relation-exact"] == np.max(
+            np.abs(a @ a_dag + (1.0 / q) * n_hat - q_inv_n))
+        assert got["lowering-raising-product-form"] == np.max(
+            np.abs(a @ a_dag - (q_inv_n - (1.0 / q) * n_hat)))
+        assert got["raising-squared-is-zero"] == np.max(np.abs(a_dag @ a_dag))
+        assert got["occupancy-spectrum-zero-one"] == np.max(
+            np.abs(np.sort(np.diag(n_hat)) - [0.0, 1.0]))
 
     @given(st.floats(0.05, 1.0))
     @settings(max_examples=80, deadline=None)
@@ -172,10 +229,10 @@ class TestNoBasicNumber:
 class TestNormalizedStates:
     def test_unit_norm_states(self):
         # |n> built stepwise as a+|n-1>/sqrt(alpha_n) keeps unit norm
-        rep = build_b_rep(0.4, 16)
+        _, a_dag, _ = _dense(build_b_rep(0.4, 16))
         weights = eigenvalue_seq_b(0.4, 15)
         vec = np.zeros(16)
         vec[0] = 1.0
         for n in range(1, 16):
-            vec = rep.a_dag @ vec / math.sqrt(weights[n])
+            vec = a_dag @ vec / math.sqrt(weights[n])
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-13)

@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
-from anyongas import cli, oracle
+from anyongas import cli, oracle, thermo
 from anyongas.distributions import b_occupation
 from anyongas.errors import DomainError
 from anyongas.qfunctions import bose_g
+from anyongas.thermo import solve_fugacity
 
 
 def _run(tmp_path, argv):
@@ -116,6 +117,23 @@ class TestEos:
         for row in rows:
             assert row["lambda3"] * row["number_density"] == pytest.approx(
                 0.5, rel=1e-12)
+
+    def test_density_solves_once_per_q_per_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(family, q, density):
+            calls.append(q)
+            return solve_fugacity(family, q, density)
+
+        monkeypatch.setattr(thermo, "solve_fugacity", counted)
+        argv = ["eos", "--family", "f", "--q", "0.3,0.7", "--density", "50",
+                "--t-min", "0.5", "--t-max", "2", "--t-steps", "4"]
+        status, _, rows = _run(tmp_path, argv)
+        assert status == 0 and len(rows) == 8
+        assert len(calls) == 2
+        # the next call solves again: nothing is kept between calls
+        _run(tmp_path, argv)
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("multiplicity", ["2", "3"])
     def test_density_honours_multiplicity(self, tmp_path, multiplicity):
@@ -350,13 +368,63 @@ def test_calls_share_no_state(capsys):
     assert second == ["2,-0.22097", "2,-0.220970869120796"]
 
 
+def _src_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_import_loads_neither_scipy_nor_mpmath():
+    # numpy neither: the runtime is the standard library alone; and the
+    # algebra and the oracle load only for the commands that use them
     code = ("import sys, anyongas.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'mpmath')))")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=60)
+            "if m.split('.')[0] in ('scipy', 'mpmath', 'numpy') "
+            "or m in ('anyongas.algebra', 'anyongas.oracle')))")
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                            capture_output=True, text=True, check=True, timeout=60)
     assert result.stdout.strip() == "[]"
+
+
+def test_package_exports_algebra_and_oracle_names_lazily():
+    import anyongas
+    from anyongas import algebra
+
+    assert anyongas.rep_report is algebra.rep_report
+    assert anyongas.run_verification is oracle.run_verification
+    with pytest.raises(AttributeError, match="no_such_name"):
+        anyongas.no_such_name
+
+
+_BLOCK_NUMPY = """
+import sys
+
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockNumpy())
+from anyongas.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eos", "--family", "f", "--q", "0.5", "--density", "300",
+     "--t-min", "0.5", "--t-max", "2", "--t-steps", "3"],
+    ["eos", "--family", "b", "--q", "0.3,0.8", "--density", "0.2"],
+    ["virial", "--family", "b", "--q", "0.5", "--order", "20"],
+    ["fock", "--family", "b", "--q", "0.9", "--dim", "64"],
+    ["fock", "--family", "f", "--q", "0.5"],
+    ["verify"],
+])
+def test_runs_with_numpy_blocked(argv):
+    result = subprocess.run([sys.executable, "-c", _BLOCK_NUMPY, *argv],
+                            env=_src_env(), capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "FAIL" not in result.stdout

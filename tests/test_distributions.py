@@ -191,6 +191,28 @@ class TestBounds:
             if not QParam(q).is_classical_limit and y > 1e-8:
                 assert pair.lower < pair.exact < pair.upper, eta
 
+    # q grid on which 1 - y rounding to 1 once left exact above upper
+    ROUNDING_QS = (0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9)
+
+    @pytest.mark.parametrize("q", ROUNDING_QS)
+    def test_ordered_for_eta_700_to_740(self, q):
+        # 1 - y rounds to 1 here, so all three are the product pref * y
+        for k in range(401):
+            eta = 700.0 + 0.1 * k
+            lower, upper, exact = cf_bounds(q, eta)
+            assert lower == exact == upper, eta
+            assert exact == b_occupation(q, eta)
+
+    @pytest.mark.parametrize("q", ROUNDING_QS)
+    def test_strict_down_to_y_1e15_and_ordered_below(self, q):
+        # y from 1e-12 down to 1e-18, where exact - lower drops below an ulp
+        for k in range(1201):
+            y = 10.0 ** (-12.0 - 0.005 * k)
+            lower, upper, exact = cf_bounds(q, _eta_from_y(q, y))
+            assert lower <= exact <= upper, y
+            if y >= 1e-15:
+                assert lower < exact < upper, y
+
     @given(st.floats(0.05, 0.99), st.floats(0.05, 8.0))
     @settings(max_examples=150, deadline=None)
     def test_bracketing_property(self, q, offset):
