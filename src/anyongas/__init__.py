@@ -15,8 +15,9 @@ The runtime needs the standard library alone.
 import importlib
 
 from .distributions import (ConvergentPair, b_occupation, b_occupation_jd,
-                            cf_bounds, cf_convergent, f_occupation,
-                            f_occupation_arcsin, f_occupation_series)
+                            b_occupation_rows, bounds_rows, cf_bounds,
+                            cf_convergent, f_occupation, f_occupation_arcsin,
+                            f_occupation_rows, f_occupation_series)
 from .errors import ConvergenceError, DomainError
 from .qcore import (Family, PowerSeries, QParam, as_qparam, basic_number,
                     jackson_derivative, q_factorial)

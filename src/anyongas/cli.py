@@ -4,17 +4,22 @@ Subcommands: occupation, bounds, eos, virial, fock, verify, limits.
 Outputs are CSV or JSON with the full configuration embedded
 for reproducibility.  Rows are computed in order in one process, so
 identical configurations produce byte-identical files on any machine.
-Occupation and bounds grids build the QParam once per grid, and an eos
---density run solves for the fugacity once per q.  The algebra and the
-oracle are imported by the fock and verify commands alone, so the other
-commands load neither; no command imports numpy.
+Occupation and bounds grids are tabulated in one pass each by the grid
+kernels of `distributions`, and an eos --density run solves for the
+fugacity once per q.  The algebra and the oracle are imported by the fock
+and verify commands alone, so the other commands load neither; no command
+imports numpy.
 
-The writer streams: it writes the head, then one line per row, then the
-tail, to the file or to standard output, without building the whole text.
-A CSV row is one %-format, %.Pg for a float and %s for anything else,
-which is the text of format(v, ".Pg") and str(v).  A JSON row is one
-line from json.dumps; the rest of the document keeps the indent=2
-layout.  Below 17 significant digits JSON floats are rounded to
+The writer streams: it writes the head, then the rows in strings of up to
+_CHUNK_ROWS lines, then the tail, to the file or to standard output,
+without building the whole text.  A CSV row is one %-format, %.Pg for a
+float and %s for anything else, which is the text of format(v, ".Pg")
+and str(v); where every value of a dataset has one type, one format
+serves every row.  Where every value is an int or a float, a JSON row is
+one "[%r, %r, ...]" format, the text json.dumps writes for ints and
+finite floats; a string of rows that holds a NaN or an infinity, and any
+other row, comes from json.dumps.  The rest of the document keeps the
+indent=2 layout.  Below 17 significant digits JSON floats are rounded to
 --precision; at 17 and above every double reads back unchanged, so they
 are written as they are.
 
@@ -42,6 +47,12 @@ _DEFAULT_FUGACITY = 0.25
 _ROUND_TRIP_DIGITS = 17
 
 
+# rows joined into each written string; a string of a few tens of kB keeps
+# the peak memory of a 20,000-row grid where streaming one row at a time
+# left it
+_CHUNK_ROWS = 256
+
+
 def _jsonable(value, precision):
     if isinstance(value, float):
         return float(format(value, f".{precision}g"))
@@ -57,6 +68,25 @@ def _linspace(lo, hi, steps):
     return [lo + i * h for i in range(steps)]
 
 
+def _row_shape(rows):
+    # the value types and the row lengths of a dataset, each in one C-level pass
+    return (set(map(type, itertools.chain.from_iterable(rows))),
+            set(map(len, rows)))
+
+
+def _chunks(rows):
+    # lists of _CHUNK_ROWS rows: the rows of a list are written as one string
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        yield chunk
+
+
+def _csv_format(precision, kinds):
+    # %.Pg is format(v, ".Pg") for a float, %s is str(v) for anything else
+    return ",".join(f"%.{precision}g" if issubclass(kind, float) else "%s"
+                    for kind in kinds) + "\n"
+
+
 def _csv_text(dataset, precision, extra_comments):
     lines = [f"# schema_version = {dataset['schema_version']}",
              f"# command = {dataset['command']}"]
@@ -65,17 +95,23 @@ def _csv_text(dataset, precision, extra_comments):
     lines.extend(extra_comments)
     lines.append(",".join(dataset["columns"]))
     yield "\n".join(lines) + "\n"
-    # one %-format per row tuple, built once per tuple of value types:
-    # %.Pg is format(v, ".Pg") for a float, %s is str(v) for anything else
-    formats = {}
-    for row in dataset["rows"]:
-        kinds = tuple(map(type, row))
-        line = formats.get(kinds)
-        if line is None:
-            line = formats[kinds] = ",".join(
-                f"%.{precision}g" if isinstance(v, float) else "%s"
-                for v in row) + "\n"
-        yield line % row
+    rows = dataset["rows"]
+    kinds, widths = _row_shape(rows)
+    if len(kinds) == 1 and len(widths) == 1:
+        # one value type in the whole dataset: one format for every row
+        format_row = _csv_format(precision, tuple(kinds) * widths.pop()).__mod__
+    else:
+        formats = {}  # one format per tuple of value types
+
+        def format_row(row):
+            kinds = tuple(map(type, row))
+            line = formats.get(kinds)
+            if line is None:
+                line = formats[kinds] = _csv_format(precision, kinds)
+            return line % row
+
+    for chunk in _chunks(rows):
+        yield "".join(map(format_row, chunk))
 
 
 def _json_text(dataset, precision):
@@ -86,13 +122,23 @@ def _json_text(dataset, precision):
     # head without its closing "\n}" and the tail without "{\n" and "\n}"
     yield json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
     rows = dataset["rows"]
+    kinds, widths = _row_shape(rows)
+    # json.dumps writes an int or a finite float as its repr, so a row of
+    # them is one %r each (a bool is neither: its type is bool)
+    numeric = kinds <= {float, int} and len(widths) == 1
+    if numeric:
+        line = "[" + ", ".join(["%r"] * widths.pop()) + "]"
     if precision < _ROUND_TRIP_DIGITS:
-        rows = ([_jsonable(v, precision) for v in row] for row in rows)
-    sep = "\n    "
-    for row in rows:
-        # without indent, json.dumps runs the C encoder
-        yield sep + json.dumps(row)
-        sep = ",\n    "
+        rows = (tuple([_jsonable(v, precision) for v in row]) for row in rows)
+    sep, lead = ",\n    ", "\n    "
+    for chunk in _chunks(rows):
+        text = sep.join(map(line.__mod__, chunk)) if numeric else None
+        # %r writes NaN and the infinities as nan and inf, where json.dumps
+        # writes NaN and Infinity; no other int or float text holds an "n"
+        if text is None or "n" in text:
+            text = sep.join(map(json.dumps, chunk))
+        yield lead + text
+        lead = sep
     yield "\n  ]"
     if tail:
         yield ",\n" + json.dumps(tail, indent=2)[2:-2]
@@ -110,28 +156,8 @@ def _write(dataset, fmt, out_path, precision, extra_comments=()):
 
 
 # ---------------------------------------------------------------------------
-# one output row, a tuple, per grid point, for each subcommand; occupation
-# and bounds rows take the grid's QParam, built once per grid
-
-
-def _occupation_row_b(qp, eta):
-    lower, upper, exact = distributions.cf_bounds(qp, eta)
-    n_jd = distributions.b_occupation_jd(qp, math.exp(-eta))
-    return (eta, exact, n_jd, lower, upper)
-
-
-def _occupation_row_f(qp, eta):
-    return (
-        eta,
-        distributions.f_occupation(qp, eta),
-        distributions.f_occupation_arcsin(qp, eta),
-    )
-
-
-def _bounds_row(qp, eta):
-    lower, upper, exact = distributions.cf_bounds(qp, eta)
-    second = distributions.cf_convergent(qp, eta, 2)
-    return (eta, lower, second, upper, exact, upper - lower)
+# one eos output row, a tuple, per (q, T, z) point; the occupation and
+# bounds rows come from the grid kernels of `distributions`
 
 
 def _eos_row(args, units, solved, q, temperature, z):
@@ -156,16 +182,17 @@ def _eos_row(args, units, solved, q, temperature, z):
     )
 
 
-def _check_eta_grid(family, qp, etas):
-    if family is Family.B:
-        floor = math.log(qp.q_inv)
-        bad = [e for e in etas if e <= floor]
-        if bad:
-            raise DomainError(
-                f"B-family occupation requires eta > ln(1/q) = {floor:.6g}; "
-                f"grid point(s) down to {min(bad):.6g} violate it. "
-                "Raise --eta-min or raise q."
-            )
+def _check_eta_grid(qp, etas, with_jd):
+    # the rows' own domain test, at the grid's smallest eta: y and w = e^-eta
+    # fall as eta grows, so no row fails where the smallest passes
+    lowest = min(etas)
+    try:
+        distributions.b_occupation(qp, lowest)
+        if with_jd:
+            distributions.b_occupation_jd(qp, math.exp(-lowest))
+    except DomainError as exc:
+        raise DomainError(f"B-family grid: {exc}. Raise --eta-min or raise q.") \
+            from None
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +203,12 @@ def _cmd_occupation(args):
     family = as_family(args.family)
     etas = _linspace(args.eta_min, args.eta_max, args.steps)
     qp = as_qparam(args.q)
-    _check_eta_grid(family, qp, etas)
     if family is Family.B:
-        rows = [_occupation_row_b(qp, eta) for eta in etas]
+        _check_eta_grid(qp, etas, with_jd=True)
+        rows = distributions.b_occupation_rows(qp, etas)
         columns = ["eta", "n_exact", "n_jd", "n_lower", "n_upper"]
     else:
-        rows = [_occupation_row_f(qp, eta) for eta in etas]
+        rows = distributions.f_occupation_rows(qp, etas)
         columns = ["eta", "n_exact", "n_arcsin"]
     config = {
         "family": family.value.lower(), "q": args.q, "eta_min": etas[0],
@@ -196,8 +223,8 @@ def _cmd_occupation(args):
 def _cmd_bounds(args):
     etas = _linspace(args.eta_min, args.eta_max, args.steps)
     qp = as_qparam(args.q)
-    _check_eta_grid(Family.B, qp, etas)
-    rows = [_bounds_row(qp, eta) for eta in etas]
+    _check_eta_grid(qp, etas, with_jd=False)
+    rows = distributions.bounds_rows(qp, etas)
     config = {
         "q": args.q, "eta_min": etas[0], "eta_max": etas[-1],
         "steps": len(etas), "upper_shift": qp.q_inv,

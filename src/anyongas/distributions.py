@@ -13,8 +13,19 @@ both sides, and there is a second, thermodynamically defined occupation
 derived through the Jackson derivative of the partition function; the
 two differ by a finite factor and both are exposed.
 
+In doubles the B domain is y < 1, not only e^eta > 1/q: for the first few
+doubles above eta = ln(1/q), e^eta - q rounds to 1/q - q, y rounds to 1
+and -ln(1 - y) is infinite.  b_occupation, cf_bounds and cf_convergent
+raise DomainError there, as they do below the pole.
+
 Fermion-like side.  The occupation is rational, n = 1/(q e^eta + 1),
 with equivalent arcsin and half-integer power series forms.
+
+Grid kernels.  b_occupation_rows, bounds_rows and f_occupation_rows
+tabulate a whole eta grid in one pass, as the rows of the occupation and
+bounds commands.  Each value is the scalar function's bit for bit: a B
+row calls cf_bounds once, and the kernels share the closed forms with
+the scalar functions through private helpers.
 """
 
 import math
@@ -26,8 +37,12 @@ from .qcore import QParam, as_qparam
 
 _TWO_OVER_PI = 2.0 / math.pi
 _ETA_HUGE = 700.0  # beyond this e^eta overflows a double; switch to e^-eta forms
-# the functions a grid calls per row test for a QParam inline, which skips
-# the as_qparam call on the QParam the CLI builds once per grid
+# the scalar functions test for a QParam inline, which skips the as_qparam
+# call on the QParam a grid kernel passes to cf_bounds on every row
+
+# builds a ConvergentPair without the namedtuple's Python-level __new__,
+# which would add about a third to the time of a cf_bounds call
+_new_tuple = tuple.__new__
 
 
 def _bose_occupation(eta):
@@ -39,7 +54,8 @@ def _bose_occupation(eta):
 
 
 def _cf_argument(qp, eta):
-    # y = (1/q - q)/(e^eta - q) in (0, 1) on the valid domain
+    # y = (1/q - q)/(e^eta - q), which must lie in (0, 1): where e^eta - q
+    # rounds to 1/q - q, y is 1 and -ln(1 - y) is infinite
     eta = float(eta)
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta!r}")
@@ -47,19 +63,24 @@ def _cf_argument(qp, eta):
         # the -q in the denominator is below double resolution here
         return (qp.q_inv - qp.q) * math.exp(-eta)
     e = math.exp(eta)
-    if e <= qp.q_inv:
-        raise DomainError(
-            f"occupation requires e^eta > 1/q (eta > {math.log(qp.q_inv):.6g}); "
-            f"got eta={eta!r} at q={qp.q!r}"
-        )
-    return (qp.q_inv - qp.q) / (e - qp.q)
+    if e > qp.q_inv:
+        y = (qp.q_inv - qp.q) / (e - qp.q)
+        if y < 1.0:
+            return y
+    raise DomainError(
+        f"occupation requires e^eta > 1/q, with y = (1/q - q)/(e^eta - q) "
+        f"below 1 in doubles (eta > {math.log(qp.q_inv):.6g}); "
+        f"got eta={eta!r} at q={qp.q!r}"
+    )
 
 
 def b_occupation(q, eta):
-    """Closed-form B-family occupation, for e^eta > 1/q.
+    """Closed-form B-family occupation, for e^eta > 1/q and y < 1.
 
     Equals -(1/(2 ln(1/q))) ln(1 - y) with y = (1/q - q)/(e^eta - q);
-    Bose-Einstein 1/(e^eta - 1) in the classical limit.  The value is
+    Bose-Einstein 1/(e^eta - 1) in the classical limit, for eta > 0.
+    DomainError where y rounds to 1, which happens for the first few
+    doubles above eta = ln(1/q), as well as below the pole.  The value is
     the ``exact`` of `cf_bounds` bit for bit: where y < 1e-15 rounding
     can put the closed form an ulp outside those bounds, and it is
     clamped into them.
@@ -74,25 +95,32 @@ def b_occupation_jd(q, w):
     """Jackson-derivative occupation in the mode variable w = z e^(-beta E).
 
     n = (1/(q - 1/q)) ln((1 - w/q)/(1 - q w)) = Sum_{r>=1} [r] w^r / r,
-    for 0 <= w < q.  This is the occupation whose sum over modes gives
-    the q-deformed state functions; it differs from b_occupation by the
-    finite factor (1/q - q)/(2 ln(1/q)) at small occupation.
+    for 0 <= w < q, and in doubles w/q < 1: DomainError where w/q rounds
+    to 1, as for w >= q.  This is the occupation whose sum over modes
+    gives the q-deformed state functions; it differs from b_occupation by
+    the finite factor (1/q - q)/(2 ln(1/q)) at small occupation.
     """
     qp = q if type(q) is QParam else as_qparam(q)
     w = float(w)
     if w < 0.0:
         raise DomainError(f"mode variable must be nonnegative, got {w!r}")
+    return _jd_occupation(qp, w)
+
+
+def _jd_occupation(qp, w):
+    # Sum_{r>=1} [r] w^r / r at a double w >= 0
     if w == 0.0:
         return 0.0
     if qp.is_classical_limit:
         if w >= 1.0:
             raise DomainError(f"Bose branch requires w < 1, got {w!r}")
         return w / (1.0 - w)
-    if w >= qp.q:
+    w_over_q = qp.q_inv * w
+    if w >= qp.q or w_over_q >= 1.0:
         raise DomainError(
             f"series diverges for w >= q (w={w!r}, q={qp.q!r})"
         )
-    return (math.log1p(-qp.q_inv * w) - math.log1p(-qp.q * w)) / (qp.q - qp.q_inv)
+    return (math.log1p(-w_over_q) - math.log1p(-qp.q * w)) / (qp.q - qp.q_inv)
 
 
 def cf_convergent(q, eta, k):
@@ -138,7 +166,7 @@ def cf_bounds(q, eta):
         n < (1/q - q) / (2 ln(1/q) (e^eta - 1/q)),
 
     the first-convergent form with the denominator shift q replaced by
-    1/q; it is valid on the whole domain e^eta > 1/q.  The second
+    1/q; it is valid on the whole domain e^eta > 1/q, y < 1.  The second
     convergent itself remains available as cf_convergent(q, eta, 2).
     In the classical limit y -> 0 and all three values collapse onto the
     Bose occupation.
@@ -156,8 +184,8 @@ def cf_bounds(q, eta):
     qp = q if type(q) is QParam else as_qparam(q)
     if qp.is_classical_limit:
         bose = _bose_occupation(float(eta))
-        return ConvergentPair(bose, bose, bose)
-    return ConvergentPair(*_bounded_occupation(qp, _cf_argument(qp, eta)))
+        return _new_tuple(ConvergentPair, (bose, bose, bose))
+    return _bounded_occupation(qp, _cf_argument(qp, eta))
 
 
 def _bounded_occupation(qp, y):
@@ -171,7 +199,49 @@ def _bounded_occupation(qp, y):
         exact = upper
     elif exact < lower:
         exact = lower
-    return lower, upper, exact
+    return _new_tuple(ConvergentPair, (lower, upper, exact))
+
+
+def b_occupation_rows(q, etas):
+    """Rows (eta, n_exact, n_jd, n_lower, n_upper) of a B occupation grid.
+
+    n_lower, n_upper and n_exact come from one cf_bounds(q, eta) call
+    per row and n_jd is b_occupation_jd(q, e^-eta), bit for bit.  The
+    first eta outside the domain of either raises DomainError.
+    """
+    qp = as_qparam(q)
+    rows = []
+    for eta in etas:
+        # cf_bounds is read from the module at each call, so a wrapper put
+        # on distributions.cf_bounds sees every row
+        lower, upper, exact = cf_bounds(qp, eta)
+        rows.append((eta, exact, _jd_occupation(qp, math.exp(-eta)), lower, upper))
+    return rows
+
+
+def bounds_rows(q, etas):
+    """Rows (eta, n_lower, n_second, n_upper, n_exact, width) of a bounds grid.
+
+    n_lower, n_upper and n_exact come from one cf_bounds(q, eta) call per
+    row, n_second is cf_convergent(q, eta, 2) and width is
+    n_upper - n_lower, all bit for bit.
+    """
+    qp = as_qparam(q)
+    classical = qp.is_classical_limit
+    if not classical:
+        pref = 1.0 / (2.0 * math.log(qp.q_inv))
+    rows = []
+    for eta in etas:
+        lower, upper, exact = cf_bounds(qp, eta)
+        if classical:
+            second = exact
+        else:
+            # cf_convergent(q, eta, 2): the recurrence of
+            # kernels.cf_convergent_value stops at k = 2 with 2y/(2 - y)
+            y = _cf_argument(qp, eta)
+            second = pref * (2.0 * y / (2.0 - y))
+        rows.append((eta, lower, second, upper, exact, upper - lower))
+    return rows
 
 
 def f_occupation(q, eta):
@@ -181,14 +251,17 @@ def f_occupation(q, eta):
     eta = 0; tends to the step function as |eta| grows for every q.
     """
     qp = q if type(q) is QParam else as_qparam(q)
-    eta = float(eta)
-    if math.isnan(eta):
-        raise DomainError("eta must not be NaN")
+    return _f_occupation(qp.q, float(eta))
+
+
+def _f_occupation(q, eta):
     if eta >= 0.0:
         # e^-eta form: total for arbitrarily large eta
         t = math.exp(-eta)
-        return t / (qp.q + t)
-    return 1.0 / (qp.q * math.exp(eta) + 1.0)
+        return t / (q + t)
+    if eta < 0.0:
+        return 1.0 / (q * math.exp(eta) + 1.0)
+    raise DomainError("eta must not be NaN")
 
 
 def f_occupation_arcsin(q, eta):
@@ -197,7 +270,21 @@ def f_occupation_arcsin(q, eta):
     Identical to f_occupation on the two-state spectrum where
     sin^2(n pi/2) takes only the values 0 and 1.
     """
-    return _TWO_OVER_PI * math.asin(math.sqrt(f_occupation(q, eta)))
+    return _arcsin_form(f_occupation(q, eta))
+
+
+def _arcsin_form(g):
+    return _TWO_OVER_PI * math.asin(math.sqrt(g))
+
+
+def f_occupation_rows(q, etas):
+    """Rows (eta, n_exact, n_arcsin) of an F occupation grid.
+
+    f_occupation and f_occupation_arcsin at each eta, bit for bit; the
+    arcsine form is taken from the n_exact of its row.
+    """
+    q = as_qparam(q).q
+    return [(eta, n := _f_occupation(q, eta), _arcsin_form(n)) for eta in etas]
 
 
 def f_occupation_series(g, terms):

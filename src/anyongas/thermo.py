@@ -278,7 +278,7 @@ def solve_fugacity(family, q, target_density):
                 f"{supremum:.12g} at q={qp.q!r}"
             )
         z_top = math.nextafter(q_top, 0.0)
-        density = lambda z: bose_g(qp, z, 1.5)
+        density = _memoised(lambda z: bose_g(qp, z, 1.5))
         lo = math.log(target / supremum) - _BRACKET_SLACK
         hi = min(math.log(target / q_top) + _BRACKET_SLACK, 0.0)
         if hi == 0.0 and density(z_top) < target:
@@ -288,7 +288,7 @@ def solve_fugacity(family, q, target_density):
             )
     else:
         z_top = q_top * math.exp(_LN_X_MAX)
-        density = lambda z: fermi_f(z / q_top, 1.5)
+        density = _memoised(lambda z: fermi_f(z / q_top, 1.5))
         lo = math.log(target) - _BRACKET_SLACK
         hi = min((_GAMMA_5_2 * target) ** (2.0 / 3.0), _LN_X_MAX)
         if hi == _LN_X_MAX and density(z_top) < target:
@@ -299,6 +299,20 @@ def solve_fugacity(family, q, target_density):
     fugacity = lambda u: min(q_top * math.exp(u), z_top)
     u = brentq(lambda u: density(fugacity(u)) - target, lo, hi)
     return _closest_fugacity(density, fugacity(u), z_top, target)
+
+
+def _memoised(density):
+    # one evaluation per distinct z in a solve: the polish starts at Brent's
+    # last z, and Brent can start at the z_top the range check evaluated
+    seen = {}
+
+    def memoised(z):
+        value = seen.get(z)
+        if value is None:
+            value = seen[z] = density(z)
+        return value
+
+    return memoised
 
 
 def _closest_fugacity(density, z, z_top, target):

@@ -82,6 +82,21 @@ class TestOccupation:
         assert "Raise --eta-min" in capsys.readouterr().err
 
 
+# e^eta - q rounds to 1/q - q at this eta, so y rounds to 1, although eta
+# lies above ln(1/q)
+ROUNDED_POLE = ["--q", "0.5533102249755101", "--eta-min", "0.59183644926417",
+                "--eta-max", "2", "--steps", "3"]
+
+
+@pytest.mark.parametrize("command", [["occupation", "--family", "b"], ["bounds"]],
+                         ids=["occupation", "bounds"])
+def test_grid_where_y_rounds_to_one_is_domain_error(tmp_path, capsys, command):
+    path = tmp_path / "out.csv"
+    assert cli.main([*command, *ROUNDED_POLE, "--output", str(path)]) == 3
+    assert "Raise --eta-min" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_bounds(tmp_path):
     status, payload, rows = _run(tmp_path, [
         "bounds", "--q", "0.5", "--eta-min", "1", "--eta-max", "4", "--steps", "4"])
@@ -348,6 +363,57 @@ class TestWriter:
         assert cli.main([*argv, "--output", str(path)]) == 0
         assert cli.main([*argv, "--output", "-"]) == 0
         assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+def _dataset(rows):
+    return {"schema_version": "1", "command": "test", "config": {"x": 1},
+            "columns": ["a", "b", "c"], "rows": rows}
+
+
+# several times cli._CHUNK_ROWS, so that the rows span several written strings
+_MANY = 3 * 1024 + 7
+_WRITER_DATASETS = {
+    "floats": [(0.1 * k, 1.0 / (k + 1), -3e-300 * k) for k in range(_MANY)],
+    "ints-and-floats": [(k, 0.5 ** k, -k) for k in range(_MANY)],
+    "ints-then-floats": [(1, 2, 3)] * 3 + [(1.5, 2.5, 1e300)] * _MANY,
+    "floats-then-ints": [(1.5, 2.5, 1e300)] * _MANY + [(1, 2, 3)],
+    "bools": [(True, 1.0, 2), (False, 0.0, 3)] * 3,
+    "strings-and-none": [("b", 1.25, None), ("PASS", 1e-300, "x")] * 3,
+    "nan-late": [(0.25, 1.0, 2.0)] * _MANY + [(math.nan, 1.0, 2.0)],
+    "infinities": [(math.inf, -math.inf, 1.0)] + [(0.5, 1.0, 2.0)] * 5,
+    "rounds-to-inf": [(1.7976931348623157e308, -1.7e308, 0.0)] * 3,
+    "huge-int": [(10 ** 400, 1.0, 2.0)] * 3,
+    "empty": [],
+}
+
+
+def _json_row_lines(text):
+    lines = text.splitlines()
+    first = lines.index('  "rows": [') + 1
+    last = lines.index("  ]", first) if "  ]" in lines else lines.index("  ],", first)
+    return [line[4:].rstrip(",") for line in lines[first:last]]
+
+
+@pytest.mark.parametrize("precision", [1, 6, 17])
+@pytest.mark.parametrize("name", sorted(_WRITER_DATASETS))
+def test_json_row_text_is_json_dumps(name, precision):
+    rows = _WRITER_DATASETS[name]
+    text = "".join(cli._json_text(_dataset(rows), precision))
+    want = [json.dumps([float(format(v, f".{precision}g"))
+                        if isinstance(v, float) and precision < 17 else v
+                        for v in row]) for row in rows]
+    assert _json_row_lines(text) == want
+    assert json.loads(text)["columns"] == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("precision", [6, 17])
+@pytest.mark.parametrize("name", sorted(_WRITER_DATASETS))
+def test_csv_row_text_is_the_per_value_join(name, precision):
+    rows = _WRITER_DATASETS[name]
+    text = "".join(cli._csv_text(_dataset(rows), precision, ()))
+    want = [",".join(format(v, f".{precision}g") if isinstance(v, float)
+                     else str(v) for v in row) for row in rows]
+    assert text.splitlines()[4:] == want
 
 
 @pytest.mark.parametrize("precision", ["-1", "0", "x"])

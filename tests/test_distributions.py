@@ -1,12 +1,17 @@
 import math
+import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyongas.distributions import (b_occupation, b_occupation_jd, cf_bounds,
+from anyongas import distributions
+from anyongas.distributions import (b_occupation, b_occupation_jd,
+                                    b_occupation_rows, bounds_rows, cf_bounds,
                                     cf_convergent, f_occupation,
-                                    f_occupation_arcsin, f_occupation_series)
+                                    f_occupation_arcsin, f_occupation_rows,
+                                    f_occupation_series)
 from anyongas.errors import DomainError
 from anyongas.qcore import QParam, basic_number
 
@@ -292,3 +297,147 @@ class TestFArcsinForms:
             f_occupation_series(-0.1, 5)
         with pytest.raises(DomainError):
             f_occupation_series(0.5, 0)
+
+
+def _raises_domain_error(func, *args):
+    try:
+        func(*args)
+    except DomainError:
+        return True
+    return False
+
+
+def _occupation_row_fails(q, eta):
+    return (_raises_domain_error(b_occupation, q, eta)
+            or _raises_domain_error(b_occupation_jd, q, math.exp(-eta)))
+
+
+def _bounds_row_fails(q, eta):
+    return _raises_domain_error(b_occupation, q, eta)
+
+
+def _first_valid_eta(q, row_fails=_occupation_row_fails):
+    # bisect the positive doubles, ordered as their bit patterns, for the
+    # first eta above ln(1/q) where the row is defined
+    bits = lambda x: struct.unpack("<q", struct.pack("<d", x))[0]
+    lo, hi = bits(math.log(1.0 / q)), bits(math.log(1.0 / q) + 1.0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if row_fails(q, struct.unpack("<d", struct.pack("<q", mid))[0]):
+            lo = mid
+        else:
+            hi = mid
+    return struct.unpack("<d", struct.pack("<q", hi))[0]
+
+
+def _same_doubles(row, want):
+    # bit for bit: repr tells -0.0 from 0.0 and round-trips every double
+    return list(map(repr, row)) == list(map(repr, want))
+
+
+KERNEL_QS = (0.05, 0.5, 0.9, 1.0 - 1e-9, 1.0)
+
+
+class TestGridKernels:
+    """Each grid kernel row against the scalar functions, bit for bit."""
+
+    @staticmethod
+    def b_etas(q, row_fails=_occupation_row_fails):
+        first = _first_valid_eta(q, row_fails)
+        etas = [first]
+        for _ in range(5):
+            etas.append(math.nextafter(etas[-1], math.inf))
+        floor = math.log(1.0 / q)
+        etas += [floor + d for d in (1e-12, 1e-6, 1e-3, 0.5, 5.0, 50.0)]
+        return etas + [699.9, 700.0, 700.5, 720.0, 745.0, 746.0, 800.0]
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_b_occupation_rows(self, q):
+        etas = self.b_etas(q)
+        rows = b_occupation_rows(q, etas)
+        assert len(rows) == len(etas)
+        for eta, row in zip(etas, rows):
+            lower, upper, exact = cf_bounds(q, eta)
+            assert exact == b_occupation(q, eta)
+            want = (eta, exact, b_occupation_jd(q, math.exp(-eta)), lower, upper)
+            assert _same_doubles(row, want), eta
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_bounds_rows(self, q):
+        etas = self.b_etas(q, _bounds_row_fails)
+        rows = bounds_rows(QParam(q), etas)
+        for eta, row in zip(etas, rows):
+            lower, upper, exact = cf_bounds(q, eta)
+            want = (eta, lower, cf_convergent(q, eta, 2), upper, exact, upper - lower)
+            assert _same_doubles(row, want), eta
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_f_occupation_rows(self, q):
+        etas = [-800.0 + 0.5 * k for k in range(3201)]
+        etas += [-0.0, 5e-324, -5e-324, 1e-300, -1e-300]
+        rows = f_occupation_rows(q, etas)
+        for eta, row in zip(etas, rows):
+            want = (eta, f_occupation(q, eta), f_occupation_arcsin(q, eta))
+            assert _same_doubles(row, want), eta
+
+    @pytest.mark.parametrize("kernel", [b_occupation_rows, bounds_rows])
+    def test_one_cf_bounds_call_per_b_row(self, monkeypatch, kernel):
+        calls = []
+        original = distributions.cf_bounds
+
+        def counted(q, eta):
+            calls.append(eta)
+            return original(q, eta)
+
+        monkeypatch.setattr(distributions, "cf_bounds", counted)
+        etas = [1.0 + 0.01 * k for k in range(137)]
+        assert len(kernel(0.5, etas)) == 137
+        assert calls == etas
+
+    @pytest.mark.parametrize("kernel, row_fails", [
+        (b_occupation_rows, _occupation_row_fails), (bounds_rows, _bounds_row_fails)])
+    def test_b_kernels_refuse_the_last_invalid_eta(self, kernel, row_fails):
+        for q in KERNEL_QS:
+            below = math.nextafter(_first_valid_eta(q, row_fails), 0.0)
+            with pytest.raises(DomainError):
+                kernel(q, [below + 1.0, below])
+
+    def test_f_kernel_refuses_nan(self):
+        with pytest.raises(DomainError):
+            f_occupation_rows(0.5, [0.0, math.nan])
+
+
+class TestRoundingToThePole:
+    """Just above eta = ln(1/q), y = (1/q - q)/(e^eta - q) can round to 1."""
+
+    Q, ETA = 0.5533102249755101, 0.59183644926417
+
+    def test_y_that_rounds_to_one_is_domain_error(self):
+        assert self.ETA > math.log(1.0 / self.Q)
+        for func in (b_occupation, cf_bounds):
+            with pytest.raises(DomainError, match="below 1 in doubles"):
+                func(self.Q, self.ETA)
+        with pytest.raises(DomainError, match="below 1 in doubles"):
+            cf_convergent(self.Q, self.ETA, 2)
+
+    def test_w_over_q_that_rounds_to_one_is_domain_error(self):
+        # w < q, but (1/q) w rounds to 1, where log1p(-w/q) has no value
+        q = 0.2419876514362294
+        w = math.nextafter(q, 0.0)
+        assert (1.0 / q) * w == 1.0
+        with pytest.raises(DomainError, match="diverges"):
+            b_occupation_jd(q, w)
+
+    def test_first_doubles_above_the_pole_raise_only_domain_error(self):
+        rng = random.Random(7)
+        for _ in range(3000):
+            q = rng.uniform(0.01, 1.0)
+            eta = math.log(1.0 / q)
+            for _ in range(3):
+                eta = math.nextafter(eta, math.inf)
+                try:
+                    lower, upper, exact = cf_bounds(q, eta)
+                except DomainError:
+                    continue
+                assert lower <= exact <= upper < math.inf
+                assert exact == b_occupation(q, eta)

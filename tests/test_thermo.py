@@ -4,6 +4,7 @@ import math
 import mpmath
 import pytest
 
+from anyongas import thermo
 from anyongas.distributions import f_occupation
 from anyongas.errors import ConvergenceError, DomainError
 from anyongas.qcore import Family
@@ -178,6 +179,27 @@ class TestSolveFugacity:
     def test_f_density_beyond_the_largest_double_is_domain_error(self):
         with pytest.raises(DomainError, match=r"largest density allowed is 14225\.0"):
             solve_fugacity("f", 0.5, 2e4)
+
+    # z as the solve returned it before its density evaluations were memoised
+    @pytest.mark.parametrize("family, q, density, z", [
+        ("f", 0.5, 100.0, 99377566356.95918),
+        ("f", 0.5, 1e3, 1.5920475279697036e+52),
+        ("f", 0.5, 1e4, 2.5663857763471224e+243),
+        ("b", 0.5, 0.5, 0.3945746997808423),
+    ])
+    def test_density_is_evaluated_once_per_fugacity(self, monkeypatch, family, q,
+                                                    density, z):
+        name = "bose_g" if family == "b" else "fermi_f"
+        original = getattr(thermo, name)
+        points = []
+
+        def counted(*args):
+            points.append(args[1] if family == "b" else args[0])
+            return original(*args)
+
+        monkeypatch.setattr(thermo, name, counted)
+        assert solve_fugacity(family, q, density) == z
+        assert len(points) == len(set(points))
 
     def test_supremum_matches_the_series_limit(self):
         q = 0.5
