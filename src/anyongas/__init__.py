@@ -19,8 +19,8 @@ from .distributions import (ConvergentPair, b_occupation, b_occupation_jd,
                             cf_convergent, f_occupation, f_occupation_arcsin,
                             f_occupation_rows, f_occupation_series)
 from .errors import ConvergenceError, DomainError
-from .qcore import (Family, PowerSeries, QParam, as_qparam, basic_number,
-                    jackson_derivative, q_factorial)
+from .qcore import (Family, QParam, as_qparam, basic_number, jackson_derivative,
+                    q_factorial)
 from .qfunctions import (bose_g, bose_g_supremum, fermi_f, polylog,
                          sommerfeld_density_factor, thermal_wavelength)
 from .report import KNOWN_ERRATA, VerificationReport

@@ -6,9 +6,10 @@ for reproducibility.  Rows are computed in order in one process, so
 identical configurations produce byte-identical files on any machine.
 Occupation and bounds grids are tabulated in one pass each by the grid
 kernels of `distributions`, and an eos --density run solves for the
-fugacity once per q.  The algebra and the oracle are imported by the fock
-and verify commands alone, so the other commands load neither; no command
-imports numpy.
+fugacity once per q.  A grid's domain errors come from those kernels, at
+the first row outside the domain; the CLI only adds which flag to raise.
+The algebra and the oracle are imported by the fock and verify commands
+alone, so the other commands load neither; no command imports numpy.
 
 The writer streams: it writes the head, then the rows in strings of up to
 _CHUNK_ROWS lines, then the tail, to the file or to standard output,
@@ -182,14 +183,11 @@ def _eos_row(args, units, solved, q, temperature, z):
     )
 
 
-def _check_eta_grid(qp, etas, with_jd):
-    # the rows' own domain test, at the grid's smallest eta: y and w = e^-eta
-    # fall as eta grows, so no row fails where the smallest passes
-    lowest = min(etas)
+def _b_grid_rows(kernel, qp, etas):
+    # the rows are built before anything is written, so a row outside the
+    # domain exits 3 with no output
     try:
-        distributions.b_occupation(qp, lowest)
-        if with_jd:
-            distributions.b_occupation_jd(qp, math.exp(-lowest))
+        return kernel(qp, etas)
     except DomainError as exc:
         raise DomainError(f"B-family grid: {exc}. Raise --eta-min or raise q.") \
             from None
@@ -204,8 +202,7 @@ def _cmd_occupation(args):
     etas = _linspace(args.eta_min, args.eta_max, args.steps)
     qp = as_qparam(args.q)
     if family is Family.B:
-        _check_eta_grid(qp, etas, with_jd=True)
-        rows = distributions.b_occupation_rows(qp, etas)
+        rows = _b_grid_rows(distributions.b_occupation_rows, qp, etas)
         columns = ["eta", "n_exact", "n_jd", "n_lower", "n_upper"]
     else:
         rows = distributions.f_occupation_rows(qp, etas)
@@ -223,8 +220,7 @@ def _cmd_occupation(args):
 def _cmd_bounds(args):
     etas = _linspace(args.eta_min, args.eta_max, args.steps)
     qp = as_qparam(args.q)
-    _check_eta_grid(qp, etas, with_jd=False)
-    rows = distributions.bounds_rows(qp, etas)
+    rows = _b_grid_rows(distributions.bounds_rows, qp, etas)
     config = {
         "q": args.q, "eta_min": etas[0], "eta_max": etas[-1],
         "steps": len(etas), "upper_shift": qp.q_inv,

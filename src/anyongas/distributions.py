@@ -50,7 +50,13 @@ def _bose_occupation(eta):
         raise DomainError(f"Bose occupation requires eta > 0, got {eta!r}")
     if eta > _ETA_HUGE:
         return math.exp(-eta)
-    return 1.0 / math.expm1(eta)
+    n = 1.0 / math.expm1(eta)
+    if n == math.inf:
+        # expm1(eta) = eta below about 5.6e-309, and 1/eta passes the largest double
+        raise DomainError(
+            f"Bose occupation 1/(e^eta - 1) overflows a double at eta={eta!r}; "
+            "it needs eta >= 5.5627e-309")
+    return n
 
 
 def _cf_argument(qp, eta):
@@ -78,7 +84,8 @@ def b_occupation(q, eta):
     """Closed-form B-family occupation, for e^eta > 1/q and y < 1.
 
     Equals -(1/(2 ln(1/q))) ln(1 - y) with y = (1/q - q)/(e^eta - q);
-    Bose-Einstein 1/(e^eta - 1) in the classical limit, for eta > 0.
+    Bose-Einstein 1/(e^eta - 1) in the classical limit, for eta > 0
+    where that is a finite double (eta above about 5.6e-309).
     DomainError where y rounds to 1, which happens for the first few
     doubles above eta = ln(1/q), as well as below the pole.  The value is
     the ``exact`` of `cf_bounds` bit for bit: where y < 1e-15 rounding

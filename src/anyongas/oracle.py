@@ -17,7 +17,7 @@ from .algebra import (build_b_rep, build_f_rep, eigenvalue_seq_f,
                       eigenvalue_seq_f_closed, rep_report,
                       verify_no_basic_number_f)
 from .errors import ConvergenceError, DomainError
-from .qcore import Family, PowerSeries, as_family, as_qparam, basic_number
+from .qcore import Family, as_family, as_qparam, basic_number
 from .report import (AmbiguityNote, CheckResult, KNOWN_ERRATA,
                      VerificationReport)
 
@@ -256,7 +256,7 @@ def _arcsin_reference(n_coeffs):
         levels = 6 if m < 3 else 5
         c = _odd_maclaurin_coefficient(f, m, base, levels)
         coeffs.extend([c, 0.0] if m < n_coeffs - 1 else [c])
-    return PowerSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _degenerate_bracket_reference(n_coeffs):
@@ -266,8 +266,7 @@ def _degenerate_bracket_reference(n_coeffs):
     nus = [12.0, 16.0, 22.0, 30.0, 42.0, 58.0]
     us = [nu ** -2 for nu in nus]
     brackets = [
-        gamma52 * qfunctions.fermi_f(math.exp(nu), 1.5, method="integral")
-        / nu ** 1.5
+        gamma52 * qfunctions.fermi_f(math.exp(nu), 1.5) / nu ** 1.5
         for nu in nus
     ]
     coeffs = []
@@ -277,7 +276,7 @@ def _degenerate_bracket_reference(n_coeffs):
         c = _neville_to_zero(us, scaled)
         coeffs.append(c)
         resid = [r - c * u for r, u in zip(resid, us)]
-    return PowerSeries(tuple(coeffs), constant=1.0)
+    return tuple(coeffs)
 
 
 _TAYLOR_REGISTRY = {
@@ -287,14 +286,16 @@ _TAYLOR_REGISTRY = {
 
 
 def taylor_reference(function_id, n_coeffs):
-    """Reference expansion coefficients for a registered function.
+    """Reference expansion coefficients for a registered function, as a tuple.
 
-    "arcsin-sqrt": odd Maclaurin coefficients of (2/pi) arcsin(u) as a
-    PowerSeries in u (so the n-th returned odd coefficient multiplies
-    g^(n+1/2) after u = sqrt(g)); computed by Richardson-extrapolated
-    central differences.  "degenerate-density-bracket": coefficients of
-    the asymptotic bracket in powers of (ln x)^-2, from quadrature
-    values; the first one recovers pi^2/8.
+    "arcsin-sqrt": the Maclaurin coefficients c1, c2, ... of (2/pi)
+    arcsin(u) in u, with every even one 0 (so the n-th odd coefficient,
+    at index 2n, multiplies g^(n+1/2) after u = sqrt(g)); computed by
+    Richardson-extrapolated central differences.
+    "degenerate-density-bracket": the coefficients c1, c2, ... of the
+    asymptotic bracket 1 + c1 u + c2 u^2 + ... in u = (ln x)^-2, from
+    quadrature values; its constant term is 1 and is not returned, and
+    c1 recovers pi^2/8.
     """
     try:
         builder = _TAYLOR_REGISTRY[function_id]
@@ -454,14 +455,14 @@ def run_verification():
 
     oracle_series = taylor_reference("arcsin-sqrt", 3)
     closed = arcsin_series_coefficients(3)
-    diffs = [abs(oracle_series.coeffs[2 * m] - closed[m]) for m in range(3)]
+    diffs = [abs(oracle_series[2 * m] - closed[m]) for m in range(3)]
     checks.append(CheckResult.from_residual(
         "arcsin-taylor-oracle", {"coefficients": 3}, max(diffs), 1e-8))
 
     bracket = taylor_reference("degenerate-density-bracket", 2)
     checks.append(CheckResult.from_residual(
         "degenerate-bracket-first-coefficient", {"target": "pi^2/8"},
-        abs(bracket.coeffs[0] - math.pi ** 2 / 8.0), 1e-6))
+        abs(bracket[0] - math.pi ** 2 / 8.0), 1e-6))
 
     spectrum = (0.5, 1.0, 1.5, 2.0, 2.5)
     worst = 0.0

@@ -1,23 +1,27 @@
 """Deformation-parameter arithmetic and truncated power series.
 
-Everything downstream is built from three primitives: the basic number
-[x] = (q^x - q^-x)/(q - q^-1), the Jackson finite-difference derivative
-that replaces d/dx in the boson-like thermodynamics, and a truncated
-formal power series whose composition and reversion are summed exactly
-in rationals and rounded to doubles (the oracle's reference expansions
-are PowerSeries; the virial coefficients are summed in decimal by
-`thermo.virial_coefficients`).
+Everything downstream is built from two primitives: the basic number
+[x] = (q^x - q^-x)/(q - q^-1) and the Jackson finite-difference
+derivative that replaces d/dx in the boson-like thermodynamics.
+
+`PowerSeries` keeps only its exact composition and reversion, summed in
+rationals and rounded to doubles.  No command calls them: the virial
+coefficients are summed in decimal by `thermo.virial_coefficients`.
+They stay, with their tests, because the benchmark's span tracer
+(perfbench/spans.py) wraps both by name; they go with the next change
+to the benchmark.  `fractions` is imported inside them, so no command
+loads it.
 
 The deformation parameter lives in (0, 1].  q = 0 is excluded because
-every formula involves q^-1; q = 1 is the undeformed limit and all
-operations branch to the analytic limit there instead of evaluating
-0/0 forms.
+every formula involves q^-1; q = 1 is the undeformed limit, where the
+deformed expressions are 0/0 forms.  `QParam.is_classical_limit` marks
+the band |q - 1| < 1e-12, where the functions of this module, like the
+occupations, use the q = 1 forms.
 """
 
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -46,9 +50,11 @@ def as_family(value):
 class QParam:
     """Statistics parameter q in (0, 1] with explicit classical-limit handling.
 
-    ``is_classical_limit`` is true iff |q - 1| < 1e-12; callers
-    must branch to the analytic q = 1 formulas in that case rather than
-    evaluating the deformed expressions, which degenerate to 0/0.
+    ``is_classical_limit`` is true iff |q - 1| < 1e-12.  Callers whose
+    q = 1 formula is the more accurate one there branch to it in that
+    band.  g (`qfunctions`) and the state functions and density solve
+    of `thermo` keep their deformed forms there, which hold up to the
+    last double below 1; g alone branches, at q = 1 itself.
     """
 
     q: float
@@ -117,8 +123,8 @@ def jackson_derivative(f, q, x):
 
 
 def _mul_trunc(a, b, order):
-    # raw coefficient lists indexed from power 0, product truncated at `order`;
-    # the int zeros take the type of the entries (float or Fraction)
+    # raw coefficient lists of Fractions indexed from power 0, product
+    # truncated at `order`; the int zeros take the type of the entries
     out = [0] * (order + 1)
     for i, ai in enumerate(a):
         if ai == 0.0 or i > order:
@@ -135,9 +141,9 @@ class PowerSeries:
     """Truncated power series c0 + c1 t + ... + cK t^K.
 
     ``coeffs`` holds c1..cK; the constant term is tracked separately.
-    All arithmetic is exact up to the truncation order K = len(coeffs)
-    and never silently exceeds it: binary operations truncate to the
-    smaller of the two orders.
+    Composition and reversion are exact up to the truncation order
+    K = len(coeffs) and never silently exceed it: a composition truncates
+    to the smaller of the two orders.
     """
 
     coeffs: tuple
@@ -147,11 +153,6 @@ class PowerSeries:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         object.__setattr__(self, "constant", float(self.constant))
 
-    @classmethod
-    def identity(cls, order):
-        """The series t, padded with zeros up to the given order."""
-        return cls((1.0,) + (0.0,) * (order - 1))
-
     @property
     def order(self):
         return len(self.coeffs)
@@ -160,38 +161,6 @@ class PowerSeries:
         return [self.constant] + list(self.coeffs[:order]) + [0.0] * max(
             0, order - self.order
         )
-
-    def __call__(self, t):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc * t + self.constant
-
-    def __add__(self, other):
-        if isinstance(other, PowerSeries):
-            return PowerSeries(
-                tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                self.constant + other.constant,
-            )
-        return PowerSeries(self.coeffs, self.constant + float(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PowerSeries(tuple(-c for c in self.coeffs), -self.constant)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, PowerSeries) else -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            k = min(self.order, other.order)
-            raw = _mul_trunc(self._raw(k), other._raw(k), k)
-            return PowerSeries(tuple(raw[1:]), raw[0])
-        s = float(other)
-        return PowerSeries(tuple(c * s for c in self.coeffs), self.constant * s)
-
-    __rmul__ = __mul__
 
     def compose(self, inner):
         """Coefficients of self(inner(t)), truncated to the smaller order.
@@ -208,6 +177,8 @@ class PowerSeries:
 
     def _compose_exact(self, inner_raw, k):
         # raw coefficients of self(inner) up to t^k as Fractions (Horner)
+        from fractions import Fraction
+
         inner_raw = [Fraction(c) for c in inner_raw[: k + 1]]
         acc = [Fraction(0)] * (k + 1)
         for c in reversed(self.coeffs[:k]):
@@ -232,6 +203,8 @@ class PowerSeries:
             raise DomainError("reversion requires a zero constant term")
         if not self.coeffs or self.coeffs[0] == 0.0:
             raise DomainError("reversion requires a nonzero linear coefficient")
+        from fractions import Fraction
+
         c1 = Fraction(self.coeffs[0])
 
         def exact_next(inv):

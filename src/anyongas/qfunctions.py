@@ -19,10 +19,14 @@ series for x <= 1/2 and, above, the mu = ln x series
 on fast polylogarithm computation, 2006), with zeta taken from the
 Dirichlet eta kernel and, for s <= 0, the functional equation.  As
 q -> 1 the difference behind g cancels, so there g is formed as a
-divided difference of the same series, whose terms do not cancel.
+divided difference of the same series, whose terms do not cancel.  That
+form holds up to the last double below 1, so g branches to Li_order(z)
+at the point q = 1 alone, not on the band |q - 1| < 1e-12 of
+`QParam.is_classical_limit`, where z must still stay below q.
 
-For x > 1, where the alternating series diverges, f is the Fermi
-integral, split at the Fermi level mu = ln x,
+`fermi_f` branches on x: the alternating series for x <= 1 and, for
+x > 1, where that series diverges, the Fermi integral, split at the
+Fermi level mu = ln x,
 
     f = (1/Gamma(s)) [mu^s/s + Int_0^inf (mu+u)^(s-1)/(e^u+1) du
                              - Int_0^mu (mu-u)^(s-1)/(e^u+1) du],
@@ -96,9 +100,8 @@ def quad(weighted, length):
 
 
 # the Fermi integrals over [0, 60], the same for every x: the nodes u and
-# rest = 60 - u, e^-u at the nodes, and the weights times 1/(e^u + 1)
+# rest = 60 - u, and the weights times 1/(e^u + 1)
 _, _CUT_NODES, _CUT_REST = quad_nodes(_FERMI_CUTOFF)
-_CUT_EXP_NEG = tuple(math.exp(-u) for u in _CUT_NODES)
 _CUT_FERMI_WEIGHT = tuple(w / (math.exp(u) + 1.0)
                           for w, u in zip(_TS_WEIGHT, _CUT_NODES))
 
@@ -202,8 +205,9 @@ def _polylog_divided_difference(s, a, b):
 
 
 def _bose_g(qp, z, order):
-    # g(q, z, order) for 0 < z <= q (z = q gives the supremum g(q, q, order))
-    if qp.is_classical_limit:
+    # g(q, z, order) for 0 < z <= q (z = q gives the supremum g(q, q, order));
+    # q = 1 is the one q where tau/sinh(tau) below is 0/0
+    if qp.q == 1.0:
         return polylog(order, z)
     s = order + 1.0
     tau = -math.log(qp.q)
@@ -245,10 +249,7 @@ def bose_g(q, z, order):
         raise DomainError(f"fugacity must be positive, got {z!r}")
     if not order > 0.0:
         raise DomainError(f"order must be positive, got {order!r}")
-    if qp.is_classical_limit:
-        if z >= 1.0:
-            raise DomainError(f"classical branch requires z < 1, got z={z!r}")
-    elif z >= qp.q:
+    if z >= qp.q:
         raise DomainError(
             f"series requires z < q (got z={z!r}, q={qp.q!r}); "
             "the z/q sub-series diverges otherwise"
@@ -264,12 +265,12 @@ def bose_g_supremum(q, order):
     """
     qp = as_qparam(q)
     order = float(order)
-    if not order > (1.0 if qp.is_classical_limit else 0.0):
+    if not order > (1.0 if qp.q == 1.0 else 0.0):
         raise DomainError(f"g(q, q, {order!r}) diverges at q={qp.q!r}")
-    return _bose_g(qp, 1.0 if qp.is_classical_limit else qp.q, order)
+    return _bose_g(qp, qp.q, order)
 
 
-def fermi_f(x, order, method="auto"):
+def fermi_f(x, order):
     """f(x, order) = Sum_{r>=1} (-1)^(r+1) x^r / r^order, continued to x > 1.
 
     Parameters
@@ -278,14 +279,11 @@ def fermi_f(x, order, method="auto"):
         Combined argument z/q, any positive value.
     order : float
         Series order > 0.
-    method : str
-        "series" (accelerated alternating sum, valid for x <= 1),
-        "integral" (Fermi integral by the fixed tanh-sinh rule, any
-        x > 0), or "auto" (series for x <= 1, integral beyond).
 
-    Both routes are within 1e-13 (relative) of the exact value for the
-    half-integer orders; continuity across x = 1 is part of the test
-    suite.
+    The accelerated alternating series for x <= 1, the Fermi integral by
+    the fixed tanh-sinh rule above; both are within 1e-13 (relative) of
+    the exact value for the half-integer orders, and continuity across
+    x = 1 is part of the test suite.
     """
     x = float(x)
     order = float(order)
@@ -293,25 +291,15 @@ def fermi_f(x, order, method="auto"):
         raise DomainError(f"argument must be positive, got {x!r}")
     if not order > 0.0:
         raise DomainError(f"order must be positive, got {order!r}")
-    if method == "auto":
-        method = "series" if x <= 1.0 else "integral"
-    if method == "series":
-        if x > 1.0:
-            raise DomainError(f"alternating series diverges for x > 1 (x={x!r})")
+    if x <= 1.0:
         return kernels.f_series_sum(x, order)
-    if method == "integral":
-        return _fermi_integral(x, order)
-    raise DomainError(f"unknown method {method!r}")
+    return _fermi_integral(x, order)
 
 
 def _fermi_integral(x, order):
+    # x > 1, so the Fermi level mu = ln x is positive
     p = order - 1.0
     mu = math.log(x)
-    if mu <= 0.0:
-        # t^(s-1)/(e^t/x + 1), written in e^-t so a small x cannot overflow
-        value = quad([w * t ** p * x * e / (1.0 + x * e) for w, t, e
-                      in zip(_TS_WEIGHT, _CUT_NODES, _CUT_EXP_NEG)], _FERMI_CUTOFF)
-        return value / math.gamma(order)
     above = quad([w * (mu + u) ** p
                   for w, u in zip(_CUT_FERMI_WEIGHT, _CUT_NODES)], _FERMI_CUTOFF)
     if mu >= _FERMI_CUTOFF:

@@ -169,7 +169,7 @@ def f_state(params):
     z = params.resolved_fugacity()
     if not z > 0.0:
         raise DomainError(f"fugacity must be positive, got {z!r}")
-    x = z if qp.is_classical_limit else z / qp.q
+    x = z / qp.q
     kt, lam, lam3 = _thermal_scales(params)
     gs = float(params.multiplicity)
     f52 = fermi_f(x, 2.5)
@@ -269,7 +269,7 @@ def solve_fugacity(family, q, target_density):
     target = float(target_density)
     if not 0.0 < target < math.inf:
         raise DomainError(f"target density must be positive and finite, got {target!r}")
-    q_top = 1.0 if qp.is_classical_limit else qp.q
+    q_top = qp.q
     if family is Family.B:
         supremum = b_density_supremum(qp)
         if target >= supremum:
@@ -516,7 +516,7 @@ def f_partition_log(spectrum, z, beta, q):
     z = float(z)
     if not z > 0.0:
         raise DomainError(f"fugacity must be positive, got {z!r}")
-    base = z if qp.is_classical_limit else z / qp.q
+    base = z / qp.q
     return sum(math.log1p(base * math.exp(-float(beta) * e)) for e in spectrum)
 
 

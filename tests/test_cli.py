@@ -97,6 +97,18 @@ def test_grid_where_y_rounds_to_one_is_domain_error(tmp_path, capsys, command):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", [["occupation", "--family", "b"], ["bounds"]],
+                         ids=["occupation", "bounds"])
+def test_bose_grid_where_the_occupation_overflows_is_domain_error(tmp_path, capsys,
+                                                                 command):
+    # 1/(e^eta - 1) overflows a double for eta below 5.56e-309
+    path = tmp_path / "out.csv"
+    assert cli.main([*command, "--q", "1", "--eta-min", "1e-320", "--eta-max",
+                     "1e-300", "--steps", "3", "--output", str(path)]) == 3
+    assert "Raise --eta-min" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_bounds(tmp_path):
     status, payload, rows = _run(tmp_path, [
         "bounds", "--q", "0.5", "--eta-min", "1", "--eta-max", "4", "--steps", "4"])
@@ -441,15 +453,23 @@ def _src_env():
 
 
 def test_import_loads_neither_scipy_nor_mpmath():
-    # numpy neither: the runtime is the standard library alone; and the
-    # algebra and the oracle load only for the commands that use them
+    # numpy neither: the runtime is the standard library alone; the algebra
+    # and the oracle load only for the commands that use them; and fractions
+    # only for PowerSeries, which no command calls
     code = ("import sys, anyongas.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'mpmath', 'numpy') "
-            "or m in ('anyongas.algebra', 'anyongas.oracle')))")
+            "or m in ('anyongas.algebra', 'anyongas.oracle', 'fractions')))")
     result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                             capture_output=True, text=True, check=True, timeout=60)
     assert result.stdout.strip() == "[]"
+
+
+def test_power_series_is_not_exported():
+    import anyongas
+
+    with pytest.raises(AttributeError, match="PowerSeries"):
+        anyongas.PowerSeries
 
 
 def test_package_exports_algebra_and_oracle_names_lazily():

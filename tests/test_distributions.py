@@ -441,3 +441,24 @@ class TestRoundingToThePole:
                     continue
                 assert lower <= exact <= upper < math.inf
                 assert exact == b_occupation(q, eta)
+
+
+class TestBoseOverflow:
+    """1/(e^eta - 1) passes the largest double for eta below about 5.56e-309."""
+
+    @pytest.mark.parametrize("q", [1.0, 1.0 - 1e-13])
+    @pytest.mark.parametrize("eta", [5e-324, 1e-320, 5.5e-309])
+    def test_refused(self, q, eta):
+        for func in (b_occupation, cf_bounds):
+            with pytest.raises(DomainError, match="overflows"):
+                func(q, eta)
+        with pytest.raises(DomainError, match="overflows"):
+            cf_convergent(q, eta, 1)
+        for kernel in (b_occupation_rows, bounds_rows):
+            with pytest.raises(DomainError, match="overflows"):
+                kernel(q, [1.0, eta])
+
+    def test_finite_above(self):
+        eta = 6e-309
+        assert b_occupation(1.0, eta) == 1.0 / eta < math.inf
+        assert all(v < math.inf for v in bounds_rows(1.0, [eta])[0])

@@ -8,7 +8,7 @@ from anyongas import thermo
 from anyongas.distributions import f_occupation
 from anyongas.errors import ConvergenceError, DomainError
 from anyongas.qcore import Family
-from anyongas.qfunctions import thermal_wavelength
+from anyongas.qfunctions import fermi_f, thermal_wavelength
 from anyongas.thermo import (GasParams, b_density_supremum, b_state, brentq,
                              chemical_potential_f, f_partition_log, f_state,
                              fermi_energy, solve_fugacity, virial_coefficients)
@@ -109,6 +109,16 @@ class TestDensitySolve:
         state = f_state(params)
         lam3n = state.thermal_wavelength ** 3 * state.number_density
         assert lam3n == pytest.approx(density, rel=1e-12)
+
+
+@pytest.mark.parametrize("z", [0.5, 3.0])
+def test_f_state_takes_z_over_q_inside_the_classical_band(z):
+    # q = 1 - 1e-13 counts as classical for the occupations, but f is taken
+    # at z/q, which differs from z by 1e-13 (relative)
+    q = 1.0 - 1e-13
+    state = f_state(GasParams(family=Family.F, q=q, temperature=1.3, fugacity=z))
+    assert z / q != z
+    assert state.number_density == fermi_f(z / q, 1.5) / state.thermal_wavelength ** 3
 
 
 def _reference_b_density(q, z):
