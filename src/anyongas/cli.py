@@ -60,9 +60,16 @@ def _jsonable(value, precision):
     return value
 
 
-def _linspace(lo, hi, steps):
+def _linspace(lo, hi, steps, name):
+    # the grid --NAME-min .. --NAME-max; a span that is not a finite double
+    # (a NaN or infinite bound, or an overflowing difference) would put
+    # NaN or inf into the grid
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
+    if not math.isfinite(hi - lo):
+        raise DomainError(
+            f"--{name}-min {lo!r} and --{name}-max {hi!r} must be finite, with "
+            "a difference below the largest double")
     if steps == 1:
         return [lo]
     h = (hi - lo) / (steps - 1)
@@ -199,7 +206,7 @@ def _b_grid_rows(kernel, qp, etas):
 
 def _cmd_occupation(args):
     family = as_family(args.family)
-    etas = _linspace(args.eta_min, args.eta_max, args.steps)
+    etas = _linspace(args.eta_min, args.eta_max, args.steps, "eta")
     qp = as_qparam(args.q)
     if family is Family.B:
         rows = _b_grid_rows(distributions.b_occupation_rows, qp, etas)
@@ -218,7 +225,7 @@ def _cmd_occupation(args):
 
 
 def _cmd_bounds(args):
-    etas = _linspace(args.eta_min, args.eta_max, args.steps)
+    etas = _linspace(args.eta_min, args.eta_max, args.steps, "eta")
     qp = as_qparam(args.q)
     rows = _b_grid_rows(distributions.bounds_rows, qp, etas)
     config = {
@@ -281,20 +288,15 @@ def _cmd_eos(args):
         z = None
     else:
         z = _DEFAULT_FUGACITY if args.z is None else args.z
-    temperatures = (_linspace(args.t_min, args.t_max, args.t_steps) if t_sweep
+    temperatures = (_linspace(args.t_min, args.t_max, args.t_steps, "t") if t_sweep
                     else [args.temperature])
-    fugacities = (_linspace(args.z_min, args.z_max, args.z_steps) if z_sweep
+    fugacities = (_linspace(args.z_min, args.z_max, args.z_steps, "z") if z_sweep
                   else [z])
-    items = list(itertools.product(qs, temperatures, fugacities))
-    for q, _, fugacity in items:
-        if family is Family.B and fugacity is not None and fugacity >= min(q, 1.0):
-            raise DomainError(
-                f"B-family fugacity must satisfy z < q; z={fugacity:.6g} at q={q:.6g} "
-                "is at or beyond the condensation-analog boundary"
-            )
-
+    # the rows are built before anything is written, so a row outside the
+    # domain, such as a B fugacity z >= q, exits 3 with no output
     solved = {}
-    rows = [_eos_row(args, units, solved, *item) for item in items]
+    rows = [_eos_row(args, units, solved, *item)
+            for item in itertools.product(qs, temperatures, fugacities)]
     config = {
         "family": family.value.lower(), "q": ",".join(map(str, qs)),
         "temperature": args.temperature, "mass": args.mass,

@@ -46,6 +46,8 @@ _new_tuple = tuple.__new__
 
 
 def _bose_occupation(eta):
+    if not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta!r}")
     if eta <= 0.0:
         raise DomainError(f"Bose occupation requires eta > 0, got {eta!r}")
     if eta > _ETA_HUGE:

@@ -8,6 +8,7 @@ polynomial extrapolation of quadrature values.  run_verification wires
 the whole suite into a machine-readable report.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .qcore import Family, as_family, as_qparam, basic_number
 from .report import (AmbiguityNote, CheckResult, KNOWN_ERRATA,
                      VerificationReport)
 
-OBSERVABLES = ("N", "qN", "q_inv_N", "basic_N", "adag_a", "a_adag")
+OBSERVABLES = ("N", "qN", "q_inv_N", "basic_N", "adag_a")
 _TAIL_REL = 1e-15
 _NMAX_START = 32
 _NMAX_CAP = 4096
@@ -51,28 +52,45 @@ class TraceSpec:
                               f"choose from {OBSERVABLES}")
 
 
-def _b_needs_tight_domain(observable):
-    # these grow like q^-n, so the weighted sum needs e^eta > 1/q
-    return observable in ("q_inv_N", "basic_N", "adag_a", "a_adag")
+def _powers(r):
+    # r^0, r^1, r^2, ... by iterated products
+    rn = 1.0
+    while True:
+        yield rn
+        rn *= r
 
 
-def _b_weighted_term(observable, q, q_inv, denom, classical, n, wn, un, vn):
-    # O(n) w^n built from the iterated products wn = w^n, un = (q w)^n,
-    # vn = (w/q)^n, so the basic numbers never overflow on their own
+def _basic_terms(q, v):
+    # [n] w^n = q (w/q)^n s_n with s_n = 1 + q^2 + ... + q^(2n-2), v = w/q:
+    # products and sums of positive numbers, so no term overflows or
+    # cancels, and s_n = n at q = 1
+    q2 = q * q
+    s = 0.0
+    for vn in _powers(v):
+        yield q * vn * s
+        s = 1.0 + q2 * s
+
+
+def _b_terms(observable, q, w):
+    # O(n) w^n for n = 0, 1, 2, ...
     if observable == "N":
-        return n * wn
+        return map(operator.mul, itertools.count(), _powers(w))
     if observable == "qN":
-        return wn if classical else un
+        return _powers(q * w)
     if observable == "q_inv_N":
-        return wn if classical else vn
-    if observable in ("basic_N", "adag_a"):
-        return n * wn if classical else (un - vn) / denom
-    # a_adag: [n+1] w^n
-    return (n + 1) * wn if classical else (q * un - q_inv * vn) / denom
+        return _powers(w / q)
+    return _basic_terms(q, w / q)  # basic_N and adag_a: [n] w^n
 
 
 def trace_average(spec):
-    """Sum_n O(n) e^(-eta n) / Sum_n e^(-eta n) over the Fock spectrum."""
+    """Sum_n O(n) e^(-eta n) / Sum_n e^(-eta n) over the Fock spectrum.
+
+    Observables: N, q^N (qN), q^-N (q_inv_N), [N] (basic_N) and a+ a
+    (adag_a), which is [N] for the B family.  Each B term is a product
+    of positive factors, so the sums hold full precision for every q,
+    q = 1 included, with no branch on it.  The B family needs finite
+    eta > 0, and e^eta > 1/q for the observables that grow like q^-n.
+    """
     qp = spec.q
     eta = float(spec.eta)
     if spec.family is Family.F:
@@ -84,44 +102,34 @@ def trace_average(spec):
             "q_inv_N": (1.0, qp.q_inv),
             "adag_a": (betas[0], betas[1]),
             "basic_N": (basic_number(qp, 0), basic_number(qp, 1)),
-            "a_adag": (1.0, qp.q_inv - qp.q_inv * betas[1]),
         }[spec.observable]
         return (values[0] + values[1] * w) / (1.0 + w)
 
-    if eta <= 0.0:
-        raise DomainError(f"B-family trace requires eta > 0, got {eta!r}")
-    classical = qp.is_classical_limit
-    if (not classical and _b_needs_tight_domain(spec.observable)
-            and math.exp(eta) <= qp.q_inv):
+    if not 0.0 < eta < math.inf:
+        raise DomainError(f"B-family trace requires finite eta > 0, got {eta!r}")
+    w = math.exp(-eta)
+    if spec.observable not in ("N", "qN") and w / qp.q >= 1.0:
         raise DomainError(
             f"observable {spec.observable} needs e^eta > 1/q for convergence"
         )
-    w = math.exp(-eta)
-    u = qp.q * w
-    v = w / qp.q
-    denom = qp.q - qp.q_inv
     n_max = spec.n_max if spec.n_max is not None else _NMAX_START
-    while True:
-        num = 0.0
-        den = 0.0
-        wn = un = vn = 1.0
-        for n in range(n_max + 1):
-            num += _b_weighted_term(spec.observable, qp.q, qp.q_inv, denom,
-                                    classical, n, wn, un, vn)
-            den += wn
-            wn *= w
-            un *= u
-            vn *= v
-        next_num = abs(_b_weighted_term(spec.observable, qp.q, qp.q_inv, denom,
-                                        classical, n_max + 1, wn, un, vn))
-        if next_num < _TAIL_REL * abs(num) and wn < _TAIL_REL * den:
-            return num / den
-        if spec.n_max is not None or n_max >= _NMAX_CAP:
-            raise ConvergenceError(
-                f"trace at q={qp.q}, eta={eta}, {spec.observable}: tail bound "
-                f"unmet at n_max={n_max}"
-            )
-        n_max *= 2
+    num = den = 0.0
+    wn = 1.0
+    for n, term in enumerate(_b_terms(spec.observable, qp.q, w)):
+        if n > n_max:
+            # term and wn are the first terms past n_max; a doubled n_max
+            # carries the same sums on
+            if term <= _TAIL_REL * num and wn <= _TAIL_REL * den:
+                return num / den
+            if spec.n_max is not None or n_max >= _NMAX_CAP:
+                raise ConvergenceError(
+                    f"trace at q={qp.q}, eta={eta}, {spec.observable}: tail "
+                    f"bound unmet at n_max={n_max}"
+                )
+            n_max *= 2
+        num += term
+        den += wn
+        wn *= w
 
 
 def trace_average_matrix(spec):
@@ -132,13 +140,9 @@ def trace_average_matrix(spec):
     diagonal s_n^2 of the band entries s_n) rather than from the closed
     forms; ties the operator picture to the spectral picture.  The
     B-family representation spans the states 0..spec.n_max, so it gives
-    the same truncated sum as trace_average with that n_max.  The a_adag
-    observable is excluded (its top diagonal entry is a truncation
-    artifact).
+    the same truncated sum as trace_average with that n_max.
     """
     qp = spec.q
-    if spec.observable == "a_adag":
-        raise DomainError("a_adag has a truncation artifact; use trace_average")
     if spec.family is Family.F:
         rep = build_f_rep(qp)
     else:

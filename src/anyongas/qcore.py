@@ -14,9 +14,11 @@ loads it.
 
 The deformation parameter lives in (0, 1].  q = 0 is excluded because
 every formula involves q^-1; q = 1 is the undeformed limit, where the
-deformed expressions are 0/0 forms.  `QParam.is_classical_limit` marks
-the band |q - 1| < 1e-12, where the functions of this module, like the
-occupations, use the q = 1 forms.
+deformed expressions are 0/0 forms.  `basic_number` branches at q = 1
+itself, and `jackson_derivative` where the q-difference step is shorter
+than its central-difference step.  `QParam.is_classical_limit` marks
+the band |q - 1| < 1e-12, which only the occupations of
+`distributions` read.
 """
 
 import enum
@@ -50,11 +52,10 @@ def as_family(value):
 class QParam:
     """Statistics parameter q in (0, 1] with explicit classical-limit handling.
 
-    ``is_classical_limit`` is true iff |q - 1| < 1e-12.  Callers whose
-    q = 1 formula is the more accurate one there branch to it in that
-    band.  g (`qfunctions`) and the state functions and density solve
-    of `thermo` keep their deformed forms there, which hold up to the
-    last double below 1; g alone branches, at q = 1 itself.
+    ``is_classical_limit`` is true iff |q - 1| < 1e-12.  The occupations
+    of `distributions` branch to their q = 1 forms in that band.  Every
+    other function keeps its deformed form there, which holds up to the
+    last double below 1, and branches at q = 1 itself if at all.
     """
 
     q: float
@@ -83,12 +84,13 @@ def basic_number(q, x):
     """The basic number [x] = (q^x - q^-x)/(q - q^-1).
 
     Defined for any real x; odd in x, strictly increasing in x for fixed
-    q, and equal to x in the classical limit.  Evaluated through the
-    numerically stable form sinh(x ln q)/sinh(ln q).
+    q, and equal to x at q = 1.  Evaluated through the form
+    sinh(x ln q)/sinh(ln q), which keeps full precision up to the last
+    double below 1; only q = 1 itself, where it is 0/0, returns x.
     """
     qp = as_qparam(q)
     x = float(x)
-    if qp.is_classical_limit:
+    if qp.q == 1.0:
         return x
     lq = math.log(qp.q)
     return math.sinh(x * lq) / math.sinh(lq)
@@ -108,16 +110,18 @@ def q_factorial(q, n):
 def jackson_derivative(f, q, x):
     """Finite q-difference derivative (f(qx) - f(x/q)) / (x (q - 1/q)).
 
-    Reduces to the ordinary derivative as q -> 1; in the classical limit
-    a central difference with step 1e-6 * max(1, |x|) is returned
-    instead.  x = 0 is outside the domain.
+    Reduces to the ordinary derivative as q -> 1.  Where the q-difference
+    half-step |x| ln(1/q) is shorter than h = 1e-6 * max(1, |x|), q = 1
+    among them, the central difference (f(x + h) - f(x - h)) / (2 h) is
+    returned instead: there it is the more accurate of the two.  x = 0
+    is outside the domain.
     """
     qp = as_qparam(q)
     x = float(x)
     if x == 0.0:
         raise DomainError("Jackson derivative is undefined at x = 0")
-    if qp.is_classical_limit:
-        h = 1e-6 * max(1.0, abs(x))
+    h = 1e-6 * max(1.0, abs(x))
+    if abs(x) * -math.log(qp.q) < h:
         return (f(x + h) - f(x - h)) / (2.0 * h)
     return (f(qp.q * x) - f(x / qp.q)) / (x * (qp.q - qp.q_inv))
 

@@ -21,8 +21,9 @@ Dirichlet eta kernel and, for s <= 0, the functional equation.  As
 q -> 1 the difference behind g cancels, so there g is formed as a
 divided difference of the same series, whose terms do not cancel.  That
 form holds up to the last double below 1, so g branches to Li_order(z)
-at the point q = 1 alone, not on the band |q - 1| < 1e-12 of
-`QParam.is_classical_limit`, where z must still stay below q.
+at the point q = 1 alone.  The band |q - 1| < 1e-12 of
+`QParam.is_classical_limit` serves the occupations alone; inside it z
+must still stay below q.
 
 `fermi_f` branches on x: the alternating series for x <= 1 and, for
 x > 1, where that series diverges, the Fermi integral, split at the

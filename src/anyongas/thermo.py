@@ -15,6 +15,7 @@ stdlib decimal at a precision raised until the sum's own conditioning
 leaves every coefficient correct to a double.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -139,22 +140,8 @@ def b_state(params):
     """State functions of the boson-like gas; requires fugacity < q."""
     if params.family is not Family.B:
         raise DomainError("b_state needs B-family params")
-    qp = params.q
     z = params.resolved_fugacity()
-    kt, lam, lam3 = _thermal_scales(params)
-    g52 = bose_g(qp, z, 2.5)
-    g32 = bose_g(qp, z, 1.5)
-    pressure = kt * g52 / lam3
-    return StateFunctions(
-        pressure=pressure,
-        internal_energy=1.5 * pressure * params.volume,
-        entropy=params.volume * params.units.k / lam3
-        * (2.5 * g52 - g32 * math.log(z)),
-        number_density=g32 / lam3,
-        grand_potential=-pressure * params.volume,
-        fugacity=z,
-        thermal_wavelength=lam,
-    )
+    return _state(params, z, lambda s: bose_g(params.q, z, s), 1.0)
 
 
 def f_state(params):
@@ -165,22 +152,28 @@ def f_state(params):
     """
     if params.family is not Family.F:
         raise DomainError("f_state needs F-family params")
-    qp = params.q
     z = params.resolved_fugacity()
     if not z > 0.0:
         raise DomainError(f"fugacity must be positive, got {z!r}")
-    x = z / qp.q
+    x = z / params.q.q
+    return _state(params, z, lambda s: fermi_f(x, s),
+                  float(params.multiplicity))
+
+
+def _state(params, z, zeta, gs):
+    # the ideal-gas state functions of both families from zeta(5/2) and
+    # zeta(3/2), zeta(s) = g(q, z, s) for B and f(z/q, s) for F; gs = 1
+    # multiplies exactly, so B gets the same doubles as without the factor
     kt, lam, lam3 = _thermal_scales(params)
-    gs = float(params.multiplicity)
-    f52 = fermi_f(x, 2.5)
-    f32 = fermi_f(x, 1.5)
-    pressure = gs * kt * f52 / lam3
+    zeta52 = zeta(2.5)
+    zeta32 = zeta(1.5)
+    pressure = gs * kt * zeta52 / lam3
     return StateFunctions(
         pressure=pressure,
         internal_energy=1.5 * pressure * params.volume,
         entropy=params.volume * gs * params.units.k / lam3
-        * (2.5 * f52 - f32 * math.log(z)),
-        number_density=gs * f32 / lam3,
+        * (2.5 * zeta52 - zeta32 * math.log(z)),
+        number_density=gs * zeta32 / lam3,
         grand_potential=-pressure * params.volume,
         fugacity=z,
         thermal_wavelength=lam,
@@ -270,6 +263,8 @@ def solve_fugacity(family, q, target_density):
     if not 0.0 < target < math.inf:
         raise DomainError(f"target density must be positive and finite, got {target!r}")
     q_top = qp.q
+    # density is cached per z: the polish starts at Brent's last z, and
+    # Brent can start at the z_top the range check evaluated
     if family is Family.B:
         supremum = b_density_supremum(qp)
         if target >= supremum:
@@ -278,7 +273,7 @@ def solve_fugacity(family, q, target_density):
                 f"{supremum:.12g} at q={qp.q!r}"
             )
         z_top = math.nextafter(q_top, 0.0)
-        density = _memoised(lambda z: bose_g(qp, z, 1.5))
+        density = functools.cache(lambda z: bose_g(qp, z, 1.5))
         lo = math.log(target / supremum) - _BRACKET_SLACK
         hi = min(math.log(target / q_top) + _BRACKET_SLACK, 0.0)
         if hi == 0.0 and density(z_top) < target:
@@ -288,7 +283,7 @@ def solve_fugacity(family, q, target_density):
             )
     else:
         z_top = q_top * math.exp(_LN_X_MAX)
-        density = _memoised(lambda z: fermi_f(z / q_top, 1.5))
+        density = functools.cache(lambda z: fermi_f(z / q_top, 1.5))
         lo = math.log(target) - _BRACKET_SLACK
         hi = min((_GAMMA_5_2 * target) ** (2.0 / 3.0), _LN_X_MAX)
         if hi == _LN_X_MAX and density(z_top) < target:
@@ -299,20 +294,6 @@ def solve_fugacity(family, q, target_density):
     fugacity = lambda u: min(q_top * math.exp(u), z_top)
     u = brentq(lambda u: density(fugacity(u)) - target, lo, hi)
     return _closest_fugacity(density, fugacity(u), z_top, target)
-
-
-def _memoised(density):
-    # one evaluation per distinct z in a solve: the polish starts at Brent's
-    # last z, and Brent can start at the z_top the range check evaluated
-    seen = {}
-
-    def memoised(z):
-        value = seen.get(z)
-        if value is None:
-            value = seen[z] = density(z)
-        return value
-
-    return memoised
 
 
 def _closest_fugacity(density, z, z_top, target):

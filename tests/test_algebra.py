@@ -119,6 +119,13 @@ class TestBRep:
     def test_no_limit_in_classical_branch(self):
         assert max_b_dim(1.0) is None
 
+    def test_every_q_below_one_has_a_limit(self):
+        # q^-n grows without bound for q < 1, however close to 1
+        for q in (1.0 - 1e-13, 1.0 - 2.0 ** -53):
+            largest = max_b_dim(q)
+            assert isinstance(largest, int)
+            assert math.isfinite(basic_number(q, largest - 1))
+
 
 class TestFRep:
     def test_two_states_always(self):

@@ -109,6 +109,26 @@ def test_bose_grid_where_the_occupation_overflows_is_domain_error(tmp_path, caps
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["bounds", "--q", "1", "--eta-min", "nan", "--eta-max", "2"],
+                 id="bounds-nan"),
+    pytest.param(["occupation", "--family", "b", "--q", "1", "--eta-min", "1",
+                  "--eta-max", "inf"], id="occupation-inf"),
+    pytest.param(["occupation", "--family", "f", "--q", "0.5", "--eta-min=-inf",
+                  "--eta-max", "1"], id="occupation-f-minus-inf"),
+    pytest.param(["occupation", "--family", "b", "--q", "0.5",
+                  "--eta-min=-1.7e308", "--eta-max", "1.7e308"],
+                 id="occupation-span-overflows"),
+])
+def test_eta_grid_bounds_must_be_finite(tmp_path, capsys, argv):
+    # the grid steps by (max - min)/(steps - 1), which is NaN or inf here
+    path = tmp_path / "out.csv"
+    assert cli.main([*argv, "--steps", "3", "--output", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "--eta-max" in err and "must be finite" in err
+    assert not path.exists()
+
+
 def test_bounds(tmp_path):
     status, payload, rows = _run(tmp_path, [
         "bounds", "--q", "0.5", "--eta-min", "1", "--eta-max", "4", "--steps", "4"])
@@ -187,6 +207,29 @@ class TestEos:
                            "--output", str(tmp_path / "x.csv")])
         assert status == 3
         assert "largest density allowed is 14225" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--z", "0.5"], id="z-at-q"),
+        pytest.param(["--z-min", "0.1", "--z-max", "0.6", "--z-steps", "6"],
+                     id="z-sweep-past-q"),
+    ])
+    def test_b_fugacity_at_or_past_q_is_domain_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "x.csv"
+        assert cli.main(["eos", "--family", "b", "--q", "0.5", *argv,
+                         "--output", str(path)]) == 3
+        assert "z < q" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["--t-min", "0.5", "--t-max", "inf"], "--t-max", id="t-inf"),
+        pytest.param(["--z-min", "nan", "--z-max", "0.2"], "--z-max", id="z-nan"),
+    ])
+    def test_sweep_bounds_must_be_finite(self, tmp_path, capsys, argv, flag):
+        path = tmp_path / "x.csv"
+        assert cli.main(["eos", "--family", "f", *argv, "--output", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert flag in err and "must be finite" in err
+        assert not path.exists()
 
     def test_density_above_b_supremum_is_domain_error(self, tmp_path, capsys):
         status = cli.main(["eos", "--family", "b", "--q", "0.5", "--density", "5",

@@ -407,6 +407,23 @@ class TestGridKernels:
             f_occupation_rows(0.5, [0.0, math.nan])
 
 
+@pytest.mark.parametrize("q", [0.5, 1.0 - 1e-13, 1.0])
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+class TestNonFiniteEta:
+    """The deformed and the Bose branch refuse a non-finite eta alike."""
+
+    def test_scalar_functions(self, q, eta):
+        for func, args in ((b_occupation, ()), (cf_bounds, ()),
+                           (cf_convergent, (2,))):
+            with pytest.raises(DomainError, match="eta must be finite"):
+                func(q, eta, *args)
+
+    @pytest.mark.parametrize("kernel", [b_occupation_rows, bounds_rows])
+    def test_b_kernels(self, q, eta, kernel):
+        with pytest.raises(DomainError, match="eta must be finite"):
+            kernel(q, [2.0, eta])
+
+
 class TestRoundingToThePole:
     """Just above eta = ln(1/q), y = (1/q - q)/(e^eta - q) can round to 1."""
 

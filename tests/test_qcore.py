@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from anyongas.errors import DomainError
 from anyongas.qcore import (Family, PowerSeries, QParam, as_family, as_qparam,
                             basic_number, jackson_derivative, q_factorial)
+from anyongas.thermo import b_partition_log
 
 
 class TestQParam:
@@ -65,6 +67,16 @@ class TestBasicNumber:
     def test_strictly_increasing_in_x(self, q, x):
         assert basic_number(q, x + 0.25) > basic_number(q, x)
 
+    def test_full_precision_next_to_one(self):
+        # sinh(x ln q)/sinh(ln q) keeps every digit inside |q - 1| < 1e-12,
+        # where [x] is not x
+        q = 1.0 - 1e-13
+        with mpmath.workdps(40):
+            qm, x = mpmath.mpf(q), mpmath.mpf(1e8)
+            want = float((qm ** x - qm ** -x) / (qm - 1 / qm))
+        assert basic_number(q, 1e8) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert basic_number(q, 1e8) != 1e8
+
     def test_monotone_interpolation_in_q(self):
         # [n] decreases toward n as q -> 1
         for n in (2, 3, 7):
@@ -92,6 +104,31 @@ class TestQFactorial:
             q_factorial(0.5, 2.5)
 
 
+# verify's five-mode spectrum for the jd-mode-sum identity, at beta = 1
+SPECTRUM = (0.5, 1.0, 1.5, 2.0, 2.5)
+
+
+def _ln_z_mp(z):
+    return -mpmath.fsum(mpmath.log(1 - z * mpmath.exp(-e)) for e in SPECTRUM)
+
+
+# (f, the same f in mpmath, x)
+JACKSON_CASES = [
+    (lambda t: t ** 3, lambda t: t ** 3, 2.0),
+    (lambda t: -math.log(1.0 - 0.4 * t), lambda t: -mpmath.log(1 - 0.4 * t), 0.7),
+    (lambda t: math.exp(2.0 * t), lambda t: mpmath.exp(2 * t), 1.3),
+    (lambda t: math.exp(2.0 * t), lambda t: mpmath.exp(2 * t), 1e-3),
+    (lambda t: t ** 2.5, lambda t: t ** mpmath.mpf(2.5), 3.0),
+    (lambda z: b_partition_log(SPECTRUM, z, 1.0), _ln_z_mp, 0.4),
+    (lambda z: b_partition_log(SPECTRUM, z, 1.0), _ln_z_mp, 0.01),
+    (math.sin, mpmath.sin, 50.0),
+]
+JACKSON_IDS = ["cube", "log", "exp", "exp-small-x", "power-2.5", "ln-z",
+               "ln-z-small-z", "sin-50"]
+JACKSON_QS = (0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-7, 1 - 1e-9, 1 - 1e-11,
+              1 - 1.01e-12, 1 - 1e-13, 1 - 2.0 ** -52, 1.0)
+
+
 class TestJacksonDerivative:
     def test_monomial_rule(self):
         # D_q x^n = [n] x^(n-1)
@@ -114,7 +151,29 @@ class TestJacksonDerivative:
         # exact n x^(n-1) limit for polynomials as q -> 1
         for q in (1.0 - 1e-7, 1.0 - 1e-10):
             got = jackson_derivative(lambda t: t ** 3, q, 2.0)
-            assert got == pytest.approx(12.0, rel=1e-6)
+            assert got == pytest.approx(12.0, rel=1e-9)
+
+    @pytest.mark.parametrize("f, f_mp, x", JACKSON_CASES, ids=JACKSON_IDS)
+    @pytest.mark.parametrize("q", JACKSON_QS)
+    def test_against_the_exact_q_difference(self, f, f_mp, x, q):
+        # D_q f at the double q in 40 digits, and f'(x) at q = 1
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            if q == 1.0:
+                want = mpmath.diff(f_mp, xm)
+            else:
+                qm = mpmath.mpf(q)
+                want = (f_mp(qm * xm) - f_mp(xm / qm)) / (xm * (qm - 1 / qm))
+            want = float(want)
+        assert jackson_derivative(f, q, x) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("f, f_mp, x", JACKSON_CASES, ids=JACKSON_IDS)
+    def test_continuous_across_the_switch(self, f, f_mp, x):
+        # the central difference takes over where |x| ln(1/q) < h
+        h = 1e-6 * max(1.0, abs(x))
+        below, above = (jackson_derivative(f, math.exp(-(h / abs(x)) * (1 + d)), x)
+                        for d in (-1e-9, 1e-9))
+        assert below == pytest.approx(above, rel=1e-9, abs=0.0)
 
     def test_zero_is_outside_domain(self):
         with pytest.raises(DomainError):
