@@ -193,10 +193,10 @@ def rep_report(rep):
         comm_threshold, note="entrywise residual scaled by max(1, |a+|)"))
 
     n_hat = [0.0] + [s * s for s in band]  # diagonal of a+ a
-    aad = n_hat[1:] + [0.0]  # diagonal of a a+
+    a_adag = n_hat[1:] + [0.0]  # diagonal of a a+
     q_inv_n = [(1.0 / q) ** n for n in range(dim)]
     if rep.family is Family.B:
-        lhs = [x - q * y for x, y in zip(aad, n_hat)]
+        lhs = [x - q * y for x, y in zip(a_adag, n_hat)]
         checks.append(CheckResult.from_residual(
             "algebra-relation-interior", inputs,
             _scaled_residual(lhs[:-1], q_inv_n[:-1]), 1e-12,
@@ -207,7 +207,7 @@ def rep_report(rep):
             _scaled_residual(n_hat, num_expected), 1e-12))
     else:
         # a a+ and a+ a are diagonal, so their off-diagonal residuals are 0
-        lhs = [x + (1.0 / q) * y for x, y in zip(aad, n_hat)]
+        lhs = [x + (1.0 / q) * y for x, y in zip(a_adag, n_hat)]
         checks.append(CheckResult.from_residual(
             "algebra-relation-exact", inputs,
             _max_abs([x - e for x, e in zip(lhs, q_inv_n)]), 1e-15,
@@ -220,7 +220,7 @@ def rep_report(rep):
         aad_closed = [e - (1.0 / q) * x for e, x in zip(q_inv_n, n_hat)]
         checks.append(CheckResult.from_residual(
             "lowering-raising-product-form", inputs,
-            _max_abs([x - e for x, e in zip(aad, aad_closed)]), 1e-15))
+            _max_abs([x - e for x, e in zip(a_adag, aad_closed)]), 1e-15))
         # a+ a+ [n+2, n] = s_(n+2) s_(n+1), the only band of a+ a+
         checks.append(CheckResult.from_residual(
             "raising-squared-is-zero", inputs,

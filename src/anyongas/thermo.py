@@ -141,7 +141,8 @@ def b_state(params):
     if params.family is not Family.B:
         raise DomainError("b_state needs B-family params")
     z = params.resolved_fugacity()
-    return _state(params, z, lambda s: bose_g(params.q, z, s), 1.0)
+    return _state(params, z, bose_g(params.q, z, 2.5), bose_g(params.q, z, 1.5),
+                  1.0)
 
 
 def f_state(params):
@@ -156,17 +157,15 @@ def f_state(params):
     if not z > 0.0:
         raise DomainError(f"fugacity must be positive, got {z!r}")
     x = z / params.q.q
-    return _state(params, z, lambda s: fermi_f(x, s),
+    return _state(params, z, fermi_f(x, 2.5), fermi_f(x, 1.5),
                   float(params.multiplicity))
 
 
-def _state(params, z, zeta, gs):
+def _state(params, z, zeta52, zeta32, gs):
     # the ideal-gas state functions of both families from zeta(5/2) and
     # zeta(3/2), zeta(s) = g(q, z, s) for B and f(z/q, s) for F; gs = 1
     # multiplies exactly, so B gets the same doubles as without the factor
     kt, lam, lam3 = _thermal_scales(params)
-    zeta52 = zeta(2.5)
-    zeta32 = zeta(1.5)
     pressure = gs * kt * zeta52 / lam3
     return StateFunctions(
         pressure=pressure,

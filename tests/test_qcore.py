@@ -122,11 +122,23 @@ JACKSON_CASES = [
     (lambda z: b_partition_log(SPECTRUM, z, 1.0), _ln_z_mp, 0.4),
     (lambda z: b_partition_log(SPECTRUM, z, 1.0), _ln_z_mp, 0.01),
     (math.sin, mpmath.sin, 50.0),
+    (lambda t: t ** 3, lambda t: t ** 3, 1e-3),
+    (lambda t: t ** 3, lambda t: t ** 3, 1e-7),
+    (lambda t: t ** 2.5, lambda t: t ** mpmath.mpf(2.5), 1e-3),
+    (lambda t: t ** 2.5, lambda t: t ** mpmath.mpf(2.5), 1e-7),
 ]
 JACKSON_IDS = ["cube", "log", "exp", "exp-small-x", "power-2.5", "ln-z",
-               "ln-z-small-z", "sin-50"]
-JACKSON_QS = (0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-7, 1 - 1e-9, 1 - 1e-11,
-              1 - 1.01e-12, 1 - 1e-13, 1 - 2.0 ** -52, 1.0)
+               "ln-z-small-z", "sin-50", "cube-small-x", "cube-tiny-x",
+               "power-2.5-small-x", "power-2.5-tiny-x"]
+JACKSON_QS = (0.5, 0.9, 1 - 1e-3, 1 - 1e-5, 1 - 1e-6, 1 - 1e-7, 1 - 1e-9,
+              1 - 1e-11, 1 - 1.01e-12, 1 - 1e-13, 1 - 2.0 ** -52, 1.0)
+
+
+def _jackson_tolerance(f, x, q, value):
+    # 1e-9 plus the rounding of the q-difference, 2^-52 |f| / (|x| ln(1/q) |D_q f|)
+    # at the q it takes, none closer to 1 than exp(-1e-6)
+    log_inv = max(-math.log(q), 1e-6)
+    return 1e-9 + 2.0 ** -52 * abs(f(x)) / (abs(x) * log_inv * abs(value))
 
 
 class TestJacksonDerivative:
@@ -165,15 +177,23 @@ class TestJacksonDerivative:
                 qm = mpmath.mpf(q)
                 want = (f_mp(qm * xm) - f_mp(xm / qm)) / (xm * (qm - 1 / qm))
             want = float(want)
-        assert jackson_derivative(f, q, x) == pytest.approx(want, rel=1e-9, abs=0.0)
+        got = jackson_derivative(f, q, x)
+        assert got == pytest.approx(want, rel=_jackson_tolerance(f, x, q, want),
+                                    abs=0.0)
 
     @pytest.mark.parametrize("f, f_mp, x", JACKSON_CASES, ids=JACKSON_IDS)
-    def test_continuous_across_the_switch(self, f, f_mp, x):
-        # the central difference takes over where |x| ln(1/q) < h
-        h = 1e-6 * max(1.0, abs(x))
-        below, above = (jackson_derivative(f, math.exp(-(h / abs(x)) * (1 + d)), x)
+    def test_continuous_where_q_stops_approaching_one(self, f, f_mp, x):
+        # q above exp(-1e-6) is taken as exp(-1e-6)
+        below, above = (jackson_derivative(f, math.exp(-1e-6 * (1 + d)), x)
                         for d in (-1e-9, 1e-9))
-        assert below == pytest.approx(above, rel=1e-9, abs=0.0)
+        assert below == pytest.approx(
+            above, rel=2.0 * _jackson_tolerance(f, x, 1.0, above), abs=0.0)
+
+    def test_samples_only_the_side_of_zero_where_x_lies(self):
+        # t^2.5 is complex below 0: a step of 1e-6 about x = 1e-7 crosses it
+        for q in (0.5, 1 - 1e-9, 1.0):
+            got = jackson_derivative(lambda t: t ** 2.5, q, 1e-7)
+            assert isinstance(got, float)
 
     def test_zero_is_outside_domain(self):
         with pytest.raises(DomainError):
