@@ -8,15 +8,24 @@ defined for e^eta > 1/q; it solves the single-mode relation
 e^eta = (q^-n + q [n])/[n] and has the Bose limit 1/(e^eta - 1).  (A
 variant with an unhalved log prefactor circulates; it fails the Bose
 limit and is recorded as an erratum, see report.KNOWN_ERRATA.)  The same
-quantity has a continued-fraction form whose convergents bracket it from
-both sides, and there is a second, thermodynamically defined occupation
-derived through the Jackson derivative of the partition function; the
-two differ by a finite factor and both are exposed.
+quantity has a continued-fraction form whose convergents all lie below
+it (erratum "convergent-bracketing"), and there is a second,
+thermodynamically defined occupation derived through the Jackson
+derivative of the partition function; the two differ by a finite factor
+and both are exposed.
 
 In doubles the B domain is y < 1, not only e^eta > 1/q: for the first few
 doubles above eta = ln(1/q), e^eta - q rounds to 1/q - q, y rounds to 1
 and -ln(1 - y) is infinite.  b_occupation, cf_bounds and cf_convergent
 raise DomainError there, as they do below the pole.
+
+The classical band |q - 1| < 1e-12 that QParam marks is read at three
+sites, cf_convergent, cf_bounds and bounds_rows, which give the Bose
+occupation there; b_occupation is the exact value of cf_bounds, and the
+Jackson-derivative occupation has one form for every q.
+classical_limit_rows is the q -> 1 regression of both families against
+Bose-Einstein and Fermi-Dirac statistics that the limits and verify
+commands report.
 
 Fermion-like side.  The occupation is rational, n = 1/(q e^eta + 1),
 with equivalent arcsin and half-integer power series forms.
@@ -94,18 +103,17 @@ def b_occupation(q, eta):
     can put the closed form an ulp outside those bounds, and it is
     clamped into them.
     """
-    qp = q if type(q) is QParam else as_qparam(q)
-    if qp.is_classical_limit:
-        return _bose_occupation(float(eta))
-    return _bounded_occupation(qp, _cf_argument(qp, eta))[2]
+    return cf_bounds(q, eta)[2]
 
 
 def b_occupation_jd(q, w):
     """Jackson-derivative occupation in the mode variable w = z e^(-beta E).
 
     n = (1/(q - 1/q)) ln((1 - w/q)/(1 - q w)) = Sum_{r>=1} [r] w^r / r,
-    for 0 <= w < q, and in doubles w/q < 1: DomainError where w/q rounds
-    to 1, as for w >= q.  This is the occupation whose sum over modes
+    for 0 <= w < q, DomainError outside.  One form serves every q, q = 1
+    included, where it is w/(1 - w), and it stays within 1e-15 relative
+    of the exact value as q -> 1 and as w -> q (checked against mpmath
+    for q from 1e-300 to 1).  This is the occupation whose sum over modes
     gives the q-deformed state functions; it differs from b_occupation by
     the finite factor (1/q - q)/(2 ln(1/q)) at small occupation.
     """
@@ -117,19 +125,26 @@ def b_occupation_jd(q, w):
 
 
 def _jd_occupation(qp, w):
-    # Sum_{r>=1} [r] w^r / r at a double w >= 0
-    if w == 0.0:
-        return 0.0
-    if qp.is_classical_limit:
-        if w >= 1.0:
-            raise DomainError(f"Bose branch requires w < 1, got {w!r}")
-        return w / (1.0 - w)
-    w_over_q = qp.q_inv * w
-    if w >= qp.q or w_over_q >= 1.0:
-        raise DomainError(
-            f"series diverges for w >= q (w={w!r}, q={qp.q!r})"
-        )
-    return (math.log1p(-w_over_q) - math.log1p(-qp.q * w)) / (qp.q - qp.q_inv)
+    # Sum_{r>=1} [r] w^r / r = -ln(1 - y)/d at a double w >= 0, with
+    # d = 1/q - q and y = w d/(1 - q w), so 1 - y = (q - w)/(q (1 - q w))
+    q = qp.q
+    if not w < q:
+        raise DomainError(f"series diverges for w >= q (w={w!r}, q={q!r})")
+    # 1 - q w as (1 - w) + w (1 - q): each difference is exact where it
+    # could cancel, at w >= 1/2 and at q >= 1/2
+    one_minus_qw = (1.0 - w) + w * (1.0 - q)
+    x = w / one_minus_qw
+    # -2 sinh(ln q) carries the rounding of ln q, |ln q| 2^-53 relative;
+    # below q = 1/2 the plain difference, which cannot cancel there, is closer
+    d = qp.inv_minus_q if q > 0.5 else qp.q_inv - q
+    y = x * d
+    if y == 0.0:
+        # q = 1, w = 0 or an underflow: n is its leading term w/(1 - q w)
+        return x
+    if y <= 0.5:
+        return x * (math.log1p(-y) / -y)
+    # w > q/2 here, so q - w is exact
+    return -math.log((q - w) / (q * one_minus_qw)) / d
 
 
 def cf_convergent(q, eta, k):
@@ -294,6 +309,29 @@ def f_occupation_rows(q, etas):
     """
     q = as_qparam(q).q
     return [(eta, n := _f_occupation(q, eta), _arcsin_form(n)) for eta in etas]
+
+
+def classical_limit_rows():
+    """The q -> 1 regression of both families against Bose and Fermi statistics.
+
+    Rows (family, q, eta, value, reference, error, tolerance), family "b"
+    or "f", at eta = 0.5, 1, 2, 4 and q = 1, 1 - 1e-9: the occupation,
+    its limit 1/(e^eta -+ 1), and their difference.  At q = 1 the error
+    is absolute and its tolerance 1e-14; at q = 1 - 1e-9 it is relative
+    and its tolerance 1e-6.  A row passes where error < tolerance.
+    """
+    rows = []
+    for family, occupation, limit in (
+            ("b", b_occupation, lambda eta: 1.0 / math.expm1(eta)),
+            ("f", f_occupation, lambda eta: 1.0 / (math.exp(eta) + 1.0))):
+        for eta in (0.5, 1.0, 2.0, 4.0):
+            reference = limit(eta)
+            for q, tolerance, scale in ((1.0, 1e-14, 1.0),
+                                        (1.0 - 1e-9, 1e-6, abs(reference))):
+                value = occupation(q, eta)
+                rows.append((family, q, eta, value, reference,
+                             abs(value - reference) / scale, tolerance))
+    return rows
 
 
 def f_occupation_series(g, terms):

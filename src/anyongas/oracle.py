@@ -425,24 +425,10 @@ def run_verification():
         note=f"second convergent {second:.6f} < occupation {exact_ill:.6f}: "
              "the claimed upper bound fails; see convergent-bracketing erratum"))
 
-    # classical limits
-    worst_b = worst_f = 0.0
-    for eta in (0.5, 1.0, 2.0, 4.0):
-        bose = 1.0 / math.expm1(eta)
-        fermi = 1.0 / (math.exp(eta) + 1.0)
-        worst_b = max(worst_b, abs(distributions.b_occupation(1.0, eta) - bose))
-        worst_f = max(worst_f, abs(distributions.f_occupation(1.0, eta) - fermi))
-        q_near = 1.0 - 1e-9
-        worst_b = max(worst_b, 1e-3 * abs(
-            distributions.b_occupation(q_near, eta) - bose) / bose)
-        worst_f = max(worst_f, 1e-3 * abs(
-            distributions.f_occupation(q_near, eta) - fermi) / fermi)
-    checks.append(CheckResult.from_residual(
-        "bose-limit-regression", {"scale": "1e-3 * relative at q=1-1e-9"},
-        worst_b, 1e-9))
-    checks.append(CheckResult.from_residual(
-        "fermi-limit-regression", {"scale": "1e-3 * relative at q=1-1e-9"},
-        worst_f, 1e-9))
+    for family, q, eta, _, _, error, tolerance in distributions.classical_limit_rows():
+        checks.append(CheckResult.from_residual(
+            "bose-limit-regression" if family == "b" else "fermi-limit-regression",
+            {"q": q, "eta": eta}, error, tolerance))
 
     for q in (0.3, 0.6, 0.9):
         checks.extend(rep_report(build_b_rep(q, 32)))

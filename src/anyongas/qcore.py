@@ -17,7 +17,8 @@ every formula involves q^-1; q = 1 is the undeformed limit, where the
 deformed expressions are 0/0 forms.  `basic_number` branches at q = 1
 itself, and `jackson_derivative` takes no q closer to 1 than
 exp(-1e-6).  `QParam.is_classical_limit` marks the band |q - 1| < 1e-12,
-which only the occupations of `distributions` read.
+which only the continued-fraction occupations of `distributions` read,
+at three sites: `cf_convergent`, `cf_bounds` and `bounds_rows`.
 """
 
 import enum
@@ -53,10 +54,15 @@ def as_family(value):
 class QParam:
     """Statistics parameter q in (0, 1] with explicit classical-limit handling.
 
-    ``is_classical_limit`` is true iff |q - 1| < 1e-12.  The occupations
-    of `distributions` branch to their q = 1 forms in that band.  Every
-    other function keeps its deformed form there, which holds up to the
-    last double below 1, and branches at q = 1 itself if at all.
+    ``is_classical_limit`` is true iff |q - 1| < 1e-12.  The
+    continued-fraction occupations of `distributions` (`cf_convergent`,
+    `cf_bounds` and `bounds_rows`) branch to the Bose form in that band.
+    Every other function keeps its deformed form there, which holds up
+    to the last double below 1, and branches at q = 1 itself if at all.
+
+    ``q_inv`` is 1/q and ``inv_minus_q`` is 1/q - q, formed as
+    -2 sinh(ln q) so that it does not cancel as q -> 1.  Both are inf
+    below about q = 5.6e-309, where 1/q overflows.
     """
 
     q: float
@@ -66,14 +72,14 @@ class QParam:
         if not math.isfinite(q) or not 0.0 < q <= 1.0:
             raise DomainError(f"q must lie in (0, 1], got {self.q!r}")
         object.__setattr__(self, "q", q)
-        # derived once: the occupation kernels read both on every row
+        # derived once: the occupation kernels read them on every row
         object.__setattr__(self, "is_classical_limit", abs(q - 1.0) < CLASSICAL_EPS)
         object.__setattr__(self, "q_inv", 1.0 / q)
-
-    @property
-    def inv_minus_q(self):
-        """1/q - q, as -2 sinh(ln q): no cancellation as q -> 1."""
-        return -2.0 * math.sinh(math.log(self.q))
+        try:
+            inv_minus_q = -2.0 * math.sinh(math.log(q))
+        except OverflowError:  # q below about 2.8e-309, where q_inv is inf too
+            inv_minus_q = math.inf
+        object.__setattr__(self, "inv_minus_q", inv_minus_q)
 
 
 def as_qparam(q):

@@ -21,9 +21,10 @@ Dirichlet eta kernel and, for s <= 0, the functional equation.  As
 q -> 1 the difference behind g cancels, so there g is formed as a
 divided difference of the same series, whose terms do not cancel.  That
 form holds up to the last double below 1, so g branches to Li_order(z)
-at the point q = 1 alone.  The band |q - 1| < 1e-12 of
-`QParam.is_classical_limit` serves the occupations alone; inside it z
-must still stay below q.
+at the point q = 1 alone; 1/q - q is read from `QParam.inv_minus_q`.
+No function here reads the band |q - 1| < 1e-12 of
+`QParam.is_classical_limit`, which serves three continued-fraction
+occupation sites of `distributions`; inside it z must still stay below q.
 
 `fermi_f` branches on x: the alternating series for x <= 1 and, for
 x > 1, where that series diverges, the Fermi integral, split at the
@@ -174,9 +175,12 @@ def polylog(s, x):
 
     x = 1 needs s > 1 and gives zeta(s).  The direct series runs for
     x <= 1/2 and the mu = ln x series above; both have a fixed cost.
-    Within about 1e-3 of a positive integer s the two singular parts of
-    the mu-series cancel and the relative error grows like 1e-16/|s - n|;
-    an integer s itself is exact to double precision.
+    Above x = 1/2 the two singular parts of the mu-series cancel near a
+    positive integer order n, and the relative error there is about
+    1e-15/|s - n|: measured against mpmath, 1.6e-14 at s = 2.1, 9.6e-14
+    at s = 2.01 and 9.3e-13 at s = 1.001.  An integer s itself is exact
+    to double precision; the half-integer orders of bose_g, 1/2 from any
+    integer, are within about 2e-15.
     """
     if not s > 0.0:
         raise DomainError(f"polylog order must be positive, got {s!r}")
@@ -213,7 +217,10 @@ def _bose_g(qp, z, order):
     s = order + 1.0
     tau = -math.log(qp.q)
     if tau >= _DIVIDED_DIFFERENCE_TAU:
-        return (polylog(s, qp.q * z) - polylog(s, z / qp.q)) / -qp.inv_minus_q
+        # q z underflows to 0 below q of about 1e-162, and Li_s(0) = 0
+        qz = qp.q * z
+        return ((polylog(s, qz) if qz else 0.0)
+                - polylog(s, z / qp.q)) / -qp.inv_minus_q
     # q -> 1: with a = ln(qz), b = ln(z/q), a - b = -2 tau and q - 1/q =
     # -2 sinh tau, so g is the divided difference times tau/sinh(tau)
     # ln z + tau is good to about 1e-22 for z/q near 1, unlike ln(z/q); it

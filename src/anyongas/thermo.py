@@ -225,8 +225,11 @@ def brentq(f, a, b):
             else:  # inverse quadratic interpolation
                 d_pre = (f_pre - f_cur) / (x_pre - x_cur)
                 d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) \
-                    / (d_blk * d_pre * (f_blk - f_pre))
+                # the product underflows to 0 where f is tiny (a B density
+                # below about 1e-104); an infinite trial takes the bisection
+                denominator = d_blk * d_pre * (f_blk - f_pre)
+                trial = (-f_cur * (f_blk * d_blk - f_pre * d_pre) / denominator
+                         if denominator else math.inf)
             interpolated = 2.0 * abs(trial) < min(abs(s_pre), 3.0 * abs(s_bis) - delta)
         if interpolated:
             s_pre, s_cur = s_cur, trial

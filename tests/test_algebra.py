@@ -33,7 +33,7 @@ class TestBRep:
         a, a_dag, n_op = _dense(rep)
         assert np.array_equal(np.diag(n_op), [0.0, 1.0, 2.0, 3.0])
         got = np.diag(a_dag @ a)
-        assert got == pytest.approx([0.0, 1.0, 2.5, 5.25], rel=1e-14)
+        assert got == pytest.approx([0.0, 1.0, 2.5, 5.25], rel=1e-14, abs=0.0)
 
     def test_raising_is_transpose(self):
         # a[n-1, n] = a+[n, n-1] = sqrt(alpha_n) is the one band of both

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from anyongas import cli, oracle, thermo
-from anyongas.distributions import b_occupation
+from anyongas.distributions import b_occupation, classical_limit_rows
 from anyongas.errors import DomainError
 from anyongas.qfunctions import bose_g
 from anyongas.thermo import solve_fugacity
@@ -49,7 +49,7 @@ class TestOccupation:
         assert payload["columns"] == ["eta", "n_exact", "n_jd", "n_lower", "n_upper"]
         assert len(rows) == 5
         # ln(2/3.5) / (2 ln 0.5), from a 30-digit evaluation
-        assert rows[0]["n_exact"] == pytest.approx(0.403677461028802054, rel=1e-15)
+        assert rows[0]["n_exact"] == pytest.approx(0.403677461028802054, rel=1e-15, abs=0.0)
         for row in rows:
             assert row["n_exact"] == b_occupation(0.5, row["eta"])
             assert row["n_lower"] < row["n_exact"] < row["n_upper"]
@@ -61,9 +61,9 @@ class TestOccupation:
         assert status == 0
         for row in rows:
             assert row["n_exact"] == pytest.approx(
-                1.0 / (0.25 * math.exp(row["eta"]) + 1.0), rel=1e-15)
+                1.0 / (0.25 * math.exp(row["eta"]) + 1.0), rel=1e-15, abs=0.0)
             assert row["n_arcsin"] == pytest.approx(
-                2.0 / math.pi * math.asin(math.sqrt(row["n_exact"])), rel=1e-15)
+                2.0 / math.pi * math.asin(math.sqrt(row["n_exact"])), rel=1e-15, abs=0.0)
 
     def test_same_configuration_writes_the_same_bytes(self, tmp_path):
         argv = ["occupation", "--family", "b", "--q", "0.5", "--eta-min", "1",
@@ -137,7 +137,7 @@ def test_bounds(tmp_path):
     assert "convergent-bracketing" in payload["metadata"]["errata"]
     for row in rows:
         assert row["n_lower"] < row["n_second"] < row["n_exact"] < row["n_upper"]
-        assert row["width"] == pytest.approx(row["n_upper"] - row["n_lower"], rel=1e-15)
+        assert row["width"] == pytest.approx(row["n_upper"] - row["n_lower"], rel=1e-15, abs=0.0)
 
 
 class TestEos:
@@ -149,11 +149,11 @@ class TestEos:
         assert len(rows) == 8
         for row in rows:
             # lambda = h / sqrt(2 pi m k T) with h = m = k = T = 1
-            assert row["lambda3"] == pytest.approx((2.0 * math.pi) ** -1.5, rel=1e-15)
+            assert row["lambda3"] == pytest.approx((2.0 * math.pi) ** -1.5, rel=1e-15, abs=0.0)
             assert row["lambda3"] * row["number_density"] == pytest.approx(
-                bose_g(row["q"], row["fugacity"], 1.5), rel=1e-15)
+                bose_g(row["q"], row["fugacity"], 1.5), rel=1e-15, abs=0.0)
             assert row["internal_energy"] == pytest.approx(
-                1.5 * row["pressure"], rel=1e-15)
+                1.5 * row["pressure"], rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("family", ["b", "f"])
     def test_density_is_met(self, tmp_path, family):
@@ -163,7 +163,7 @@ class TestEos:
         assert status == 0
         for row in rows:
             assert row["lambda3"] * row["number_density"] == pytest.approx(
-                0.5, rel=1e-12)
+                0.5, rel=1e-12, abs=0.0)
 
     def test_density_solves_once_per_q_per_call(self, tmp_path, monkeypatch):
         calls = []
@@ -191,7 +191,7 @@ class TestEos:
         assert payload["config"]["multiplicity"] == int(multiplicity)
         (row,) = rows
         assert row["lambda3"] * row["number_density"] == pytest.approx(
-            0.5, rel=1e-12)
+            0.5, rel=1e-12, abs=0.0)
 
     def test_degenerate_f_density(self, tmp_path):
         # beta mu = ln(z/q) is about 561 here, past where z doubled from 1 stops
@@ -199,7 +199,7 @@ class TestEos:
             "eos", "--family", "f", "--q", "0.5", "--density", "1e4"])
         assert status == 0
         (row,) = rows
-        assert row["lambda3"] * row["number_density"] == pytest.approx(1e4, rel=1e-12)
+        assert row["lambda3"] * row["number_density"] == pytest.approx(1e4, rel=1e-12, abs=0.0)
         assert math.log(row["fugacity"] / 0.5) == pytest.approx(561.0, abs=1.0)
 
     def test_f_density_past_the_largest_fugacity_is_domain_error(self, tmp_path, capsys):
@@ -230,6 +230,18 @@ class TestEos:
         err = capsys.readouterr().err
         assert flag in err and "must be finite" in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--q", "0.5", "--density", "7.414950228306775e-158"],
+                     id="density-1e-158"),
+        pytest.param(["--q", "1e-200", "--z", "5e-201"], id="q-1e-200"),
+        pytest.param(["--q", "1e-200", "--density", "1e-201"], id="q-1e-200-density"),
+    ])
+    def test_tiny_b_density_and_q(self, tmp_path, argv):
+        status, _, rows = _run(tmp_path, ["eos", "--family", "b", *argv])
+        assert status == 0
+        (row,) = rows
+        assert 0.0 < row["fugacity"] < row["q"]
 
     def test_density_above_b_supremum_is_domain_error(self, tmp_path, capsys):
         status = cli.main(["eos", "--family", "b", "--q", "0.5", "--density", "5",
@@ -284,7 +296,7 @@ class TestVirial:
         assert [row["k"] for row in rows] == [1, 2, 3, 4]
         assert rows[0]["coefficient"] == 1.0
         # b_2 = -[2] / 2^(7/2) with [2] = q + 1/q
-        assert rows[1]["coefficient"] == pytest.approx(-2.5 / 2.0 ** 3.5, rel=1e-14)
+        assert rows[1]["coefficient"] == pytest.approx(-2.5 / 2.0 ** 3.5, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("q, last", [("0.5", "60,-1349.45469629984"),
                                          ("0.9", "60,-2.17924771602382e-19")])
@@ -305,7 +317,7 @@ class TestVirial:
         assert status == 0
         assert payload["metadata"]["q_independent"] is True
         assert rows[0]["coefficient"] == 1.0
-        assert rows[1]["coefficient"] == pytest.approx(2.0 ** -2.5, rel=1e-15)
+        assert rows[1]["coefficient"] == pytest.approx(2.0 ** -2.5, rel=1e-15, abs=0.0)
 
 
 class TestFock:
@@ -328,6 +340,11 @@ def test_verify(tmp_path):
     assert status == 0
     assert payload["report"]["all_passed"] is True
     assert rows and all(row["status"] == "PASS" for row in rows)
+    # one check per row of the limits table, in its order
+    limits = [(row["check"][0], row["residual"], row["threshold"]) for row in rows
+              if row["check"].endswith("-limit-regression")]
+    assert limits == [(family, error, tolerance)
+                      for family, *_, error, tolerance in classical_limit_rows()]
 
 
 def test_limits_csv_to_stdout(capsys):
@@ -356,9 +373,9 @@ class TestWriter:
             "eta,n_exact,n_jd,n_lower,n_upper\n"
             "1,0.81341037294411889,0.75175080885923951,0.4877744868957255,"
             "1.506402136036241\n"
-            "2,0.1771368606361223,0.16370922069755753,0.15706379293887279,"
+            "2,0.1771368606361223,0.16370922069755756,0.15706379293887279,"
             "0.20078122417048649\n"
-            "3,0.057476124960077868,0.053119218620785419,0.055245934023166771,"
+            "3,0.057476124960077868,0.053119218620785426,0.055245934023166771,"
             "0.059827987704332466\n")
 
     @pytest.mark.parametrize("argv, line", [
@@ -477,6 +494,21 @@ def test_precision_below_one_is_usage_error(capsys, precision):
         cli.main(["virial", "--precision", precision])
     assert exc.value.code == 2
     assert "--precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["occupation", "--steps", "0"], "--steps", id="occupation"),
+    pytest.param(["bounds", "--steps", "0"], "--steps", id="bounds"),
+    pytest.param(["eos", "--z-min", "0.1", "--z-max", "0.2", "--z-steps", "0"],
+                 "--z-steps", id="z-steps"),
+    pytest.param(["eos", "--t-min", "0.5", "--t-max", "2", "--t-steps", "0"],
+                 "--t-steps", id="t-steps"),
+])
+def test_step_count_below_one_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_calls_share_no_state(capsys):

@@ -2,6 +2,7 @@ import math
 import random
 import struct
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,19 @@ ETA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 def _eta_from_y(q, y):
     # invert y = (1/q - q)/(e^eta - q)
     return math.log(q + (1.0 / q - q) / y)
+
+
+def _reference_jd(q, w):
+    # Sum_{r>=1} [r] w^r / r at the doubles q and w, from mpmath at 60 digits
+    with mpmath.workdps(60):
+        qm, wm = mpmath.mpf(q), mpmath.mpf(w)
+        if qm == 1:
+            return wm / (1 - wm)
+        return (mpmath.log1p(-wm / qm) - mpmath.log1p(-qm * wm)) / (qm - 1 / qm)
+
+
+def _rel(got, want):
+    return float(abs((got - want) / want))
 
 
 class TestBOccupation:
@@ -58,10 +72,20 @@ class TestBOccupation:
     def test_huge_eta_underflows_cleanly(self):
         assert b_occupation(0.5, 800.0) == 0.0
 
+    @pytest.mark.parametrize("q", [0.3, 0.9, 1.0 - 1e-9, 1.0 - 1e-13,
+                                   1.0 - 2.0 ** -53, 1.0])
+    def test_is_the_exact_of_cf_bounds(self, q):
+        # inside the classical band as well as outside it
+        for offset in (1e-6, 0.1, 1.0, 30.0, 750.0):
+            eta = math.log(1.0 / q) + offset
+            assert b_occupation(q, eta) == cf_bounds(q, eta).exact
+
 
 class TestBOccupationJD:
     def test_bose_limit(self):
-        assert b_occupation_jd(1.0, 0.5) == pytest.approx(1.0, rel=1e-15)
+        assert b_occupation_jd(1.0, 0.5) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        for w in (1e-300, 0.3, 0.5, math.nextafter(1.0, 0.0)):
+            assert b_occupation_jd(1.0, w) == w / (1.0 - w)
 
     def test_frozen_value(self):
         assert b_occupation_jd(0.5, 0.25) == pytest.approx(
@@ -96,6 +120,23 @@ class TestBOccupationJD:
             1.0 - 1e-9, math.exp(-eta))
         assert ratio == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("q", [
+        1e-3, 0.05, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9,
+        1.0 - 1e-11, 1.0 - 1.01e-12, 1.0 - 1e-13, 1.0 - 2.0 ** -52, 1.0])
+    def test_against_mpmath(self, q):
+        # offset = eta - ln(1/q), from next to the pole w -> q to w of 1e-307
+        for offset in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 5.0, 30.0, 700.0):
+            w = q * math.exp(-offset)
+            assert _rel(b_occupation_jd(q, w), _reference_jd(q, w)) <= 1e-15, offset
+
+    @pytest.mark.parametrize("q", [1e-300, 1e-100, 1e-10])
+    def test_against_mpmath_at_tiny_q(self, q):
+        # -2 sinh(ln q) carries the rounding of ln q, up to |ln q| 2^-53
+        # relative (7.7e-14 at q = 1e-300); 1/q - q holds full precision
+        for offset in (1e-15, 1e-9, 1e-3, 1.0, 5.0):
+            w = q * math.exp(-offset)
+            assert _rel(b_occupation_jd(q, w), _reference_jd(q, w)) <= 1e-15, offset
+
 
 class TestConvergents:
     def test_first_convergent_closed_form(self):
@@ -105,7 +146,7 @@ class TestConvergents:
                 want = (1.0 / q - q) / (
                     2.0 * math.log(1.0 / q) * (math.exp(eta) - q))
                 assert cf_convergent(q, eta, 1) == pytest.approx(
-                    want, rel=1e-14)
+                    want, rel=1e-14, abs=0.0)
 
     def test_second_convergent_closed_form(self):
         # shift (q + 1/q)/2 in the denominator
@@ -114,7 +155,7 @@ class TestConvergents:
             want = (1.0 / q - q) / (
                 2.0 * math.log(1.0 / q)
                 * (math.exp(eta) - (q + 1.0 / q) / 2.0))
-            assert cf_convergent(q, eta, 2) == pytest.approx(want, rel=1e-14)
+            assert cf_convergent(q, eta, 2) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_converges_to_closed_form(self):
         for q in (0.3, 0.6, 0.9):
@@ -143,7 +184,7 @@ class TestConvergents:
     def test_classical_collapses_to_bose(self):
         for k in (1, 2, 17):
             assert cf_convergent(1.0, 1.0, k) == pytest.approx(
-                1.0 / math.expm1(1.0), rel=1e-15)
+                1.0 / math.expm1(1.0), rel=1e-15, abs=0.0)
 
     def test_bad_k(self):
         with pytest.raises(DomainError):
@@ -160,7 +201,7 @@ class TestBounds:
     def test_lower_is_first_convergent(self):
         q, eta = 0.5, 1.2
         assert cf_bounds(q, eta).lower == pytest.approx(
-            cf_convergent(q, eta, 1), rel=1e-15)
+            cf_convergent(q, eta, 1), rel=1e-15, abs=0.0)
 
     def test_upper_closed_form(self):
         # (1/q - q)/(2 ln(1/q) (e^eta - 1/q))
@@ -168,7 +209,7 @@ class TestBounds:
             eta = _eta_from_y(q, 0.5)
             want = (1.0 / q - q) / (
                 2.0 * math.log(1.0 / q) * (math.exp(eta) - 1.0 / q))
-            assert cf_bounds(q, eta).upper == pytest.approx(want, rel=1e-14)
+            assert cf_bounds(q, eta).upper == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_bounds_tighten_at_large_eta(self):
         q = 0.5
@@ -284,7 +325,7 @@ class TestFArcsinForms:
     def test_leading_terms(self):
         g = 0.04
         first = f_occupation_series(g, 1)
-        assert first == pytest.approx(2.0 / math.pi * math.sqrt(g), rel=1e-15)
+        assert first == pytest.approx(2.0 / math.pi * math.sqrt(g), rel=1e-15, abs=0.0)
         second = f_occupation_series(g, 2) - first
         assert second == pytest.approx(
             2.0 / math.pi * g ** 1.5 / 6.0, rel=1e-15)
@@ -437,13 +478,12 @@ class TestRoundingToThePole:
         with pytest.raises(DomainError, match="below 1 in doubles"):
             cf_convergent(self.Q, self.ETA, 2)
 
-    def test_w_over_q_that_rounds_to_one_is_domain_error(self):
-        # w < q, but (1/q) w rounds to 1, where log1p(-w/q) has no value
+    def test_w_over_q_that_rounds_to_one_matches_mpmath(self):
+        # w < q, but (1/q) w rounds to 1: the double below q is in the domain
         q = 0.2419876514362294
         w = math.nextafter(q, 0.0)
         assert (1.0 / q) * w == 1.0
-        with pytest.raises(DomainError, match="diverges"):
-            b_occupation_jd(q, w)
+        assert _rel(b_occupation_jd(q, w), _reference_jd(q, w)) <= 1e-15
 
     def test_first_doubles_above_the_pole_raise_only_domain_error(self):
         rng = random.Random(7)

@@ -27,7 +27,7 @@ class TestGSeries:
             for order in (0.5, 1.5, 2.5):
                 got = kernels.g_series_sum(x, order)
                 assert got == pytest.approx(
-                    _reference_li_sum(x, order), rel=1e-13)
+                    _reference_li_sum(x, order), rel=1e-13, abs=0.0)
 
     def test_term_count_is_fixed_by_x(self):
         # the sum up to ceil(38/ln(1/x)) terms equals the kernel bit for bit
@@ -36,7 +36,7 @@ class TestGSeries:
         partial = 0.0
         for r in range(1, n_terms + 1):
             partial += x ** r / r ** order
-        assert kernels.g_series_sum(x, order) == pytest.approx(partial, rel=1e-15)
+        assert kernels.g_series_sum(x, order) == pytest.approx(partial, rel=1e-15, abs=0.0)
         assert n_terms == 55
 
 
@@ -47,7 +47,7 @@ class TestDeformedGSeries:
     def test_against_mpmath(self, q, x, order):
         z = q * x
         got = kernels.gq_series_sum(z, -math.log(q), order)
-        assert got == pytest.approx(_reference_gq_sum(q, z, order), rel=1e-14)
+        assert got == pytest.approx(_reference_gq_sum(q, z, order), rel=1e-14, abs=0.0)
 
 
 class TestAlternatingSeries:
@@ -56,7 +56,7 @@ class TestAlternatingSeries:
         for x in (0.1, 0.3, 0.5):
             plain = float(np.sum((-1.0) ** (r + 1) * x ** r / r ** 1.5))
             assert kernels.f_series_sum(x, 1.5) == pytest.approx(
-                plain, rel=1e-13)
+                plain, rel=1e-13, abs=0.0)
 
     def test_endpoint_reaches_machine_precision(self):
         assert kernels.f_series_sum(1.0, 1.0) == pytest.approx(
@@ -68,12 +68,12 @@ class TestContinuedFraction:
         for y in (0.1, 0.5, 0.9):
             assert kernels.cf_convergent_value(y, 1) == y
             assert kernels.cf_convergent_value(y, 2) == pytest.approx(
-                y / (1.0 - y / 2.0), rel=1e-15)
+                y / (1.0 - y / 2.0), rel=1e-15, abs=0.0)
 
     def test_converges_to_log(self):
         for y in (0.3, 0.7, 0.95):
             got = kernels.cf_convergent_value(y, 200)
-            assert got == pytest.approx(-math.log1p(-y), rel=1e-13)
+            assert got == pytest.approx(-math.log1p(-y), rel=1e-13, abs=0.0)
 
     def test_rescaling_prevents_overflow(self):
         assert math.isfinite(kernels.cf_convergent_value(0.99, 5000))

@@ -79,7 +79,7 @@ def test_growing_observables_need_e_eta_above_one_over_q(observable):
         trace_average(TraceSpec(Family.B, 0.5, math.log(2.0), observable))
     # N and q^N converge for every eta > 0
     assert trace_average(TraceSpec(Family.B, 0.5, math.log(2.0), "N")) == \
-        pytest.approx(1.0, rel=1e-14)
+        pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def test_weights_that_underflow_give_zero():

@@ -23,13 +23,19 @@ class TestQParam:
         assert not QParam(1.0 - 1e-9).is_classical_limit
 
     def test_inv_minus_q_keeps_precision_near_one(self):
-        assert QParam(0.5).inv_minus_q == pytest.approx(1.5, rel=1e-15)
+        assert QParam(0.5).inv_minus_q == pytest.approx(1.5, rel=1e-15, abs=0.0)
         assert QParam(1.0).inv_minus_q == 0.0
         # 1/q - q = 2 eps + eps^3 + ... for q = 1 - eps; the subtraction
         # would keep only about seven digits of it at eps = 1e-9
         eps = 1.0 - (1.0 - 1e-9)  # the q below is 1 - eps exactly
         assert QParam(1.0 - 1e-9).inv_minus_q == pytest.approx(
-            2.0 * eps + eps ** 2 + eps ** 3, rel=1e-15)
+            2.0 * eps + eps ** 2 + eps ** 3, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("q", [5e-324, 2e-309, 5e-309])
+    def test_inv_minus_q_is_inf_where_one_over_q_overflows(self, q):
+        qp = QParam(q)
+        assert qp.q_inv == math.inf
+        assert qp.inv_minus_q == math.inf
 
     def test_coercion(self):
         assert as_qparam(0.5).q == 0.5
@@ -95,7 +101,7 @@ class TestQFactorial:
 
     def test_deformed(self):
         # 1 * 2.5 * 5.25
-        assert q_factorial(0.5, 3) == pytest.approx(13.125, rel=1e-14)
+        assert q_factorial(0.5, 3) == pytest.approx(13.125, rel=1e-14, abs=0.0)
 
     def test_rejects_negative_and_fractional(self):
         with pytest.raises(DomainError):
@@ -149,7 +155,7 @@ class TestJacksonDerivative:
                 for x in (0.7, 3.0):
                     got = jackson_derivative(lambda t: t ** n, q, x)
                     want = basic_number(q, n) * x ** (n - 1)
-                    assert got == pytest.approx(want, rel=1e-12)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_log_example(self):
         got = jackson_derivative(lambda t: math.log(1.0 / (1.0 - t)), 0.5, 0.25)

@@ -22,14 +22,14 @@ class TestBoseG:
         for z in (0.1, 0.5, 0.9):
             for order in (1.5, 2.5):
                 want = float(mpmath.polylog(order, z))
-                assert bose_g(1.0, z, order) == pytest.approx(want, rel=1e-10)
+                assert bose_g(1.0, z, order) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_series_opening(self):
         # z + [2]/2^(5/2) z^2 + [3]/3^(5/2) z^3 + O(z^4)
         q, z = 0.6, 1e-4
         opening = (z + basic_number(q, 2) / 2 ** 2.5 * z ** 2
                    + basic_number(q, 3) / 3 ** 2.5 * z ** 3)
-        assert bose_g(q, z, 1.5) == pytest.approx(opening, rel=1e-12)
+        assert bose_g(q, z, 1.5) == pytest.approx(opening, rel=1e-12, abs=0.0)
 
     def test_term_coefficients_match_basic_numbers(self):
         # the r-th coefficient is basic_number(q, r)/r^(order+1); z kept
@@ -40,7 +40,7 @@ class TestBoseG:
                 z = z_frac * q
                 want = sum(basic_number(q, r) * z ** r / r ** 2.5
                            for r in range(1, 401))
-                assert bose_g(q, z, 1.5) == pytest.approx(want, rel=1e-13)
+                assert bose_g(q, z, 1.5) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_monotone_in_z(self):
         values = [bose_g(0.7, z, 1.5) for z in (0.1, 0.3, 0.5, 0.65)]
@@ -132,6 +132,15 @@ class TestBoseGAgainstMpmath:
                 want = (mpmath.polylog(2.5, qm * qm) - mpmath.zeta(2.5)) / (qm - 1 / qm)
         assert _rel(bose_g_supremum(q, 1.5), want) < 1e-14
 
+    @pytest.mark.parametrize("order", [1.5, 2.5])
+    @pytest.mark.parametrize("q", [1e-170, 1e-200, 1e-300])
+    def test_q_z_that_underflows(self, q, order):
+        # q z underflows to 0 here, and the term Li(q z) with it
+        for x in X_GRID:
+            z = q * x
+            assert _rel(bose_g(q, z, order), reference_g(q, z, order)) < 1e-13, x
+        assert _rel(bose_g_supremum(q, order), reference_g(q, q, order)) < 1e-13
+
     def test_supremum_diverges_at_q1_for_low_order(self):
         with pytest.raises(DomainError):
             bose_g_supremum(1.0, 1.0)
@@ -148,7 +157,7 @@ class TestPolylog:
             assert _rel(polylog(s, x), want) < 1e-14, x
 
     def test_at_one_is_zeta(self):
-        assert polylog(2.0, 1.0) == pytest.approx(math.pi ** 2 / 6, rel=1e-15)
+        assert polylog(2.0, 1.0) == pytest.approx(math.pi ** 2 / 6, rel=1e-15, abs=0.0)
 
     def test_domain(self):
         for s, x in ((1.5, 0.0), (1.5, 1.5), (1.0, 1.0), (0.0, 0.5), (-1.0, 0.5)):
@@ -161,10 +170,10 @@ class TestQuad:
         # Int_0^1 u^-1/2 du = 2 and Int_0^2 (2 - u)^(1/2) du = (2/3) 2^(3/2)
         weights, u, _ = quad_nodes(1.0)
         assert quad([w * x ** -0.5 for w, x in zip(weights, u)], 1.0) == pytest.approx(
-            2.0, rel=1e-14)
+            2.0, rel=1e-14, abs=0.0)
         weights, _, rest = quad_nodes(2.0)
         assert quad([w * x ** 0.5 for w, x in zip(weights, rest)], 2.0) == pytest.approx(
-            2.0 / 3.0 * 2.0 ** 1.5, rel=1e-14)
+            2.0 / 3.0 * 2.0 ** 1.5, rel=1e-14, abs=0.0)
 
 
 class TestFermiFAgainstMpmath:
@@ -199,7 +208,7 @@ class TestFermiF:
             (3.0, 2.5): 2.1627007120020567,
         }
         for (x, order), want in cases.items():
-            assert fermi_f(x, order) == pytest.approx(want, rel=1e-11)
+            assert fermi_f(x, order) == pytest.approx(want, rel=1e-11, abs=0.0)
 
     def test_continuous_across_switch(self):
         below = fermi_f(1.0 - 1e-9, 1.5)
@@ -225,7 +234,7 @@ class TestFermiF:
 class TestSommerfeld:
     def test_leading_term(self):
         assert sommerfeld_density_factor(10.0, 1) == pytest.approx(
-            10.0 ** 1.5, rel=1e-15)
+            10.0 ** 1.5, rel=1e-15, abs=0.0)
 
     def test_first_correction(self):
         # 10^(3/2) (1 + pi^2/800)
@@ -256,15 +265,15 @@ class TestSommerfeld:
 class TestThermalWavelength:
     def test_normalization_point(self):
         assert thermal_wavelength(1.0, 1.0 / (2.0 * math.pi)) == pytest.approx(
-            1.0, rel=1e-15)
+            1.0, rel=1e-15, abs=0.0)
 
     def test_scaling_law(self):
         assert thermal_wavelength(1.0, 1.0) / thermal_wavelength(1.0, 4.0) \
-            == pytest.approx(2.0, rel=1e-15)
+            == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
     def test_electron_at_room_temperature(self):
         lam = thermal_wavelength(ELECTRON_MASS_SI, 300.0, SI)
-        assert lam == pytest.approx(4.30347543959521e-09, rel=1e-12)
+        assert lam == pytest.approx(4.30347543959521e-09, rel=1e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 
 import mpmath
 import pytest
@@ -80,7 +81,7 @@ class TestVirial:
         got = virial_coefficients("f", 0.76, 60)
         for n, (g, w) in enumerate(zip(got, want), start=1):
             assert g == pytest.approx(w, rel=1e-15, abs=0.0), f"b_{n}"
-        assert got[-1] == pytest.approx(-5.39192635236125e-79, rel=1e-14)
+        assert got[-1] == pytest.approx(-5.39192635236125e-79, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("q", Q_GRID)
     def test_b_first_coefficient_is_exactly_one(self, q):
@@ -108,7 +109,7 @@ class TestDensitySolve:
                            density=density, multiplicity=multiplicity)
         state = f_state(params)
         lam3n = state.thermal_wavelength ** 3 * state.number_density
-        assert lam3n == pytest.approx(density, rel=1e-12)
+        assert lam3n == pytest.approx(density, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("z", [0.5, 3.0])
@@ -156,6 +157,17 @@ class TestSolveFugacity:
             z = solve_fugacity("f", q, target)
             x = z if q == 1.0 else z / q
             assert _rel_residual(_reference_f_density, x, target) <= 1e-12, ln_x
+
+    def test_b_tiny_densities(self):
+        # below lam^3 n of about 1e-104 the inverse quadratic step of the
+        # Brent solve divided by a product that underflows to 0
+        rng = random.Random(5)
+        for _ in range(40):
+            q = rng.uniform(0.01, 1.0)
+            target = math.exp(rng.uniform(math.log(1e-300), math.log(1e-104)))
+            z = solve_fugacity("b", q, target)
+            assert _rel_residual(lambda zz: _reference_b_density(q, zz), z,
+                                 target) <= 1e-12, (q, target)
 
     def test_b_density_just_below_the_supremum(self):
         # the supremum is exact, so this density, 4e-8 below it, is solvable
@@ -214,14 +226,14 @@ class TestSolveFugacity:
     def test_supremum_matches_the_series_limit(self):
         q = 0.5
         assert b_density_supremum(q) == pytest.approx(
-            float(_reference_b_density(q, q * (1.0 - 1e-15))), rel=1e-13)
+            float(_reference_b_density(q, q * (1.0 - 1e-15))), rel=1e-13, abs=0.0)
 
 
 class TestBrent:
     def test_roots(self):
         assert brentq(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(
-            math.sqrt(2.0), rel=1e-15)
-        assert brentq(math.cos, 0.0, 3.0) == pytest.approx(math.pi / 2, rel=1e-15)
+            math.sqrt(2.0), rel=1e-15, abs=0.0)
+        assert brentq(math.cos, 0.0, 3.0) == pytest.approx(math.pi / 2, rel=1e-15, abs=0.0)
         # a root at an endpoint, and a flat function that only bisection moves
         assert brentq(lambda x: x, 0.0, 1.0) == 0.0
         assert brentq(lambda x: (x - 0.3) ** 7, 0.0, 1.0) == pytest.approx(0.3, abs=1e-6)
@@ -280,7 +292,7 @@ class TestFermiEnergy:
         e_fermi = fermi_energy(n, multiplicity, mass)
         lam3 = thermal_wavelength(mass, temperature) ** 3
         assert lam3 * n == pytest.approx(
-            multiplicity * (e_fermi / temperature) ** 1.5 / math.gamma(2.5), rel=1e-14)
+            multiplicity * (e_fermi / temperature) ** 1.5 / math.gamma(2.5), rel=1e-14, abs=0.0)
 
     def test_si_electron_gas(self):
         # copper: n = 8.47e28 m^-3, gs = 2 gives E_F = 7.03 eV
