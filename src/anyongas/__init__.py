@@ -1,6 +1,6 @@
 """Thermostatistics of q-interpolating (anyon) gases.
 
-Occupation functions in closed, continued-fraction and series forms for
+Occupation functions in closed, continued-fraction and arcsine forms for
 the boson-like and fermion-like families, the generalized zeta functions
 behind their equations of state, virial coefficients by Lagrange
 inversion, truncated Fock-space representations of the underlying
@@ -17,17 +17,15 @@ import importlib
 from .distributions import (ConvergentPair, b_occupation, b_occupation_jd,
                             b_occupation_rows, bounds_rows, cf_bounds,
                             cf_convergent, f_occupation, f_occupation_arcsin,
-                            f_occupation_rows, f_occupation_series)
+                            f_occupation_rows)
 from .errors import ConvergenceError, DomainError
-from .qcore import (Family, QParam, as_qparam, basic_number, jackson_derivative,
-                    q_factorial)
+from .qcore import Family, QParam, as_qparam, basic_number, jackson_derivative
 from .qfunctions import (bose_g, bose_g_supremum, fermi_f, polylog,
-                         sommerfeld_density_factor, thermal_wavelength)
+                         thermal_wavelength)
 from .report import KNOWN_ERRATA, VerificationReport
 from .thermo import (GasParams, StateFunctions, b_partition_log, b_state,
-                     b_density_supremum, b_number_from_partition,
-                     chemical_potential_f, f_partition_log, f_state,
-                     fermi_energy, solve_fugacity, virial_coefficients)
+                     b_density_supremum, b_number_from_partition, f_state,
+                     solve_fugacity, virial_coefficients)
 from .units import NATURAL, SI, UnitSystem
 
 __version__ = "0.1.0"

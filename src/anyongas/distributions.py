@@ -28,7 +28,7 @@ Bose-Einstein and Fermi-Dirac statistics that the limits and verify
 commands report.
 
 Fermion-like side.  The occupation is rational, n = 1/(q e^eta + 1),
-with equivalent arcsin and half-integer power series forms.
+with an equivalent arcsine form.
 
 Grid kernels.  b_occupation_rows, bounds_rows and f_occupation_rows
 tabulate a whole eta grid in one pass, as the rows of the occupation and
@@ -113,9 +113,11 @@ def b_occupation_jd(q, w):
     for 0 <= w < q, DomainError outside.  One form serves every q, q = 1
     included, where it is w/(1 - w), and it stays within 1e-15 relative
     of the exact value as q -> 1 and as w -> q (checked against mpmath
-    for q from 1e-300 to 1).  This is the occupation whose sum over modes
-    gives the q-deformed state functions; it differs from b_occupation by
-    the finite factor (1/q - q)/(2 ln(1/q)) at small occupation.
+    for q from 1e-300 to 1); for a subnormal q, below about 5.6e-309
+    where 1/q overflows, it is within one unit of 5e-324.  This is the
+    occupation whose sum over modes gives the q-deformed state functions;
+    it differs from b_occupation by the finite factor
+    (1/q - q)/(2 ln(1/q)) at small occupation.
     """
     qp = q if type(q) is QParam else as_qparam(q)
     w = float(w)
@@ -137,14 +139,18 @@ def _jd_occupation(qp, w):
     # -2 sinh(ln q) carries the rounding of ln q, |ln q| 2^-53 relative;
     # below q = 1/2 the plain difference, which cannot cancel there, is closer
     d = qp.inv_minus_q if q > 0.5 else qp.q_inv - q
-    y = x * d
+    # below q of about 5.6e-309 1/q overflows, and d = (1 - q^2)/q is
+    # applied as its two parts
+    finite = d < math.inf
+    y = x * d if finite else (x / q) * (1.0 - q * q)
     if y == 0.0:
         # q = 1, w = 0 or an underflow: n is its leading term w/(1 - q w)
         return x
     if y <= 0.5:
         return x * (math.log1p(-y) / -y)
     # w > q/2 here, so q - w is exact
-    return -math.log((q - w) / (q * one_minus_qw)) / d
+    log = -math.log((q - w) / (q * one_minus_qw))
+    return log / d if finite else log * (q / (1.0 - q * q))
 
 
 def cf_convergent(q, eta, k):
@@ -332,29 +338,3 @@ def classical_limit_rows():
                 rows.append((family, q, eta, value, reference,
                              abs(value - reference) / scale, tolerance))
     return rows
-
-
-def f_occupation_series(g, terms):
-    """Partial sum of the half-integer power series of (2/pi) arcsin(sqrt g).
-
-    The m-th term is (2/pi) binom(2m, m)/(4^m (2m+1)) g^(m+1/2); the sum
-    converges to f_occupation_arcsin as terms -> inf for 0 <= g < 1.
-    (A printed variant of this series starting at g^(-1/2) is flagged as
-    an erratum; see report.KNOWN_ERRATA.)
-    """
-    g = float(g)
-    if not 0.0 <= g < 1.0:
-        raise DomainError(f"series requires 0 <= g < 1, got {g!r}")
-    if terms < 1:
-        raise DomainError(f"need at least one term, got {terms!r}")
-    if g == 0.0:
-        return 0.0
-    root = math.sqrt(g)
-    coeff = 1.0  # arcsin Maclaurin coefficient for u^(2m+1)
-    power = root
-    total = coeff * power
-    for m in range(1, terms):
-        coeff *= (2.0 * m - 1.0) ** 2 / (2.0 * m * (2.0 * m + 1.0))
-        power *= g
-        total += coeff * power
-    return _TWO_OVER_PI * total

@@ -103,17 +103,6 @@ def basic_number(q, x):
     return math.sinh(x * lq) / math.sinh(lq)
 
 
-def q_factorial(q, n):
-    """[n]! = [n][n-1]...[1], with [0]! = 1 by the empty-product convention."""
-    if n != int(n) or n < 0:
-        raise DomainError(f"q_factorial needs a nonnegative integer, got {n!r}")
-    qp = as_qparam(q)
-    out = 1.0
-    for k in range(2, int(n) + 1):
-        out *= basic_number(qp, k)
-    return out
-
-
 def jackson_derivative(f, q, x):
     """Finite q-difference derivative (f(qx) - f(x/q)) / (x (q - 1/q)).
 

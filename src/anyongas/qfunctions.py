@@ -35,9 +35,7 @@ Fermi level mu = ln x,
 
 and each integral is a fixed 121-node tanh-sinh rule (`quad`), summed
 by math.fsum over the weighted integrand at the nodes; the rule over
-[0, 60] carries 1/(e^u + 1) in weights built once at import.  The
-degenerate (large ln x) regime is also covered by an asymptotic
-expansion whose first correction has coefficient pi^2/8.
+[0, 60] carries 1/(e^u + 1) in weights built once at import.
 """
 
 import functools
@@ -47,8 +45,6 @@ from . import kernels
 from .errors import DomainError
 from .qcore import as_qparam
 from .units import NATURAL
-
-SOMMERFELD_MAX_TERMS = 8
 
 _LN2 = math.log(2.0)
 # zeta(s-k)/k! terms of the mu-series: where it is used |mu| <= ln 2 + 2 tau
@@ -182,8 +178,8 @@ def polylog(s, x):
     to double precision; the half-integer orders of bose_g, 1/2 from any
     integer, are within about 2e-15.
     """
-    if not s > 0.0:
-        raise DomainError(f"polylog order must be positive, got {s!r}")
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"polylog order must be positive and finite, got {s!r}")
     if not 0.0 < x <= 1.0 or (x == 1.0 and s <= 1.0):
         raise DomainError(f"polylog needs 0 < x <= 1 (x < 1 for s <= 1), got "
                           f"x={x!r}, s={s!r}")
@@ -255,8 +251,8 @@ def bose_g(q, z, order):
     order = float(order)
     if not z > 0.0:
         raise DomainError(f"fugacity must be positive, got {z!r}")
-    if not order > 0.0:
-        raise DomainError(f"order must be positive, got {order!r}")
+    if not 0.0 < order < math.inf:
+        raise DomainError(f"order must be positive and finite, got {order!r}")
     if z >= qp.q:
         raise DomainError(
             f"series requires z < q (got z={z!r}, q={qp.q!r}); "
@@ -275,6 +271,8 @@ def bose_g_supremum(q, order):
     order = float(order)
     if not order > (1.0 if qp.q == 1.0 else 0.0):
         raise DomainError(f"g(q, q, {order!r}) diverges at q={qp.q!r}")
+    if order == math.inf:
+        raise DomainError("order must be finite, got inf")
     return _bose_g(qp, qp.q, order)
 
 
@@ -284,7 +282,7 @@ def fermi_f(x, order):
     Parameters
     ----------
     x : float
-        Combined argument z/q, any positive value.
+        Combined argument z/q, any positive finite value.
     order : float
         Series order > 0.
 
@@ -295,10 +293,10 @@ def fermi_f(x, order):
     """
     x = float(x)
     order = float(order)
-    if not x > 0.0:
-        raise DomainError(f"argument must be positive, got {x!r}")
-    if not order > 0.0:
-        raise DomainError(f"order must be positive, got {order!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"argument must be positive and finite, got {x!r}")
+    if not 0.0 < order < math.inf:
+        raise DomainError(f"order must be positive and finite, got {order!r}")
     if x <= 1.0:
         return kernels.f_series_sum(x, order)
     return _fermi_integral(x, order)
@@ -321,28 +319,6 @@ def _fermi_integral(x, order):
         below = quad([w * (mu * right) ** p / (exp(mu * left) + 1.0) for w, left, right
                       in zip(_TS_WEIGHT, _TS_LEFT, _TS_RIGHT)], mu)
     return (mu ** order / order + above - below) / math.gamma(order)
-
-
-def sommerfeld_density_factor(ln_x, terms):
-    """Degenerate-limit density bracket (ln x)^(3/2) (1 + pi^2/8 (ln x)^-2 + ...).
-
-    ``terms`` counts bracket terms including the leading 1; the general
-    term j carries 2 eta(2j) (3/2)(1/2)...(3/2 - 2j + 1) (ln x)^(-2j),
-    which gives pi^2/8 for j = 1.  The expansion is asymptotic; at most
-    SOMMERFELD_MAX_TERMS terms are supported.
-    """
-    ln_x = float(ln_x)
-    if not ln_x > 0.0:
-        raise DomainError(f"degenerate expansion requires ln x > 0, got {ln_x!r}")
-    if terms < 1 or terms > SOMMERFELD_MAX_TERMS:
-        raise DomainError(f"terms must be in 1..{SOMMERFELD_MAX_TERMS}, got {terms!r}")
-    s = 1.5
-    bracket = 1.0
-    falling = 1.0
-    for j in range(1, terms):
-        falling *= (s - (2 * j - 2)) * (s - (2 * j - 1))
-        bracket += 2.0 * kernels.f_series_sum(1.0, 2 * j) * falling * ln_x ** (-2 * j)
-    return ln_x ** 1.5 * bracket
 
 
 def thermal_wavelength(mass, temperature, units=NATURAL):

@@ -146,7 +146,7 @@ def b_state(params):
 
 
 def f_state(params):
-    """State functions of the fermion-like gas, any fugacity > 0.
+    """State functions of the fermion-like gas, any fugacity > 0 whose z/q is finite.
 
     The multiplicity scales every extensive quantity (it multiplies the
     mode sum).
@@ -156,7 +156,12 @@ def f_state(params):
     z = params.resolved_fugacity()
     if not z > 0.0:
         raise DomainError(f"fugacity must be positive, got {z!r}")
-    x = z / params.q.q
+    q = params.q.q
+    x = z / q
+    if x == math.inf:
+        raise DomainError(
+            f"fugacity {z!r} puts z/q beyond the largest double at q={q!r}; "
+            f"the largest fugacity allowed is {q * sys.float_info.max!r}")
     return _state(params, z, fermi_f(x, 2.5), fermi_f(x, 1.5),
                   float(params.multiplicity))
 
@@ -436,39 +441,6 @@ def virial_coefficients(family, q, order):
     return VirialCoefficients(coeffs, digits)
 
 
-def fermi_energy(number_density, multiplicity, mass, units=NATURAL):
-    """Fermi energy (3n/(4 pi gs))^(2/3) h^2/(2m) of the undeformed gas."""
-    n = float(number_density)
-    if not n > 0.0 or not mass > 0.0 or multiplicity < 1:
-        raise DomainError("fermi_energy needs positive density, mass, multiplicity")
-    return (3.0 * n / (4.0 * math.pi * multiplicity)) ** (2.0 / 3.0) \
-        * units.h ** 2 / (2.0 * mass)
-
-
-def chemical_potential_f(temperature, e_fermi, q, approximation_order=1,
-                         units=NATURAL):
-    """Degenerate-limit chemical potential of the F-family gas.
-
-    Order 0: mu = E_F - kT ln(1/q); the deformation shifts mu linearly
-    in T and the shift vanishes only at q = 1.  Order 1 adds the
-    standard quadratic correction: mu = -kT ln(1/q) +
-    E_F (1 - (pi^2/12)(kT/E_F)^2).
-    """
-    qp = as_qparam(q)
-    t = float(temperature)
-    if t < 0.0:
-        raise DomainError(f"temperature must be nonnegative, got {t!r}")
-    if not e_fermi > 0.0:
-        raise DomainError(f"Fermi energy must be positive, got {e_fermi!r}")
-    kt = units.k * t
-    shift = -kt * math.log(qp.q_inv)
-    if approximation_order == 0:
-        return e_fermi + shift
-    if approximation_order == 1:
-        return shift + e_fermi * (1.0 - (math.pi ** 2 / 12.0) * (kt / e_fermi) ** 2)
-    raise DomainError(f"approximation_order must be 0 or 1, got {approximation_order!r}")
-
-
 def b_partition_log(spectrum, z, beta):
     """ln Z = -Sum_i ln(1 - z e^(-beta E_i)) over a discrete spectrum.
 
@@ -486,21 +458,6 @@ def b_partition_log(spectrum, z, beta):
             )
         total -= math.log1p(-w)
     return total
-
-
-def f_partition_log(spectrum, z, beta, q):
-    """ln Z = Sum_i ln(1 + (z/q) e^(-beta E_i)) over a discrete spectrum.
-
-    The ordinary derivative z d/dz recovers the F-family occupation; in
-    the dilute limit ln Z -> (z/q) Sum_i e^(-beta E_i), the Boltzmann
-    form with the 1/q enhancement.
-    """
-    qp = as_qparam(q)
-    z = float(z)
-    if not z > 0.0:
-        raise DomainError(f"fugacity must be positive, got {z!r}")
-    base = z / qp.q
-    return sum(math.log1p(base * math.exp(-float(beta) * e)) for e in spectrum)
 
 
 def b_number_from_partition(spectrum, z, beta, q):

@@ -13,7 +13,6 @@ from .errors import DomainError
 PLANCK_SI = 6.62607015e-34  # J s
 BOLTZMANN_SI = 1.380649e-23  # J / K
 ELECTRON_MASS_SI = 9.1093837015e-31  # kg
-ELECTRON_VOLT_SI = 1.602176634e-19  # J
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,10 @@ class TestEos:
                      "drop --z or the sweep", id="z-and-z-sweep"),
         pytest.param(["--family", "b", "--multiplicity", "3"],
                      "multiplicity 3 has no effect on the B family", id="b-multiplicity"),
+        # z/q = 2e308 is beyond the largest double, where f is not defined
+        pytest.param(["--family", "f", "--q", "0.5", "--z", "1e308"],
+                     "the largest fugacity allowed is 8.988465674311579e+307",
+                     id="f-z-over-q-overflow"),
         # lam^3 = 0.0635 is finite here, but k T is not
         pytest.param(["--k", "1e300", "--temperature", "1e300", "--mass", "1e-300",
                       "--h", "1e150"], "k T is inf at k=1e+300, T=1e+300",
@@ -540,11 +544,14 @@ def test_import_loads_neither_scipy_nor_mpmath():
     assert result.stdout.strip() == "[]"
 
 
-def test_power_series_is_not_exported():
+@pytest.mark.parametrize("name", [
+    "PowerSeries", "q_factorial", "f_occupation_series", "sommerfeld_density_factor",
+    "fermi_energy", "chemical_potential_f", "f_partition_log"])
+def test_power_series_is_not_exported(name):
     import anyongas
 
-    with pytest.raises(AttributeError, match="PowerSeries"):
-        anyongas.PowerSeries
+    with pytest.raises(AttributeError, match=name):
+        getattr(anyongas, name)
 
 
 def test_package_exports_algebra_and_oracle_names_lazily():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from anyongas.errors import DomainError
 from anyongas.qcore import (Family, PowerSeries, QParam, as_family, as_qparam,
-                            basic_number, jackson_derivative, q_factorial)
+                            basic_number, jackson_derivative)
 from anyongas.thermo import b_partition_log
 
 
@@ -90,24 +90,6 @@ class TestBasicNumber:
             assert all(a > b for a, b in zip(values, values[1:]))
             assert values[-1] == n
             assert all(v >= n for v in values)
-
-
-class TestQFactorial:
-    def test_empty_product(self):
-        assert q_factorial(0.37, 0) == 1.0
-
-    def test_classical(self):
-        assert q_factorial(1.0, 3) == 6.0
-
-    def test_deformed(self):
-        # 1 * 2.5 * 5.25
-        assert q_factorial(0.5, 3) == pytest.approx(13.125, rel=1e-14, abs=0.0)
-
-    def test_rejects_negative_and_fractional(self):
-        with pytest.raises(DomainError):
-            q_factorial(0.5, -1)
-        with pytest.raises(DomainError):
-            q_factorial(0.5, 2.5)
 
 
 # verify's five-mode spectrum for the jd-mode-sum identity, at beta = 1

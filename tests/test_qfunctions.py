@@ -7,9 +7,8 @@ import pytest
 from anyongas.errors import DomainError
 from anyongas.qcore import basic_number
 from anyongas.qfunctions import (bose_g, bose_g_supremum, fermi_f, polylog, quad,
-                                 quad_nodes, sommerfeld_density_factor,
-                                 thermal_wavelength)
-from anyongas.units import SI, ELECTRON_MASS_SI, ELECTRON_VOLT_SI
+                                 quad_nodes, thermal_wavelength)
+from anyongas.units import SI, ELECTRON_MASS_SI
 
 
 class TestBoseG:
@@ -55,6 +54,11 @@ class TestBoseG:
             bose_g(0.7, 0.0, 1.5)
         with pytest.raises(DomainError):
             bose_g(1.0, 1.0, 1.5)
+        with pytest.raises(DomainError, match="order must be positive and finite"):
+            bose_g(0.9, 0.85, math.inf)
+        for q in (0.5, 1.0):
+            with pytest.raises(DomainError, match="order must be finite"):
+                bose_g_supremum(q, math.inf)
 
     def test_z_from_q_to_one_is_outside_the_domain_near_q_one(self):
         # inside the band |q - 1| < 1e-12 z must stay below q, as elsewhere
@@ -160,7 +164,8 @@ class TestPolylog:
         assert polylog(2.0, 1.0) == pytest.approx(math.pi ** 2 / 6, rel=1e-15, abs=0.0)
 
     def test_domain(self):
-        for s, x in ((1.5, 0.0), (1.5, 1.5), (1.0, 1.0), (0.0, 0.5), (-1.0, 0.5)):
+        for s, x in ((1.5, 0.0), (1.5, 1.5), (1.0, 1.0), (0.0, 0.5), (-1.0, 0.5),
+                     (math.inf, 0.7), (math.nan, 0.7), (1.5, math.nan)):
             with pytest.raises(DomainError):
                 polylog(s, x)
 
@@ -219,47 +224,15 @@ class TestFermiF:
         values = [fermi_f(x, 1.5) for x in (0.2, 0.9, 1.5, 4.0, 40.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_degenerate_regime_against_asymptotics(self):
-        got = fermi_f(math.exp(10.0), 1.5)
-        asym = sommerfeld_density_factor(10.0, 2) / math.gamma(2.5)
-        assert abs(got - asym) / got < 1e-3
-
     def test_domain_and_methods(self):
         with pytest.raises(DomainError):
             fermi_f(-1.0, 1.5)
         with pytest.raises(DomainError):
             fermi_f(0.5, -1.0)
-
-
-class TestSommerfeld:
-    def test_leading_term(self):
-        assert sommerfeld_density_factor(10.0, 1) == pytest.approx(
-            10.0 ** 1.5, rel=1e-15, abs=0.0)
-
-    def test_first_correction(self):
-        # 10^(3/2) (1 + pi^2/800)
-        assert sommerfeld_density_factor(10.0, 2) == pytest.approx(
-            32.0129069705871, abs=1e-12)
-
-    def test_agreement_with_quadrature(self):
-        ln_x = 20.0
-        quad_value = fermi_f(math.exp(ln_x), 1.5)
-        asym = sommerfeld_density_factor(ln_x, 2) / math.gamma(2.5)
-        assert abs(asym - quad_value) / quad_value < 1e-4
-
-    def test_more_terms_improve(self):
-        ln_x = 15.0
-        truth = fermi_f(math.exp(ln_x), 1.5) * math.gamma(2.5)
-        err = [abs(sommerfeld_density_factor(ln_x, t) - truth) for t in (1, 2, 3)]
-        assert err[0] > err[1] > err[2]
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            sommerfeld_density_factor(-1.0, 2)
-        with pytest.raises(DomainError):
-            sommerfeld_density_factor(10.0, 0)
-        with pytest.raises(DomainError):
-            sommerfeld_density_factor(10.0, 99)
+        for x, order in ((math.inf, 1.5), (math.nan, 1.5), (3.0, math.inf),
+                         (3.0, math.nan)):
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                fermi_f(x, order)
 
 
 class TestThermalWavelength:

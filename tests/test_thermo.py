@@ -6,14 +6,12 @@ import mpmath
 import pytest
 
 from anyongas import thermo
-from anyongas.distributions import f_occupation
 from anyongas.errors import ConvergenceError, DomainError
 from anyongas.qcore import Family
-from anyongas.qfunctions import fermi_f, thermal_wavelength
+from anyongas.qfunctions import fermi_f
 from anyongas.thermo import (GasParams, b_density_supremum, b_state, brentq,
-                             chemical_potential_f, f_partition_log, f_state,
-                             fermi_energy, solve_fugacity, virial_coefficients)
-from anyongas.units import SI, UnitSystem
+                             f_state, solve_fugacity, virial_coefficients)
+from anyongas.units import UnitSystem
 
 Q_GRID = (0.05, 0.1, 0.3, 0.5, 0.7, 0.76, 0.9, 0.99, 1.0 - 1e-9, 1.0)
 
@@ -120,6 +118,51 @@ def test_f_state_takes_z_over_q_inside_the_classical_band(z):
     state = f_state(GasParams(family=Family.F, q=q, temperature=1.3, fugacity=z))
     assert z / q != z
     assert state.number_density == fermi_f(z / q, 1.5) / state.thermal_wavelength ** 3
+
+
+def _state_at(family, q, temperature, z):
+    state = b_state if family is Family.B else f_state
+    return state(GasParams(family=family, q=q, temperature=temperature, fugacity=z))
+
+
+# (family, q, x = z/q); the F cases put x on both sides of 1, down to the
+# degenerate x = e^20
+IDENTITY_CASES = (
+    [(Family.B, q, x) for q in (0.05, 0.5, 0.9, 1.0) for x in (0.1, 0.9)]
+    + [(Family.F, q, x) for q in (0.05, 0.5, 1.0)
+       for x in (0.5, 0.99, 1.01, 3.0, math.exp(20.0))])
+
+
+class TestThermodynamicIdentities:
+    """Central differences of P against S and n, at V = k = 1 and T = 1.7.
+
+    The step is 1e-5 of T or z; the differences are within 8e-10 of the
+    state functions on these cases.
+    """
+
+    T = 1.7
+
+    @pytest.mark.parametrize("family, q, x", IDENTITY_CASES)
+    def test_entropy_is_dp_dt_at_fixed_mu(self, family, q, x):
+        # S = V dP/dT at fixed mu = kT ln z: the log in S is ln z, not ln(z/q)
+        z = q * x
+        mu = self.T * math.log(z)
+        h = 1e-5 * self.T
+        pressure = lambda t: _state_at(family, q, t, math.exp(mu / t)).pressure
+        derivative = (pressure(self.T + h) - pressure(self.T - h)) / (2.0 * h)
+        entropy = _state_at(family, q, self.T, z).entropy
+        assert entropy == pytest.approx(derivative, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("family, q, x", IDENTITY_CASES)
+    def test_density_is_z_d_pressure_over_kt_dz(self, family, q, x):
+        # n = z d(P/kT)/dz at fixed T, the ordinary derivative in z for both
+        # families: z dg(q, z, 5/2)/dz = g(q, z, 3/2), z df(z/q, 5/2)/dz = f(z/q, 3/2)
+        z = q * x
+        h = 1e-5 * z
+        reduced = lambda zz: _state_at(family, q, self.T, zz).pressure / self.T
+        derivative = z * (reduced(z + h) - reduced(z - h)) / (2.0 * h)
+        density = _state_at(family, q, self.T, z).number_density
+        assert density == pytest.approx(derivative, rel=1e-8, abs=0.0)
 
 
 def _reference_b_density(q, z):
@@ -280,56 +323,3 @@ class TestInputValidation:
                            fugacity=0.25)
         with pytest.raises(DomainError, match="lam\\^3"):
             state(params)
-
-
-class TestFermiEnergy:
-    @pytest.mark.parametrize("multiplicity", [1, 2])
-    @pytest.mark.parametrize("temperature", [0.5, 2.0])
-    def test_zero_temperature_density_relation(self, multiplicity, temperature):
-        # the T -> 0 limit of the F density, lam^3 n = gs (E_F/kT)^(3/2)/Gamma(5/2),
-        # holds at every T once E_F is in closed form
-        n, mass = 7.0, 1.3
-        e_fermi = fermi_energy(n, multiplicity, mass)
-        lam3 = thermal_wavelength(mass, temperature) ** 3
-        assert lam3 * n == pytest.approx(
-            multiplicity * (e_fermi / temperature) ** 1.5 / math.gamma(2.5), rel=1e-14, abs=0.0)
-
-    def test_si_electron_gas(self):
-        # copper: n = 8.47e28 m^-3, gs = 2 gives E_F = 7.03 eV
-        e_fermi = fermi_energy(8.47e28, 2, 9.1093837015e-31, SI)
-        assert e_fermi / 1.602176634e-19 == pytest.approx(7.03, abs=0.01)
-
-    def test_invalid_input_is_domain_error(self):
-        for args in ((0.0, 1, 1.0), (1.0, 0, 1.0), (1.0, 1, -1.0)):
-            with pytest.raises(DomainError):
-                fermi_energy(*args)
-
-
-class TestChemicalPotentialF:
-    """Sommerfeld expansion against kT ln z from the density solve, T = m = 1."""
-
-    @pytest.mark.parametrize("q", [0.5, 0.9, 1.0])
-    @pytest.mark.parametrize("lam3n", [1e2, 1e3, 1e4])
-    def test_against_the_density_solve(self, q, lam3n):
-        e_fermi = fermi_energy(lam3n / thermal_wavelength(1.0, 1.0) ** 3, 1, 1.0)
-        exact = math.log(solve_fugacity("f", q, lam3n))
-        ratio = 1.0 / e_fermi  # kT / E_F
-        # order 1 leaves the next Sommerfeld term, pi^4/80 E_F (kT/E_F)^4 and
-        # beyond: 1.22 E_F (kT/E_F)^4 measured
-        assert abs(chemical_potential_f(1.0, e_fermi, q) - exact) \
-            <= 1.3 * e_fermi * ratio ** 4
-        # order 0 misses the quadratic term, (pi^2/12) E_F (kT/E_F)^2
-        assert chemical_potential_f(1.0, e_fermi, q, approximation_order=0) - exact \
-            == pytest.approx(math.pi ** 2 / 12.0 * e_fermi * ratio ** 2, rel=1e-2)
-
-
-class TestFPartitionLog:
-    @pytest.mark.parametrize("q", [0.3, 0.7, 1.0])
-    @pytest.mark.parametrize("z", [0.2, 1.5, 10.0])
-    def test_fugacity_derivative_is_the_occupation_sum(self, q, z):
-        spectrum, beta = (0.1, 0.5, 1.0, 2.0, 3.5), 1.3
-        h = 1e-5 * z
-        derivative = z * (f_partition_log(spectrum, z + h, beta, q)
-                          - f_partition_log(spectrum, z - h, beta, q)) / (2.0 * h)
-        occupations = sum(f_occupation(q, beta * e - math.log(z)) for e in spectrum)
-        assert derivative == pytest.approx(occupations, rel=1e-9)
