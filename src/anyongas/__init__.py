@@ -2,10 +2,10 @@
 
 Occupation functions in closed, continued-fraction and arcsine forms for
 the boson-like and fermion-like families, the generalized zeta functions
-behind their equations of state, virial coefficients by Lagrange
-inversion, truncated Fock-space representations of the underlying
-deformed oscillator algebras, and a brute-force trace oracle that
-verifies the whole stack.
+behind their equations of state, in any units of h and k, virial
+coefficients by Lagrange inversion, truncated Fock-space representations
+of the underlying deformed oscillator algebras, and a brute-force trace
+oracle that verifies the whole stack.
 
 The names of the `algebra` and `oracle` modules are exported lazily:
 each loads its module on first access, through the module __getattr__.
@@ -20,13 +20,11 @@ from .distributions import (ConvergentPair, b_occupation, b_occupation_jd,
                             f_occupation_rows)
 from .errors import ConvergenceError, DomainError
 from .qcore import Family, QParam, as_qparam, basic_number, jackson_derivative
-from .qfunctions import (bose_g, bose_g_supremum, fermi_f, polylog,
-                         thermal_wavelength)
+from .qfunctions import bose_g, bose_g_supremum, fermi_f, polylog
 from .report import KNOWN_ERRATA, VerificationReport
 from .thermo import (GasParams, StateFunctions, b_partition_log, b_state,
                      b_density_supremum, b_number_from_partition, f_state,
-                     solve_fugacity, virial_coefficients)
-from .units import NATURAL, SI, UnitSystem
+                     solve_fugacity, thermal_wavelength, virial_coefficients)
 
 __version__ = "0.1.0"
 
@@ -37,8 +35,7 @@ _LAZY = {
     "algebra": ("FockRep", "build_b_rep", "build_f_rep", "eigenvalue_seq_b",
                 "eigenvalue_seq_f", "eigenvalue_seq_f_closed", "rep_report",
                 "verify_no_basic_number_f"),
-    "oracle": ("TraceSpec", "basic_mean_closed_form",
-               "check_detailed_trace_identity_b",
+    "oracle": ("basic_mean_closed_form", "check_detailed_trace_identity_b",
                "check_detailed_trace_identity_f", "occupation_relation_residual",
                "run_verification", "taylor_reference", "trace_average",
                "trace_average_matrix"),

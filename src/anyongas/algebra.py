@@ -24,6 +24,8 @@ from .report import CheckResult
 
 DEFAULT_B_DIM = 32
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# relative distance at which an F eigenvalue beta_n counts as apart from [n]
+_NO_BASIC_NUMBER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ def eigenvalue_seq_f_closed(q, n_max):
     return out
 
 
-def verify_no_basic_number_f(q, n_max, rel_tol=1e-12):
+def verify_no_basic_number_f(q, n_max):
     """True iff some F-family eigenvalue beta_n differs from [n], n <= n_max.
 
     The B algebra forces a+ a = [N]; this check demonstrates that the F
@@ -145,7 +147,7 @@ def verify_no_basic_number_f(q, n_max, rel_tol=1e-12):
     betas = eigenvalue_seq_f(qp, n_max)
     for n, beta in enumerate(betas):
         bn = basic_number(qp, n)
-        if abs(beta - bn) > rel_tol * max(1.0, abs(bn)):
+        if abs(beta - bn) > _NO_BASIC_NUMBER_TOL * max(1.0, abs(bn)):
             return True
     return False
 

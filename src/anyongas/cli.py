@@ -39,7 +39,6 @@ from . import distributions, thermo
 from .errors import ConvergenceError, DomainError
 from .qcore import Family, as_family, as_qparam
 from .thermo import GasParams
-from .units import UnitSystem
 
 SCHEMA_VERSION = "1"
 # the fugacity of an eos run given neither --z, a --z sweep nor --density
@@ -166,13 +165,13 @@ def _write(dataset, fmt, out_path, precision, extra_comments=()):
 # bounds rows come from the grid kernels of `distributions`
 
 
-def _eos_row(args, units, solved, q, temperature, z):
+def _eos_row(args, solved, q, temperature, z):
     # solved maps q to the fugacity of the --density solve, which depends on
     # neither T nor the row: each q solves once in a command call
     gas = functools.partial(
         GasParams, family=args.family, q=q, temperature=temperature,
         mass=args.mass, volume=args.volume, multiplicity=args.multiplicity,
-        units=units,
+        h=args.h, k=args.k,
     )
     if args.density is not None:
         if q not in solved:
@@ -272,7 +271,6 @@ def _is_sweep(args, name):
 def _cmd_eos(args):
     family = as_family(args.family)
     qs = _parse_q_list(args.q)
-    units = UnitSystem(h=args.h, k=args.k)
     z_sweep = _is_sweep(args, "z")
     t_sweep = _is_sweep(args, "t")
     if z_sweep and t_sweep:
@@ -293,13 +291,13 @@ def _cmd_eos(args):
     # the rows are built before anything is written, so a row outside the
     # domain, such as a B fugacity z >= q, exits 3 with no output
     solved = {}
-    rows = [_eos_row(args, units, solved, *item)
+    rows = [_eos_row(args, solved, *item)
             for item in itertools.product(qs, temperatures, fugacities)]
     config = {
         "family": family.value.lower(), "q": ",".join(map(str, qs)),
         "temperature": args.temperature, "mass": args.mass,
         "volume": args.volume, "multiplicity": args.multiplicity,
-        "h": units.h, "k": units.k,
+        "h": args.h, "k": args.k,
     }
     if z_sweep:
         config.update(z_min=args.z_min, z_max=args.z_max, z_steps=args.z_steps)

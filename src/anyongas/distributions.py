@@ -46,6 +46,8 @@ from .qcore import QParam, as_qparam
 
 _TWO_OVER_PI = 2.0 / math.pi
 _ETA_HUGE = 700.0  # beyond this e^eta overflows a double; switch to e^-eta forms
+# ln 2 as a 32-bit head, whose product with a binary exponent is exact, and a tail
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 # the scalar functions test for a QParam inline, which skips the as_qparam
 # call on the QParam a grid kernel passes to cf_bounds on every row
 
@@ -76,17 +78,22 @@ def _cf_argument(qp, eta):
     eta = float(eta)
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta!r}")
-    if eta > _ETA_HUGE:
+    if eta <= _ETA_HUGE:
+        e = math.exp(eta)
+        y = (qp.q_inv - qp.q) / (e - qp.q) if e > qp.q_inv else 1.0
+    elif qp.q_inv < math.inf:
         # the -q in the denominator is below double resolution here
-        return (qp.q_inv - qp.q) * math.exp(-eta)
-    e = math.exp(eta)
-    if e > qp.q_inv:
-        y = (qp.q_inv - qp.q) / (e - qp.q)
-        if y < 1.0:
-            return y
+        y = (qp.q_inv - qp.q) * math.exp(-eta)
+    else:
+        # 1/q overflows below q of about 5.6e-309, and q^2 is below resolution:
+        # with q = m 2^p, y = e^(-eta - p ln 2)/m, its exponent exact to eta ~ 2 ln(1/q)
+        m, p = math.frexp(qp.q)
+        y = math.exp((-eta - p * _LN2_HI) - p * _LN2_LO) / m
+    if y < 1.0:
+        return y
     raise DomainError(
         f"occupation requires e^eta > 1/q, with y = (1/q - q)/(e^eta - q) "
-        f"below 1 in doubles (eta > {math.log(qp.q_inv):.6g}); "
+        f"below 1 in doubles (eta > {qp.ln_q_inv:.6g}); "
         f"got eta={eta!r} at q={qp.q!r}"
     )
 
@@ -167,7 +174,7 @@ def cf_convergent(q, eta, k):
     if qp.is_classical_limit:
         return _bose_occupation(float(eta))
     y = _cf_argument(qp, eta)
-    pref = 1.0 / (2.0 * math.log(qp.q_inv))
+    pref = 1.0 / (2.0 * qp.ln_q_inv)
     return pref * kernels.cf_convergent_value(y, int(k))
 
 
@@ -221,7 +228,7 @@ def cf_bounds(q, eta):
 def _bounded_occupation(qp, y):
     # pref y, pref y/(1 - y) and the closed form -pref ln(1 - y), clamped
     # into the two: where y < 1e-15 it can round an ulp outside them
-    two_log = 2.0 * math.log(qp.q_inv)
+    two_log = 2.0 * qp.ln_q_inv
     lower = (1.0 / two_log) * y
     upper = lower / (1.0 - y)
     exact = -math.log1p(-y) / two_log
@@ -259,7 +266,7 @@ def bounds_rows(q, etas):
     qp = as_qparam(q)
     classical = qp.is_classical_limit
     if not classical:
-        pref = 1.0 / (2.0 * math.log(qp.q_inv))
+        pref = 1.0 / (2.0 * qp.ln_q_inv)
     rows = []
     for eta in etas:
         lower, upper, exact = cf_bounds(qp, eta)

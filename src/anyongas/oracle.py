@@ -11,7 +11,6 @@ the whole suite into a machine-readable report.
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from . import distributions, qfunctions, thermo
 from .algebra import (build_b_rep, build_f_rep, eigenvalue_seq_f,
@@ -28,28 +27,12 @@ _NMAX_START = 32
 _NMAX_CAP = 4096
 
 
-@dataclass(frozen=True)
-class TraceSpec:
-    """One grand-canonical trace average over a single mode.
-
-    eta is beta (E - mu).  For the B family n_max=None means adaptive
-    truncation (doubling from 32 until the next dropped term is below
-    1e-15 of both partial sums, capped at 4096).  The F family always
-    has exactly two states.
-    """
-
-    family: Family
-    q: object
-    eta: float
-    observable: str
-    n_max: int = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "family", as_family(self.family))
-        object.__setattr__(self, "q", as_qparam(self.q))
-        if self.observable not in OBSERVABLES:
-            raise DomainError(f"unknown observable {self.observable!r}; "
-                              f"choose from {OBSERVABLES}")
+def _trace_inputs(family, q, observable):
+    # the Family and QParam of one trace average, for a known observable
+    if observable not in OBSERVABLES:
+        raise DomainError(f"unknown observable {observable!r}; "
+                          f"choose from {OBSERVABLES}")
+    return as_family(family), as_qparam(q)
 
 
 def _powers(r):
@@ -82,18 +65,21 @@ def _b_terms(observable, q, w):
     return _basic_terms(q, w / q)  # basic_N and adag_a: [n] w^n
 
 
-def trace_average(spec):
-    """Sum_n O(n) e^(-eta n) / Sum_n e^(-eta n) over the Fock spectrum.
+def trace_average(family, q, eta, observable, n_max=None):
+    """Sum_n O(n) e^(-eta n) / Sum_n e^(-eta n) over the Fock spectrum of one mode.
 
-    Observables: N, q^N (qN), q^-N (q_inv_N), [N] (basic_N) and a+ a
-    (adag_a), which is [N] for the B family.  Each B term is a product
-    of positive factors, so the sums hold full precision for every q,
-    q = 1 included, with no branch on it.  The B family needs finite
-    eta > 0, and e^eta > 1/q for the observables that grow like q^-n.
+    eta is beta (E - mu).  Observables: N, q^N (qN), q^-N (q_inv_N), [N]
+    (basic_N) and a+ a (adag_a), which is [N] for the B family.  The F
+    family has exactly two states.  The B family needs finite eta > 0,
+    and e^eta > 1/q for the observables that grow like q^-n; n_max=None
+    truncates adaptively, doubling from 32 until the next dropped term is
+    below 1e-15 of both partial sums, capped at 4096.  Each B term is a
+    product of positive factors, so the sums hold full precision for
+    every q, q = 1 included, with no branch on it.
     """
-    qp = spec.q
-    eta = float(spec.eta)
-    if spec.family is Family.F:
+    family, qp = _trace_inputs(family, q, observable)
+    eta = float(eta)
+    if family is Family.F:
         w = math.exp(-eta)
         betas = eigenvalue_seq_f(qp, 1)
         values = {
@@ -102,54 +88,53 @@ def trace_average(spec):
             "q_inv_N": (1.0, qp.q_inv),
             "adag_a": (betas[0], betas[1]),
             "basic_N": (basic_number(qp, 0), basic_number(qp, 1)),
-        }[spec.observable]
+        }[observable]
         return (values[0] + values[1] * w) / (1.0 + w)
 
     if not 0.0 < eta < math.inf:
         raise DomainError(f"B-family trace requires finite eta > 0, got {eta!r}")
     w = math.exp(-eta)
-    if spec.observable not in ("N", "qN") and w / qp.q >= 1.0:
+    if observable not in ("N", "qN") and w / qp.q >= 1.0:
         raise DomainError(
-            f"observable {spec.observable} needs e^eta > 1/q for convergence"
+            f"observable {observable} needs e^eta > 1/q for convergence"
         )
-    n_max = spec.n_max if spec.n_max is not None else _NMAX_START
+    last = _NMAX_START if n_max is None else n_max
     num = den = 0.0
     wn = 1.0
-    for n, term in enumerate(_b_terms(spec.observable, qp.q, w)):
-        if n > n_max:
-            # term and wn are the first terms past n_max; a doubled n_max
-            # carries the same sums on
+    for n, term in enumerate(_b_terms(observable, qp.q, w)):
+        if n > last:
+            # term and wn are the first terms past the last state; a doubled
+            # last state carries the same sums on
             if term <= _TAIL_REL * num and wn <= _TAIL_REL * den:
                 return num / den
-            if spec.n_max is not None or n_max >= _NMAX_CAP:
+            if n_max is not None or last >= _NMAX_CAP:
                 raise ConvergenceError(
-                    f"trace at q={qp.q}, eta={eta}, {spec.observable}: tail "
-                    f"bound unmet at n_max={n_max}"
+                    f"trace at q={qp.q}, eta={eta}, {observable}: tail "
+                    f"bound unmet at n_max={last}"
                 )
-            n_max *= 2
+            last *= 2
         num += term
         den += wn
         wn *= w
 
 
-def trace_average_matrix(spec):
-    """Same average evaluated through the operator representation.
+def trace_average_matrix(family, q, eta, observable, n_max=None):
+    """Same average as `trace_average`, through the operator representation.
 
     Weights e^(-eta n) multiply the diagonal of the observable in the
     Fock basis, read from the representation's bands (a+ a has the
     diagonal s_n^2 of the band entries s_n) rather than from the closed
     forms; ties the operator picture to the spectral picture.  The
-    B-family representation spans the states 0..spec.n_max, so it gives
-    the same truncated sum as trace_average with that n_max.
+    B-family representation spans the states 0..n_max, so it needs an
+    n_max, and gives the same truncated sum as trace_average with it.
     """
-    qp = spec.q
-    if spec.family is Family.F:
+    family, qp = _trace_inputs(family, q, observable)
+    if family is Family.F:
         rep = build_f_rep(qp)
     else:
-        if spec.n_max is None:
-            raise DomainError(
-                "the B-family representation needs a TraceSpec with n_max")
-        rep = build_b_rep(qp, spec.n_max + 1)
+        if n_max is None:
+            raise DomainError("the B-family representation needs an n_max")
+        rep = build_b_rep(qp, n_max + 1)
     ns = range(rep.dim)
     diagonals = {
         "N": lambda: rep.number,
@@ -158,8 +143,8 @@ def trace_average_matrix(spec):
         "basic_N": lambda: [0.0] + [s * s for s in rep.band],
         "adag_a": lambda: [0.0] + [s * s for s in rep.band],
     }
-    diag = diagonals[spec.observable]()
-    eta = float(spec.eta)
+    diag = diagonals[observable]()
+    eta = float(eta)
     weights = [math.exp(-eta * n) for n in ns]
     return math.fsum(map(operator.mul, diag, weights)) / math.fsum(weights)
 
@@ -175,25 +160,23 @@ def basic_mean_closed_form(q, eta):
     return w * (1.0 - w) / ((1.0 - qp.q * w) * (1.0 - qp.q_inv * w))
 
 
-def check_detailed_trace_identity_b(q, eta, n_max=None):
+def check_detailed_trace_identity_b(q, eta):
     """Residual of the exact B-family trace identity.
 
     The cyclic trace property gives (e^eta - q) <[N]> = <q^-N>; both
     sides are evaluated by independent brute-force sums.
     """
     qp = as_qparam(q)
-    lhs = (math.exp(float(eta)) - qp.q) * trace_average(
-        TraceSpec(Family.B, qp, eta, "basic_N", n_max))
-    rhs = trace_average(TraceSpec(Family.B, qp, eta, "q_inv_N", n_max))
+    lhs = (math.exp(float(eta)) - qp.q) * trace_average(Family.B, qp, eta, "basic_N")
+    rhs = trace_average(Family.B, qp, eta, "q_inv_N")
     return abs(lhs - rhs)
 
 
 def check_detailed_trace_identity_f(q, eta):
     """Residual of the exact two-state identity (e^eta + 1/q) <a+a> = <q^-N>."""
     qp = as_qparam(q)
-    lhs = (math.exp(float(eta)) + qp.q_inv) * trace_average(
-        TraceSpec(Family.F, qp, eta, "adag_a"))
-    rhs = trace_average(TraceSpec(Family.F, qp, eta, "q_inv_N"))
+    lhs = (math.exp(float(eta)) + qp.q_inv) * trace_average(Family.F, qp, eta, "adag_a")
+    rhs = trace_average(Family.F, qp, eta, "q_inv_N")
     return abs(lhs - rhs)
 
 
@@ -370,9 +353,9 @@ def run_verification():
         for offset in (0.7, 2.0):  # offsets where 64 states meet the tail bound
             eta = math.log(1.0 / q) + offset
             for obs in ("N", "qN", "q_inv_N", "basic_N"):
-                spec = TraceSpec(Family.B, qp, eta, obs, n_max=64)
+                spec = (Family.B, qp, eta, obs, 64)
                 worst = max(worst, abs(
-                    trace_average(spec) - trace_average_matrix(spec)))
+                    trace_average(*spec) - trace_average_matrix(*spec)))
     checks.append(CheckResult.from_residual(
         "trace-matrix-vs-scalar", {"dims": 65}, worst, 1e-12))
 
@@ -380,9 +363,8 @@ def run_verification():
     for q in qs:
         qp = as_qparam(q)
         for eta in _b_eta_grid(q):
-            worst = max(worst, abs(
-                trace_average(TraceSpec(Family.B, qp, eta, "basic_N"))
-                - basic_mean_closed_form(qp, eta)))
+            worst = max(worst, abs(trace_average(Family.B, qp, eta, "basic_N")
+                                   - basic_mean_closed_form(qp, eta)))
     checks.append(CheckResult.from_residual(
         "basic-mean-geometric-reference", {"qs": list(qs)}, worst, 1e-12))
 
@@ -481,8 +463,8 @@ def run_verification():
     for q in (0.5, 0.9):
         qp = as_qparam(q)
         eta = _b_eta_grid(q)[1]
-        a = trace_average(TraceSpec(Family.B, qp, eta, "basic_N", n_max=512))
-        b = trace_average(TraceSpec(Family.B, qp, eta, "basic_N", n_max=1024))
+        a = trace_average(Family.B, qp, eta, "basic_N", n_max=512)
+        b = trace_average(Family.B, qp, eta, "basic_N", n_max=1024)
         worst = max(worst, abs(a - b))
     checks.append(CheckResult.from_residual(
         "trace-truncation-stability", {"n_max": "512 vs 1024"}, worst, 1e-12))
@@ -494,8 +476,7 @@ def run_verification():
         "while the parity identification assigns the q-dependent value "
         "1/(q e^eta + 1); both are reported, neither is altered.",
         {
-            "trace_average": trace_average(
-                TraceSpec(Family.F, q_note, eta_note, "adag_a")),
+            "trace_average": trace_average(Family.F, q_note, eta_note, "adag_a"),
             "assigned_occupation": distributions.f_occupation(q_note, eta_note),
             "q": q_note, "eta": eta_note,
         },
@@ -509,8 +490,7 @@ def run_verification():
         "a ratio; pointwise q^-n differs from <q^-N>.",
         {
             "q_pow_minus_n": 0.5 ** -n_b,
-            "trace_q_inv_N": trace_average(
-                TraceSpec(Family.B, q_note, eta_b, "q_inv_N")),
+            "trace_q_inv_N": trace_average(Family.B, q_note, eta_b, "q_inv_N"),
             "q": q_note, "eta": eta_b,
         },
     ))

@@ -62,7 +62,8 @@ class QParam:
 
     ``q_inv`` is 1/q and ``inv_minus_q`` is 1/q - q, formed as
     -2 sinh(ln q) so that it does not cancel as q -> 1.  Both are inf
-    below about q = 5.6e-309, where 1/q overflows.
+    below about q = 5.6e-309, where 1/q overflows.  ``ln_q_inv`` is
+    ln(1/q), the log of ``q_inv`` where that is finite and -ln q below.
     """
 
     q: float
@@ -75,6 +76,8 @@ class QParam:
         # derived once: the occupation kernels read them on every row
         object.__setattr__(self, "is_classical_limit", abs(q - 1.0) < CLASSICAL_EPS)
         object.__setattr__(self, "q_inv", 1.0 / q)
+        object.__setattr__(self, "ln_q_inv", math.log(self.q_inv)
+                           if self.q_inv < math.inf else -math.log(q))
         try:
             inv_minus_q = -2.0 * math.sinh(math.log(q))
         except OverflowError:  # q below about 2.8e-309, where q_inv is inf too

@@ -6,8 +6,9 @@ generalized zeta functions supplying the q dependence:
     B family:  P = (kT/lam^3) g(q, z, 5/2),   N/V = g(q, z, 3/2)/lam^3
     F family:  P = gs (kT/lam^3) f(z/q, 5/2), N/V = gs f(z/q, 3/2)/lam^3
 
-with lam the thermal wavelength and gs the multiplicity.  Natural units
-h = k = 1 by default; the constants enter explicitly so SI checks work.
+with lam = h/sqrt(2 pi m k T) the thermal wavelength and gs the
+multiplicity.  h and k enter only through lam and k T, in natural units
+h = k = 1 unless GasParams is given others, SI among them.
 A given density is turned into a fugacity by a Brent-Dekker solve in
 ln(z/q) on a bracket from closed-form bounds.  Virial coefficients come
 from Lagrange inversion of the density series in x = z/q, summed in
@@ -24,8 +25,7 @@ from operator import mul
 
 from .errors import ConvergenceError, DomainError
 from .qcore import Family, as_family, as_qparam, jackson_derivative
-from .qfunctions import bose_g, bose_g_supremum, fermi_f, thermal_wavelength
-from .units import NATURAL
+from .qfunctions import bose_g, bose_g_supremum, fermi_f
 
 FUGACITY_REL_TOL = 1e-12
 FUGACITY_MAX_ITER = 200
@@ -55,8 +55,9 @@ class GasParams:
     Exactly one of ``fugacity`` and ``density`` must be given; density
     means the dimensionless combination lam^3 N / V.  ``multiplicity``
     is the spin degeneracy factor of the F family; the B state functions
-    carry none, so there it must be 1.  Temperature, mass and volume must
-    be positive and finite.
+    carry none, so there it must be 1.  ``h`` and ``k`` are the Planck and
+    Boltzmann constants, natural units by default.  Temperature, mass,
+    volume, h and k must be positive and finite.
     """
 
     family: Family
@@ -67,14 +68,15 @@ class GasParams:
     mass: float = 1.0
     volume: float = 1.0
     multiplicity: int = 1
-    units: object = NATURAL
+    h: float = 1.0
+    k: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "family", as_family(self.family))
         object.__setattr__(self, "q", as_qparam(self.q))
         if (self.fugacity is None) == (self.density is None):
             raise DomainError("give exactly one of fugacity and density")
-        for name in ("temperature", "mass", "volume"):
+        for name in ("temperature", "mass", "volume", "h", "k"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise DomainError(f"{name} must be positive and finite, got {value!r}")
@@ -113,16 +115,25 @@ class StateFunctions:
     thermal_wavelength: float
 
 
+def thermal_wavelength(mass, temperature, h=1.0, k=1.0):
+    """Thermal de Broglie wavelength h / sqrt(2 pi m k T)."""
+    mass = float(mass)
+    temperature = float(temperature)
+    if not mass > 0.0 or not temperature > 0.0:
+        raise DomainError("mass and temperature must be positive")
+    return h / math.sqrt(2.0 * math.pi * mass * k * temperature)
+
+
 def _thermal_scales(params):
     # k T, lam and lam^3, which the state functions multiply and divide by,
     # so k T must be finite and lam^3 a positive finite double
-    kt = params.units.k * params.temperature
+    kt = params.k * params.temperature
     if not kt < math.inf:
         raise DomainError(
-            f"k T is {kt!r} at k={params.units.k!r}, T={params.temperature!r}; "
+            f"k T is {kt!r} at k={params.k!r}, T={params.temperature!r}; "
             "bring k T below the largest double"
         )
-    lam = thermal_wavelength(params.mass, params.temperature, params.units)
+    lam = thermal_wavelength(params.mass, params.temperature, params.h, params.k)
     try:
         lam3 = lam ** 3
     except OverflowError:
@@ -130,7 +141,7 @@ def _thermal_scales(params):
     if not 0.0 < lam3 < math.inf:
         raise DomainError(
             f"lam^3 = (h^2/(2 pi m k T))^(3/2) is {lam3!r} at m={params.mass!r}, "
-            f"T={params.temperature!r}, h={params.units.h!r}, k={params.units.k!r}; "
+            f"T={params.temperature!r}, h={params.h!r}, k={params.k!r}; "
             "bring m k T / h^2 closer to 1"
         )
     return kt, lam, lam3
@@ -175,7 +186,7 @@ def _state(params, z, zeta52, zeta32, gs):
     return StateFunctions(
         pressure=pressure,
         internal_energy=1.5 * pressure * params.volume,
-        entropy=params.volume * gs * params.units.k / lam3
+        entropy=params.volume * gs * params.k / lam3
         * (2.5 * zeta52 - zeta32 * math.log(z)),
         number_density=gs * zeta32 / lam3,
         grand_potential=-pressure * params.volume,

@@ -1,5 +1,6 @@
 """The seven subcommands run through cli.main(argv), plus the oracle suite."""
 
+import importlib
 import json
 import math
 import os
@@ -8,11 +9,12 @@ import sys
 
 import pytest
 
+import anyongas
 from anyongas import cli, oracle, thermo
 from anyongas.distributions import b_occupation, classical_limit_rows
 from anyongas.errors import DomainError
-from anyongas.qfunctions import bose_g
-from anyongas.thermo import solve_fugacity
+from anyongas.qfunctions import bose_g, fermi_f
+from anyongas.thermo import solve_fugacity, thermal_wavelength
 
 
 def _run(tmp_path, argv):
@@ -33,11 +35,11 @@ def test_oracle_suite_passes():
 def test_trace_matrices_span_the_n_max_states():
     # 64 states meet the tail bound at this eta, so both sums are the same one
     eta = math.log(2.0) + 2.0
-    spec = oracle.TraceSpec("b", 0.5, eta, "basic_N", n_max=64)
-    assert oracle.trace_average_matrix(spec) == pytest.approx(
-        oracle.trace_average(spec), abs=1e-12)
+    spec = ("b", 0.5, eta, "basic_N", 64)
+    assert oracle.trace_average_matrix(*spec) == pytest.approx(
+        oracle.trace_average(*spec), abs=1e-12)
     with pytest.raises(DomainError, match="n_max"):
-        oracle.trace_average_matrix(oracle.TraceSpec("b", 0.5, eta, "basic_N"))
+        oracle.trace_average_matrix("b", 0.5, eta, "basic_N")
 
 
 class TestOccupation:
@@ -53,6 +55,16 @@ class TestOccupation:
         for row in rows:
             assert row["n_exact"] == b_occupation(0.5, row["eta"])
             assert row["n_lower"] < row["n_exact"] < row["n_upper"]
+
+    def test_b_family_at_a_subnormal_q(self, tmp_path):
+        # 1/q is inf below q of about 5.6e-309, and the pole is at eta = 713.8
+        status, _, rows = _run(tmp_path, [
+            "occupation", "--family", "b", "--q", "1e-310", "--eta-min", "714",
+            "--eta-max", "800", "--steps", "2"])
+        assert status == 0
+        for row in rows:
+            assert row["n_exact"] == b_occupation(1e-310, row["eta"]) > 0.0
+            assert row["n_lower"] <= row["n_exact"] <= row["n_upper"] < math.inf
 
     def test_f_family_values(self, tmp_path):
         status, _, rows = _run(tmp_path, [
@@ -154,6 +166,19 @@ class TestEos:
                 bose_g(row["q"], row["fugacity"], 1.5), rel=1e-15, abs=0.0)
             assert row["internal_energy"] == pytest.approx(
                 1.5 * row["pressure"], rel=1e-15, abs=0.0)
+
+    def test_si_units(self, tmp_path):
+        # an electron gas at 300 K, with the CODATA 2018 h and k
+        h, k, mass = 6.62607015e-34, 1.380649e-23, 9.1093837015e-31
+        status, payload, rows = _run(tmp_path, [
+            "eos", "--family", "f", "--q", "0.5", "--z", "0.3", "--temperature", "300",
+            "--mass", repr(mass), "--h", repr(h), "--k", repr(k), "--volume", "1e-27"])
+        assert status == 0
+        assert (payload["config"]["h"], payload["config"]["k"]) == (h, k)
+        (row,) = rows
+        assert row["lambda3"] == thermal_wavelength(mass, 300.0, h, k) ** 3
+        assert row["pressure"] == pytest.approx(
+            k * 300.0 * fermi_f(0.3 / 0.5, 2.5) / row["lambda3"], rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("family", ["b", "f"])
     def test_density_is_met(self, tmp_path, family):
@@ -546,12 +571,20 @@ def test_import_loads_neither_scipy_nor_mpmath():
 
 @pytest.mark.parametrize("name", [
     "PowerSeries", "q_factorial", "f_occupation_series", "sommerfeld_density_factor",
-    "fermi_energy", "chemical_potential_f", "f_partition_log"])
+    "fermi_energy", "chemical_potential_f", "f_partition_log", "UnitSystem", "SI",
+    "NATURAL", "TraceSpec"])
 def test_power_series_is_not_exported(name):
     import anyongas
 
     with pytest.raises(AttributeError, match=name):
         getattr(anyongas, name)
+
+
+@pytest.mark.parametrize("name", [name for names in anyongas._LAZY.values()
+                                  for name in names])
+def test_every_lazy_name_resolves(name):
+    module = importlib.import_module(f"anyongas.{anyongas._LAZY_MODULE[name]}")
+    assert getattr(anyongas, name) is getattr(module, name)
 
 
 def test_package_exports_algebra_and_oracle_names_lazily():

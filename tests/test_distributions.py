@@ -503,3 +503,60 @@ class TestBoseOverflow:
         eta = 6e-309
         assert b_occupation(1.0, eta) == 1.0 / eta < math.inf
         assert all(v < math.inf for v in bounds_rows(1.0, [eta])[0])
+
+
+class TestSubnormalQ:
+    """Below q of about 5.6e-309 1/q is inf; the pole sits at eta > 709."""
+
+    QS = (1e-310, 3e-309, 5e-309, 5.5e-309, 1e-320, 5e-324)
+    OFFSETS = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 600.0)  # eta - ln(1/q)
+
+    @staticmethod
+    def _reference(q, eta):
+        # lower, second convergent, upper and exact at 80 digits from the doubles
+        with mpmath.workdps(80):
+            qm, em = mpmath.mpf(q), mpmath.mpf(eta)
+            y = (1 / qm - qm) / (mpmath.exp(em) - qm)
+            pref = 1 / (2 * mpmath.log(1 / qm))
+            return pref * y, pref * 2 * y / (2 - y), pref * y / (1 - y), \
+                -pref * mpmath.log1p(-y)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_against_mpmath(self, q):
+        for offset in self.OFFSETS:
+            eta = -math.log(q) + offset
+            lower, second, upper, exact = self._reference(q, eta)
+            pair = cf_bounds(q, eta)
+            assert _rel(pair.exact, exact) <= 1e-13, offset
+            assert _rel(b_occupation(q, eta), exact) <= 1e-13, offset
+            assert _rel(pair.lower, lower) <= 1e-13, offset
+            assert _rel(cf_convergent(q, eta, 2), second) <= 1e-13, offset
+            # upper = lower/(1 - y) carries the rounding of y times 1/(1 - y),
+            # at every q: 1.2e-13 at offset 1e-3, 4.3e-14 from 1e-2 on
+            assert _rel(pair.upper, upper) <= (1e-13 if offset >= 1e-2 else 2e-13), \
+                offset
+
+    @pytest.mark.parametrize("q", QS)
+    def test_grid_kernels_match_the_scalar_functions(self, q):
+        floor = -math.log(q)
+        etas = [floor + d for d in self.OFFSETS] + [floor + 800.0, 2000.0]
+        # n_jd needs e^-eta < q, which the first offsets miss at q = 5e-324
+        jd_etas = [eta for eta in etas if math.exp(-eta) < q]
+        for row, eta in zip(b_occupation_rows(q, jd_etas), jd_etas):
+            lower, upper, exact = cf_bounds(q, eta)
+            assert _same_doubles(row, (eta, exact, b_occupation_jd(q, math.exp(-eta)),
+                                       lower, upper)), eta
+        for row, eta in zip(bounds_rows(q, etas), etas):
+            lower, upper, exact = cf_bounds(q, eta)
+            assert _same_doubles(row, (eta, lower, cf_convergent(q, eta, 2), upper,
+                                       exact, upper - lower)), eta
+
+    @pytest.mark.parametrize("q", QS)
+    def test_below_the_pole_is_domain_error(self, q):
+        eta = -math.log(q) - 1e-3
+        for func in (b_occupation, cf_bounds):
+            with pytest.raises(DomainError, match="requires e\\^eta > 1/q"):
+                func(q, eta)
+        with pytest.raises(DomainError, match="requires e\\^eta > 1/q"):
+            bounds_rows(q, [eta])
+

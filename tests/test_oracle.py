@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from anyongas.errors import ConvergenceError, DomainError
-from anyongas.oracle import TraceSpec, trace_average, trace_average_matrix
+from anyongas.oracle import trace_average, trace_average_matrix
 from anyongas.qcore import Family
 
 # deformed, near the undeformed limit on both sides of |q - 1| = 1e-12,
@@ -33,7 +33,7 @@ def _closed_form(observable, q, eta):
 def test_b_sums_match_the_closed_forms(observable, q):
     for offset in OFFSETS:
         eta = -math.log(q) + offset
-        got = trace_average(TraceSpec(Family.B, q, eta, observable))
+        got = trace_average(Family.B, q, eta, observable)
         assert got == pytest.approx(_closed_form(observable, q, eta), rel=1e-14,
                                     abs=0.0)
 
@@ -41,8 +41,8 @@ def test_b_sums_match_the_closed_forms(observable, q):
 @pytest.mark.parametrize("q", [0.5, 1 - 1e-13, 1.0])
 def test_adag_a_is_basic_n_in_the_b_family(q):
     eta = -math.log(q) + 0.7
-    assert trace_average(TraceSpec(Family.B, q, eta, "adag_a")) == \
-        trace_average(TraceSpec(Family.B, q, eta, "basic_N"))
+    assert trace_average(Family.B, q, eta, "adag_a") == \
+        trace_average(Family.B, q, eta, "basic_N")
 
 
 @pytest.mark.parametrize("q", [0.3, 0.9, 1.0])
@@ -58,44 +58,45 @@ def test_f_two_state_values(q, eta):
         "adag_a": w / (1 + w),
     }
     for observable, value in expected.items():
-        got = trace_average(TraceSpec(Family.F, q, eta, observable))
+        got = trace_average(Family.F, q, eta, observable)
         assert got == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
-def test_a_adag_is_not_an_observable():
+@pytest.mark.parametrize("average", [trace_average, trace_average_matrix])
+def test_a_adag_is_not_an_observable(average):
     with pytest.raises(DomainError, match="unknown observable 'a_adag'"):
-        TraceSpec(Family.B, 0.5, 2.0, "a_adag")
+        average(Family.B, 0.5, 2.0, "a_adag", n_max=8)
 
 
 @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
 def test_b_eta_outside_the_domain(eta):
     with pytest.raises(DomainError, match="finite eta > 0"):
-        trace_average(TraceSpec(Family.B, 0.5, eta, "N"))
+        trace_average(Family.B, 0.5, eta, "N")
 
 
 @pytest.mark.parametrize("observable", ["q_inv_N", "basic_N", "adag_a"])
 def test_growing_observables_need_e_eta_above_one_over_q(observable):
     with pytest.raises(DomainError, match="e\\^eta > 1/q"):
-        trace_average(TraceSpec(Family.B, 0.5, math.log(2.0), observable))
+        trace_average(Family.B, 0.5, math.log(2.0), observable)
     # N and q^N converge for every eta > 0
-    assert trace_average(TraceSpec(Family.B, 0.5, math.log(2.0), "N")) == \
+    assert trace_average(Family.B, 0.5, math.log(2.0), "N") == \
         pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def test_weights_that_underflow_give_zero():
     # e^-eta is 0.0 in doubles, so every term past n = 0 is 0
-    assert trace_average(TraceSpec(Family.B, 0.5, 800.0, "N")) == 0.0
-    assert trace_average(TraceSpec(Family.B, 0.5, 800.0, "basic_N")) == 0.0
+    assert trace_average(Family.B, 0.5, 800.0, "N") == 0.0
+    assert trace_average(Family.B, 0.5, 800.0, "basic_N") == 0.0
 
 
 def test_fixed_n_max_that_misses_the_tail_bound():
     with pytest.raises(ConvergenceError, match="n_max=8"):
-        trace_average(TraceSpec(Family.B, 0.5, 1.0, "N", n_max=8))
+        trace_average(Family.B, 0.5, 1.0, "N", n_max=8)
 
 
 @pytest.mark.parametrize("q", [0.5, 1 - 1e-11, 1.0])
 @pytest.mark.parametrize("observable", ["N", "qN", "q_inv_N", "basic_N"])
 def test_matrix_and_scalar_sums_agree(q, observable):
-    spec = TraceSpec(Family.B, q, -math.log(q) + 2.0, observable, n_max=64)
-    assert trace_average_matrix(spec) == pytest.approx(
-        trace_average(spec), rel=1e-14, abs=0.0)
+    spec = (Family.B, q, -math.log(q) + 2.0, observable, 64)
+    assert trace_average_matrix(*spec) == pytest.approx(
+        trace_average(*spec), rel=1e-14, abs=0.0)

@@ -36,6 +36,12 @@ class TestQParam:
         qp = QParam(q)
         assert qp.q_inv == math.inf
         assert qp.inv_minus_q == math.inf
+        assert qp.ln_q_inv == -math.log(q)
+
+    @pytest.mark.parametrize("q", [1.0, 0.5, 1e-300, 5.6e-309])
+    def test_ln_q_inv_is_the_log_of_q_inv_where_that_is_finite(self, q):
+        qp = QParam(q)
+        assert qp.ln_q_inv == math.log(qp.q_inv)
 
     def test_coercion(self):
         assert as_qparam(0.5).q == 0.5

@@ -7,8 +7,7 @@ import pytest
 from anyongas.errors import DomainError
 from anyongas.qcore import basic_number
 from anyongas.qfunctions import (bose_g, bose_g_supremum, fermi_f, polylog, quad,
-                                 quad_nodes, thermal_wavelength)
-from anyongas.units import SI, ELECTRON_MASS_SI
+                                 quad_nodes)
 
 
 class TestBoseG:
@@ -54,10 +53,10 @@ class TestBoseG:
             bose_g(0.7, 0.0, 1.5)
         with pytest.raises(DomainError):
             bose_g(1.0, 1.0, 1.5)
-        with pytest.raises(DomainError, match="order must be positive and finite"):
+        with pytest.raises(DomainError, match=r"order must lie in \(0, 150\]"):
             bose_g(0.9, 0.85, math.inf)
-        for q in (0.5, 1.0):
-            with pytest.raises(DomainError, match="order must be finite"):
+        for q, low in ((0.5, 0), (1.0, 1)):
+            with pytest.raises(DomainError, match=rf"order must lie in \({low}, 150\]"):
                 bose_g_supremum(q, math.inf)
 
     def test_z_from_q_to_one_is_outside_the_domain_near_q_one(self):
@@ -170,6 +169,57 @@ class TestPolylog:
                 polylog(s, x)
 
 
+class TestOrderDomain:
+    """Orders up to 150 everywhere, and fermi_f above x = 1 only from 1 to 12."""
+
+    def test_polylog_at_the_edges(self):
+        for s in (0.01, 150.0):
+            for x in (1e-5, 0.3, 0.5, 0.7, 0.999, 1.0 - 1e-9):
+                with mpmath.workdps(40):
+                    want = mpmath.polylog(s, mpmath.mpf(x))
+                assert _rel(polylog(s, x), want) < 1e-14, (s, x)
+        for s in (math.nextafter(150.0, math.inf), 200.0, 1e300):
+            with pytest.raises(DomainError, match=r"order must lie in \(0, 150\]"):
+                polylog(s, 0.3)
+
+    @pytest.mark.parametrize("q", [0.3, 0.9, 1.0 - 1e-6, 1.0])
+    def test_bose_g_at_order_150(self, q):
+        for x in (1e-5, 0.3, 0.7, 0.999):
+            assert _rel(bose_g(q, q * x, 150.0), reference_g(q, q * x, 150.0)) < 1e-13
+        assert _rel(bose_g_supremum(q, 150.0), reference_g(q, q, 150.0)) < 1e-13
+
+    @pytest.mark.parametrize("order", [150.5, 200.0, 1e300])
+    def test_bose_g_refuses_orders_above_150(self, order):
+        with pytest.raises(DomainError, match=r"order must lie in \(0, 150\]"):
+            bose_g(0.5, 0.2, order)
+        with pytest.raises(DomainError, match=r"order must lie in \(0, 150\]"):
+            bose_g_supremum(0.5, order)
+
+    def test_fermi_f_at_the_edges(self):
+        # the series at orders 0.01 and 150, the integral at orders 1 and 12
+        for x in (1e-5, 0.3, 0.7, 1.0):
+            for order in (0.01, 150.0):
+                assert _rel(fermi_f(x, order), reference_f(x, order)) < 1e-13, (x, order)
+        for ln_x in (1e-12, 1e-6, 1e-3, 0.1, 1.0, 10.0, 59.9, 60.1, 100.0, 700.0):
+            x = math.exp(ln_x)
+            for order in (1.0, 12.0):
+                assert _rel(fermi_f(x, order), reference_f(x, order)) < 1e-13, \
+                    (ln_x, order)
+
+    def test_fermi_f_refuses_orders_where_its_methods_fail(self):
+        for x, order in ((0.5, 1e300), (3.0, 1e300), (0.5, 150.5)):
+            with pytest.raises(DomainError, match=r"order must lie in \(0, 150\]"):
+                fermi_f(x, order)
+        for x in (1.0 + 1e-6, 3.0):
+            for order in (0.5, math.nextafter(1.0, 0.0), math.nextafter(12.0, 13.0), 15.0):
+                with pytest.raises(DomainError, match=r"for x > 1 the order must lie in "
+                                                      r"\[1, 12\]"):
+                    fermi_f(x, order)
+        # the series takes them below x = 1
+        assert fermi_f(1.0, 0.5) == pytest.approx(float(mpmath.altzeta(0.5)), rel=1e-14)
+        assert fermi_f(1.0, 15.0) == pytest.approx(float(mpmath.altzeta(15.0)), rel=1e-14)
+
+
 class TestQuad:
     def test_endpoint_singularities(self):
         # Int_0^1 u^-1/2 du = 2 and Int_0^2 (2 - u)^(1/2) du = (2/3) 2^(3/2)
@@ -229,27 +279,10 @@ class TestFermiF:
             fermi_f(-1.0, 1.5)
         with pytest.raises(DomainError):
             fermi_f(0.5, -1.0)
-        for x, order in ((math.inf, 1.5), (math.nan, 1.5), (3.0, math.inf),
-                         (3.0, math.nan)):
+        for x in (math.inf, math.nan):
             with pytest.raises(DomainError, match="must be positive and finite"):
-                fermi_f(x, order)
+                fermi_f(x, 1.5)
+        for order in (math.inf, math.nan):
+            with pytest.raises(DomainError, match=r"order must lie in \(0, 150\]"):
+                fermi_f(3.0, order)
 
-
-class TestThermalWavelength:
-    def test_normalization_point(self):
-        assert thermal_wavelength(1.0, 1.0 / (2.0 * math.pi)) == pytest.approx(
-            1.0, rel=1e-15, abs=0.0)
-
-    def test_scaling_law(self):
-        assert thermal_wavelength(1.0, 1.0) / thermal_wavelength(1.0, 4.0) \
-            == pytest.approx(2.0, rel=1e-15, abs=0.0)
-
-    def test_electron_at_room_temperature(self):
-        lam = thermal_wavelength(ELECTRON_MASS_SI, 300.0, SI)
-        assert lam == pytest.approx(4.30347543959521e-09, rel=1e-12, abs=0.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            thermal_wavelength(0.0, 300.0)
-        with pytest.raises(DomainError):
-            thermal_wavelength(1.0, -1.0)

@@ -10,10 +10,14 @@ from anyongas.errors import ConvergenceError, DomainError
 from anyongas.qcore import Family
 from anyongas.qfunctions import fermi_f
 from anyongas.thermo import (GasParams, b_density_supremum, b_state, brentq,
-                             f_state, solve_fugacity, virial_coefficients)
-from anyongas.units import UnitSystem
+                             f_state, solve_fugacity, thermal_wavelength,
+                             virial_coefficients)
 
 Q_GRID = (0.05, 0.1, 0.3, 0.5, 0.7, 0.76, 0.9, 0.99, 1.0 - 1e-9, 1.0)
+# CODATA 2018: h and k are exact, the electron mass is measured
+PLANCK_SI = 6.62607015e-34  # J s
+BOLTZMANN_SI = 1.380649e-23  # J / K
+ELECTRON_MASS_SI = 9.1093837015e-31  # kg
 
 
 class TestVirialF:
@@ -296,7 +300,7 @@ class TestInputValidation:
     def test_k_t_must_be_finite(self, state, family):
         # lam^3 = 0.0635 is a finite double here, k T = 1e600 is not
         params = GasParams(family=family, q=0.5, temperature=1e300, mass=1e-300,
-                           fugacity=0.25, units=UnitSystem(h=1e150, k=1e300))
+                           fugacity=0.25, h=1e150, k=1e300)
         with pytest.raises(DomainError, match="k T is inf at k=1e\\+300, T=1e\\+300"):
             state(params)
 
@@ -304,7 +308,7 @@ class TestInputValidation:
                                       (math.inf, 1.0), (1.0, math.nan)])
     def test_units_need_positive_finite_constants(self, h, k):
         with pytest.raises(DomainError, match="must be positive and finite"):
-            UnitSystem(h=h, k=k)
+            GasParams(family=Family.B, q=0.5, temperature=1.0, fugacity=0.25, h=h, k=k)
 
     @pytest.mark.parametrize("name", ["temperature", "mass", "volume"])
     def test_gas_params_need_finite_inputs(self, name):
@@ -323,3 +327,23 @@ class TestInputValidation:
                            fugacity=0.25)
         with pytest.raises(DomainError, match="lam\\^3"):
             state(params)
+
+
+class TestThermalWavelength:
+    def test_normalization_point(self):
+        assert thermal_wavelength(1.0, 1.0 / (2.0 * math.pi)) == pytest.approx(
+            1.0, rel=1e-15, abs=0.0)
+
+    def test_scaling_law(self):
+        assert thermal_wavelength(1.0, 1.0) / thermal_wavelength(1.0, 4.0) \
+            == pytest.approx(2.0, rel=1e-15, abs=0.0)
+
+    def test_electron_at_room_temperature(self):
+        lam = thermal_wavelength(ELECTRON_MASS_SI, 300.0, PLANCK_SI, BOLTZMANN_SI)
+        assert lam == pytest.approx(4.30347543959521e-09, rel=1e-12, abs=0.0)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            thermal_wavelength(0.0, 300.0)
+        with pytest.raises(DomainError):
+            thermal_wavelength(1.0, -1.0)
