@@ -22,7 +22,7 @@ from .errors import ConvergenceError, DomainError
 from .qcore import Family, QParam, as_qparam, basic_number, jackson_derivative
 from .qfunctions import bose_g, bose_g_supremum, fermi_f, polylog
 from .report import KNOWN_ERRATA, VerificationReport
-from .thermo import (GasParams, StateFunctions, b_partition_log, b_state,
+from .thermo import (StateFunctions, b_partition_log, b_state,
                      b_density_supremum, b_number_from_partition, f_state,
                      solve_fugacity, thermal_wavelength, virial_coefficients)
 

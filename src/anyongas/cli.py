@@ -38,7 +38,6 @@ import sys
 from . import distributions, thermo
 from .errors import ConvergenceError, DomainError
 from .qcore import Family, as_family, as_qparam
-from .thermo import GasParams
 
 SCHEMA_VERSION = "1"
 # the fugacity of an eos run given neither --z, a --z sweep nor --density
@@ -165,21 +164,21 @@ def _write(dataset, fmt, out_path, precision, extra_comments=()):
 # bounds rows come from the grid kernels of `distributions`
 
 
-def _eos_row(args, solved, q, temperature, z):
+def _eos_row(args, family, solved, q, temperature, z):
     # solved maps q to the fugacity of the --density solve, which depends on
-    # neither T nor the row: each q solves once in a command call
-    gas = functools.partial(
-        GasParams, family=args.family, q=q, temperature=temperature,
-        mass=args.mass, volume=args.volume, multiplicity=args.multiplicity,
-        h=args.h, k=args.k,
-    )
+    # neither T nor the row: each q solves once in a command call.  The F
+    # density is gs f(z/q, 3/2), so its solve targets density / gs
     if args.density is not None:
         if q not in solved:
-            solved[q] = gas(density=args.density).resolved_fugacity()
+            density = args.density
+            if family is Family.F:
+                density /= args.multiplicity
+            solved[q] = thermo.solve_fugacity(family, q, density)
         z = solved[q]
-    params = gas(fugacity=z)
-    state = thermo.b_state(params) if params.family is Family.B \
-        else thermo.f_state(params)
+    gas = dict(mass=args.mass, volume=args.volume, h=args.h, k=args.k)
+    state = (thermo.b_state(q, z, temperature, **gas) if family is Family.B
+             else thermo.f_state(q, z, temperature, multiplicity=args.multiplicity,
+                                 **gas))
     return (
         q, temperature, state.fugacity, state.thermal_wavelength ** 3,
         state.pressure, state.number_density, state.internal_energy,
@@ -288,10 +287,16 @@ def _cmd_eos(args):
                     else [args.temperature])
     fugacities = (_linspace(args.z_min, args.z_max, args.z_steps, "z") if z_sweep
                   else [z])
+    if args.multiplicity < 1:
+        raise DomainError("multiplicity must be a positive integer")
+    if family is Family.B and args.multiplicity != 1:
+        raise DomainError(f"multiplicity {args.multiplicity!r} has no effect on the B "
+                          "family, whose state functions carry no spin factor; give "
+                          "multiplicity 1")
     # the rows are built before anything is written, so a row outside the
     # domain, such as a B fugacity z >= q, exits 3 with no output
     solved = {}
-    rows = [_eos_row(args, solved, *item)
+    rows = [_eos_row(args, family, solved, *item)
             for item in itertools.product(qs, temperatures, fugacities)]
     config = {
         "family": family.value.lower(), "q": ",".join(map(str, qs)),

@@ -82,8 +82,10 @@ def _cf_argument(qp, eta):
         e = math.exp(eta)
         y = (qp.q_inv - qp.q) / (e - qp.q) if e > qp.q_inv else 1.0
     elif qp.q_inv < math.inf:
-        # the -q in the denominator is below double resolution here
-        y = (qp.q_inv - qp.q) * math.exp(-eta)
+        # the -q in the denominator is below double resolution here; e^-eta as
+        # two normal halves (to eta ~ 1416) leaves y subnormal only where it is
+        half = math.exp(-0.5 * eta)
+        y = (qp.q_inv - qp.q) * half * half
     else:
         # 1/q overflows below q of about 5.6e-309, and q^2 is below resolution:
         # with q = m 2^p, y = e^(-eta - p ln 2)/m, its exponent exact to eta ~ 2 ln(1/q)
@@ -215,8 +217,8 @@ def cf_bounds(q, eta):
     below one ulp of lower, rounding can put the closed form an ulp
     outside the bounds, and it is clamped into them: the bounds are
     then ordered, lower <= exact <= upper, but not strict.  Once
-    1 - y rounds to 1 (y < 2^-54, every eta > 700 among them) all three
-    are the same product pref * y.
+    1 - y rounds to 1 (y < 2^-54, which every eta > 700 meets for q above
+    about e^-663) all three are the same product pref * y.
     """
     qp = q if type(q) is QParam else as_qparam(q)
     if qp.is_classical_limit:

@@ -97,13 +97,29 @@ def basic_number(q, x):
     q, and equal to x at q = 1.  Evaluated through the form
     sinh(x ln q)/sinh(ln q), which keeps full precision up to the last
     double below 1; only q = 1 itself, where it is 0/0, returns x.
+    Where a sinh overflows, past |x ln q| of about 710.5, it is
+    e^((|x| - 1) |ln q|) (1 - q^(2|x|))/(1 - q^2), with the sign of x;
+    DomainError where [x] itself passes the largest double.
     """
     qp = as_qparam(q)
     x = float(x)
     if qp.q == 1.0:
         return x
     lq = math.log(qp.q)
-    return math.sinh(x * lq) / math.sinh(lq)
+    try:
+        n = math.sinh(x * lq) / math.sinh(lq)
+    except OverflowError:
+        n = math.inf
+    if math.isinf(n):
+        try:  # a sinh or the quotient overflows
+            n = math.copysign(math.exp((abs(x) - 1.0) * -lq) * math.expm1(2.0 * abs(x) * lq)
+                              / math.expm1(2.0 * lq), x)
+        except OverflowError:
+            pass
+        if math.isinf(n):
+            raise DomainError(f"[x] passes the largest double at q={qp.q!r}, x={x!r}; "
+                              "give a smaller |x| or a larger q")
+    return n
 
 
 def jackson_derivative(f, q, x):

@@ -8,7 +8,7 @@ generalized zeta functions supplying the q dependence:
 
 with lam = h/sqrt(2 pi m k T) the thermal wavelength and gs the
 multiplicity.  h and k enter only through lam and k T, in natural units
-h = k = 1 unless GasParams is given others, SI among them.
+h = k = 1 unless `b_state` and `f_state` are given others, SI among them.
 A given density is turned into a fugacity by a Brent-Dekker solve in
 ln(z/q) on a bracket from closed-form bounds.  Virial coefficients come
 from Lagrange inversion of the density series in x = z/q, summed in
@@ -49,62 +49,8 @@ _VIRIAL_MAX_DIGITS = 34 * 2 ** 6
 
 
 @dataclass(frozen=True)
-class GasParams:
-    """Thermodynamic input for one equation-of-state evaluation.
-
-    Exactly one of ``fugacity`` and ``density`` must be given; density
-    means the dimensionless combination lam^3 N / V.  ``multiplicity``
-    is the spin degeneracy factor of the F family; the B state functions
-    carry none, so there it must be 1.  ``h`` and ``k`` are the Planck and
-    Boltzmann constants, natural units by default.  Temperature, mass,
-    volume, h and k must be positive and finite.
-    """
-
-    family: Family
-    q: object
-    temperature: float
-    fugacity: float = None
-    density: float = None
-    mass: float = 1.0
-    volume: float = 1.0
-    multiplicity: int = 1
-    h: float = 1.0
-    k: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "family", as_family(self.family))
-        object.__setattr__(self, "q", as_qparam(self.q))
-        if (self.fugacity is None) == (self.density is None):
-            raise DomainError("give exactly one of fugacity and density")
-        for name in ("temperature", "mass", "volume", "h", "k"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
-        if self.multiplicity < 1:
-            raise DomainError("multiplicity must be a positive integer")
-        if self.family is Family.B and self.multiplicity != 1:
-            raise DomainError(
-                f"multiplicity {self.multiplicity!r} has no effect on the B family, "
-                "whose state functions carry no spin factor; give multiplicity 1"
-            )
-
-    def resolved_fugacity(self):
-        """The given fugacity, or the one that gives the given density.
-
-        The F-family density is gs f(z/q, 3/2), so the solve targets
-        density / gs; the B-family state functions carry no gs.
-        """
-        if self.fugacity is not None:
-            return float(self.fugacity)
-        density = float(self.density)
-        if self.family is Family.F:
-            density /= self.multiplicity
-        return solve_fugacity(self.family, self.q, density)
-
-
-@dataclass(frozen=True)
 class StateFunctions:
-    """Equation-of-state outputs; extensive quantities use params.volume."""
+    """Equation-of-state outputs; extensive quantities use the given volume."""
 
     pressure: float
     internal_energy: float
@@ -115,81 +61,83 @@ class StateFunctions:
     thermal_wavelength: float
 
 
+def _check_positive(**values):
+    for name, value in values.items():  # in the order given
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
 def thermal_wavelength(mass, temperature, h=1.0, k=1.0):
-    """Thermal de Broglie wavelength h / sqrt(2 pi m k T)."""
+    """Thermal de Broglie wavelength h / sqrt(2 pi m k T), all four positive and finite."""
     mass = float(mass)
     temperature = float(temperature)
-    if not mass > 0.0 or not temperature > 0.0:
-        raise DomainError("mass and temperature must be positive")
+    _check_positive(mass=mass, temperature=temperature, h=h, k=k)
     return h / math.sqrt(2.0 * math.pi * mass * k * temperature)
 
 
-def _thermal_scales(params):
-    # k T, lam and lam^3, which the state functions multiply and divide by,
-    # so k T must be finite and lam^3 a positive finite double
-    kt = params.k * params.temperature
-    if not kt < math.inf:
-        raise DomainError(
-            f"k T is {kt!r} at k={params.k!r}, T={params.temperature!r}; "
-            "bring k T below the largest double"
-        )
-    lam = thermal_wavelength(params.mass, params.temperature, params.h, params.k)
-    try:
-        lam3 = lam ** 3
-    except OverflowError:
-        lam3 = math.inf
-    if not 0.0 < lam3 < math.inf:
-        raise DomainError(
-            f"lam^3 = (h^2/(2 pi m k T))^(3/2) is {lam3!r} at m={params.mass!r}, "
-            f"T={params.temperature!r}, h={params.h!r}, k={params.k!r}; "
-            "bring m k T / h^2 closer to 1"
-        )
-    return kt, lam, lam3
+def b_state(q, z, temperature, *, mass=1.0, volume=1.0, h=1.0, k=1.0):
+    """State functions of the boson-like gas at fugacity 0 < z < q; no spin factor.
+
+    ``h`` and ``k`` are the Planck and Boltzmann constants, natural units by
+    default.  Temperature, mass, volume, h and k must be positive and finite.
+    """
+    qp = as_qparam(q)
+    _check_positive(temperature=temperature, mass=mass, volume=volume, h=h, k=k)
+    z = float(z)
+    return _state(z, bose_g(qp, z, 2.5), bose_g(qp, z, 1.5), 1.0,
+                  temperature, mass, volume, h, k)
 
 
-def b_state(params):
-    """State functions of the boson-like gas; requires fugacity < q."""
-    if params.family is not Family.B:
-        raise DomainError("b_state needs B-family params")
-    z = params.resolved_fugacity()
-    return _state(params, z, bose_g(params.q, z, 2.5), bose_g(params.q, z, 1.5),
-                  1.0)
-
-
-def f_state(params):
+def f_state(q, z, temperature, *, mass=1.0, volume=1.0, multiplicity=1, h=1.0,
+            k=1.0):
     """State functions of the fermion-like gas, any fugacity > 0 whose z/q is finite.
 
-    The multiplicity scales every extensive quantity (it multiplies the
-    mode sum).
+    The multiplicity gs, a positive integer, is the spin degeneracy
+    factor: it scales every extensive quantity (it multiplies the mode
+    sum).  The other inputs are those of `b_state`.
     """
-    if params.family is not Family.F:
-        raise DomainError("f_state needs F-family params")
-    z = params.resolved_fugacity()
+    q = as_qparam(q).q
+    _check_positive(temperature=temperature, mass=mass, volume=volume, h=h, k=k)
+    if multiplicity < 1:
+        raise DomainError("multiplicity must be a positive integer")
+    z = float(z)
     if not z > 0.0:
         raise DomainError(f"fugacity must be positive, got {z!r}")
-    q = params.q.q
     x = z / q
     if x == math.inf:
         raise DomainError(
             f"fugacity {z!r} puts z/q beyond the largest double at q={q!r}; "
             f"the largest fugacity allowed is {q * sys.float_info.max!r}")
-    return _state(params, z, fermi_f(x, 2.5), fermi_f(x, 1.5),
-                  float(params.multiplicity))
+    return _state(z, fermi_f(x, 2.5), fermi_f(x, 1.5), float(multiplicity),
+                  temperature, mass, volume, h, k)
 
 
-def _state(params, z, zeta52, zeta32, gs):
+def _state(z, zeta52, zeta32, gs, temperature, mass, volume, h, k):
     # the ideal-gas state functions of both families from zeta(5/2) and
     # zeta(3/2), zeta(s) = g(q, z, s) for B and f(z/q, s) for F; gs = 1
-    # multiplies exactly, so B gets the same doubles as without the factor
-    kt, lam, lam3 = _thermal_scales(params)
+    # multiplies exactly, so B gets the same doubles as without the factor.
+    # k T and lam^3, which they multiply and divide by, must be finite and
+    # lam^3 a positive finite double
+    kt = k * temperature
+    if not kt < math.inf:
+        raise DomainError(f"k T is {kt!r} at k={k!r}, T={temperature!r}; "
+                          "bring k T below the largest double")
+    lam = thermal_wavelength(mass, temperature, h, k)
+    try:
+        lam3 = lam ** 3
+    except OverflowError:
+        lam3 = math.inf
+    if not 0.0 < lam3 < math.inf:
+        raise DomainError(f"lam^3 = (h^2/(2 pi m k T))^(3/2) is {lam3!r} at m={mass!r}, "
+                          f"T={temperature!r}, h={h!r}, k={k!r}; "
+                          "bring m k T / h^2 closer to 1")
     pressure = gs * kt * zeta52 / lam3
     return StateFunctions(
         pressure=pressure,
-        internal_energy=1.5 * pressure * params.volume,
-        entropy=params.volume * gs * params.k / lam3
-        * (2.5 * zeta52 - zeta32 * math.log(z)),
+        internal_energy=1.5 * pressure * volume,
+        entropy=volume * gs * k / lam3 * (2.5 * zeta52 - zeta32 * math.log(z)),
         number_density=gs * zeta32 / lam3,
-        grand_potential=-pressure * params.volume,
+        grand_potential=-pressure * volume,
         fugacity=z,
         thermal_wavelength=lam,
     )

@@ -291,6 +291,15 @@ class TestEos:
                      "drop --z or the sweep", id="z-and-z-sweep"),
         pytest.param(["--family", "b", "--multiplicity", "3"],
                      "multiplicity 3 has no effect on the B family", id="b-multiplicity"),
+        # the F density solve divides by the multiplicity
+        pytest.param(["--multiplicity", "0"], "multiplicity must be a positive integer",
+                     id="multiplicity-zero"),
+        pytest.param(["--family", "f", "--multiplicity", "0", "--density", "1"],
+                     "multiplicity must be a positive integer",
+                     id="f-multiplicity-zero-density"),
+        pytest.param(["--family", "f", "--multiplicity", "-2", "--density", "1"],
+                     "multiplicity must be a positive integer",
+                     id="f-multiplicity-negative-density"),
         # z/q = 2e308 is beyond the largest double, where f is not defined
         pytest.param(["--family", "f", "--q", "0.5", "--z", "1e308"],
                      "the largest fugacity allowed is 8.988465674311579e+307",
@@ -572,7 +581,7 @@ def test_import_loads_neither_scipy_nor_mpmath():
 @pytest.mark.parametrize("name", [
     "PowerSeries", "q_factorial", "f_occupation_series", "sommerfeld_density_factor",
     "fermi_energy", "chemical_potential_f", "f_partition_log", "UnitSystem", "SI",
-    "NATURAL", "TraceSpec"])
+    "NATURAL", "TraceSpec", "GasParams"])
 def test_power_series_is_not_exported(name):
     import anyongas
 

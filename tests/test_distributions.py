@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import sys
 
 import mpmath
 import pytest
@@ -560,3 +561,38 @@ class TestSubnormalQ:
         with pytest.raises(DomainError, match="requires e\\^eta > 1/q"):
             bounds_rows(q, [eta])
 
+
+class TestHugeEtaAtSmallQ:
+    """Above eta = 700, where 1/q is finite, y = (1/q - q) e^-eta.
+
+    At a small q the occupation is a normal double well past eta = 745.1,
+    where e^-eta underflows, so e^-eta must not be formed on its own:
+    cf_bounds(1e-300, 790.8) is 2.6e-47.
+    """
+
+    QS = (1e-100, 1e-200, 1e-300, 1e-305, 1e-308)
+    OFFSETS = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 600.0)  # eta - ln(1/q)
+    ETAS = (700.5, 708.0, 715.0, 730.0, 745.5, 760.0, 790.8, 1000.0)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_against_mpmath(self, q):
+        floor = -math.log(q)
+        etas = sorted({eta for eta in self.ETAS if eta > floor}
+                      | {floor + d for d in self.OFFSETS if floor + d > 700.0})
+        tested = 0
+        for eta in etas:
+            lower, second, upper, exact = TestSubnormalQ._reference(q, eta)
+            if exact < sys.float_info.min:
+                continue
+            tested += 1
+            # from eta - ln(1/q) = 1 on, y is formed within a few roundings;
+            # closer to the pole, 1/(1 - y) magnifies them as in TestSubnormalQ
+            offset = eta - floor
+            tol = 1e-15 if offset >= 1.0 else 1e-13
+            pair = cf_bounds(q, eta)
+            assert _rel(pair.exact, exact) <= tol, eta
+            assert _rel(b_occupation(q, eta), exact) <= tol, eta
+            assert _rel(pair.lower, lower) <= tol, eta
+            assert _rel(cf_convergent(q, eta, 2), second) <= tol, eta
+            assert _rel(pair.upper, upper) <= (tol if offset >= 1e-2 else 2e-13), eta
+        assert tested >= 5

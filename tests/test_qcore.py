@@ -97,6 +97,37 @@ class TestBasicNumber:
             assert values[-1] == n
             assert all(v >= n for v in values)
 
+    # (q, x) where sinh(x ln q), or sinh(ln q) below q of about 2.8e-309,
+    # overflows or nearly so, but [x] is finite
+    @pytest.mark.parametrize("q, x", [(1e-5, 62.0), (1e-100, 4.0), (0.5, 1024.0),
+                                      (1e-300, 2.02), (1e-310, 0.5), (1e-310, 1.5),
+                                      (5e-324, 1.2), (0.9, 6700.0), (0.999, 7e5)])
+    def test_where_sinh_overflows(self, q, x):
+        with mpmath.workdps(60):
+            qm, xm = mpmath.mpf(q), mpmath.mpf(x)
+            want = (qm ** xm - qm ** -xm) / (qm - 1 / qm)
+        # the rounding of ln q moves [x] by about (|x| + 1) |ln q| 2^-53
+        tol = 2.5e-16 * (x + 1.0) * -math.log(q) + 1e-15
+        for sign in (1.0, -1.0):
+            got = basic_number(q, sign * x)
+            assert float(abs((got - sign * want) / want)) <= tol
+
+    @pytest.mark.parametrize("q, x", [(0.5, 1025.0), (0.9, 6800.0), (1e-5, 1e300),
+                                      (0.5, math.inf)])
+    def test_past_the_largest_double_is_domain_error(self, q, x):
+        # [1025] = 2.4e308 at q = 0.5
+        for sign in (1.0, -1.0):
+            with pytest.raises(DomainError, match="passes the largest double"):
+                basic_number(q, sign * x)
+
+    def test_continuous_across_the_sinh_overflow(self):
+        # sinh(x ln q) overflows between these two x at q = 0.1, where [x] is
+        # near 3.6e307
+        x = 710.4758600739439 / math.log(10.0)
+        below, above = basic_number(0.1, x - 1e-9), basic_number(0.1, x + 1e-9)
+        # [x + d]/[x - d] = 10^(2 d) up to e^(-2 x ln 10), below resolution
+        assert above / below == pytest.approx(10.0 ** 2e-9, rel=1e-12, abs=0.0)
+
 
 # verify's five-mode spectrum for the jd-mode-sum identity, at beta = 1
 SPECTRUM = (0.5, 1.0, 1.5, 2.0, 2.5)

@@ -9,9 +9,8 @@ from anyongas import thermo
 from anyongas.errors import ConvergenceError, DomainError
 from anyongas.qcore import Family
 from anyongas.qfunctions import fermi_f
-from anyongas.thermo import (GasParams, b_density_supremum, b_state, brentq,
-                             f_state, solve_fugacity, thermal_wavelength,
-                             virial_coefficients)
+from anyongas.thermo import (b_density_supremum, b_state, brentq, f_state,
+                             solve_fugacity, thermal_wavelength, virial_coefficients)
 
 Q_GRID = (0.05, 0.1, 0.3, 0.5, 0.7, 0.76, 0.9, 0.99, 1.0 - 1e-9, 1.0)
 # CODATA 2018: h and k are exact, the electron mass is measured
@@ -107,9 +106,8 @@ class TestDensitySolve:
     @pytest.mark.parametrize("q", [0.3, 0.5, 1.0])
     def test_f_density_includes_multiplicity(self, q, multiplicity):
         density = 0.5
-        params = GasParams(family=Family.F, q=q, temperature=1.3,
-                           density=density, multiplicity=multiplicity)
-        state = f_state(params)
+        z = solve_fugacity(Family.F, q, density / multiplicity)
+        state = f_state(q, z, 1.3, multiplicity=multiplicity)
         lam3n = state.thermal_wavelength ** 3 * state.number_density
         assert lam3n == pytest.approx(density, rel=1e-12, abs=0.0)
 
@@ -119,14 +117,14 @@ def test_f_state_takes_z_over_q_inside_the_classical_band(z):
     # q = 1 - 1e-13 counts as classical for the occupations, but f is taken
     # at z/q, which differs from z by 1e-13 (relative)
     q = 1.0 - 1e-13
-    state = f_state(GasParams(family=Family.F, q=q, temperature=1.3, fugacity=z))
+    state = f_state(q, z, 1.3)
     assert z / q != z
     assert state.number_density == fermi_f(z / q, 1.5) / state.thermal_wavelength ** 3
 
 
 def _state_at(family, q, temperature, z):
     state = b_state if family is Family.B else f_state
-    return state(GasParams(family=family, q=q, temperature=temperature, fugacity=z))
+    return state(q, z, temperature)
 
 
 # (family, q, x = z/q); the F cases put x on both sides of 1, down to the
@@ -291,42 +289,46 @@ class TestBrent:
 
 
 class TestInputValidation:
-    def test_b_family_takes_no_multiplicity(self):
-        with pytest.raises(DomainError, match="give multiplicity 1"):
-            GasParams(family=Family.B, q=0.5, temperature=1.0, fugacity=0.25,
-                      multiplicity=3)
-
-    @pytest.mark.parametrize("state, family", [(b_state, Family.B), (f_state, Family.F)])
-    def test_k_t_must_be_finite(self, state, family):
+    @pytest.mark.parametrize("state", [b_state, f_state])
+    def test_k_t_must_be_finite(self, state):
         # lam^3 = 0.0635 is a finite double here, k T = 1e600 is not
-        params = GasParams(family=family, q=0.5, temperature=1e300, mass=1e-300,
-                           fugacity=0.25, h=1e150, k=1e300)
         with pytest.raises(DomainError, match="k T is inf at k=1e\\+300, T=1e\\+300"):
-            state(params)
+            state(0.5, 0.25, 1e300, mass=1e-300, h=1e150, k=1e300)
 
+    @pytest.mark.parametrize("state", [b_state, f_state])
     @pytest.mark.parametrize("h, k", [(-1.0, 1.0), (0.0, 1.0), (1.0, 0.0),
                                       (math.inf, 1.0), (1.0, math.nan)])
-    def test_units_need_positive_finite_constants(self, h, k):
+    def test_units_need_positive_finite_constants(self, state, h, k):
         with pytest.raises(DomainError, match="must be positive and finite"):
-            GasParams(family=Family.B, q=0.5, temperature=1.0, fugacity=0.25, h=h, k=k)
+            state(0.5, 0.25, 1.0, h=h, k=k)
 
+    @pytest.mark.parametrize("state", [b_state, f_state])
     @pytest.mark.parametrize("name", ["temperature", "mass", "volume"])
-    def test_gas_params_need_finite_inputs(self, name):
+    def test_state_functions_need_finite_inputs(self, state, name):
         inputs = dict(temperature=1.0, mass=1.0, volume=1.0)
         inputs[name] = math.inf
         with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
-            GasParams(family=Family.B, q=0.5, fugacity=0.25, **inputs)
+            state(0.5, 0.25, **inputs)
 
-    @pytest.mark.parametrize("state, family", [(b_state, Family.B), (f_state, Family.F)])
+    def test_temperature_is_checked_before_the_fugacity(self):
+        # z = 0.7 >= q is refused too, but only once the zeta functions run
+        with pytest.raises(DomainError, match="temperature must be positive and finite"):
+            b_state(0.5, 0.7, -1.0)
+        with pytest.raises(DomainError, match="z < q"):
+            b_state(0.5, 0.7, 1.0)
+
+    @pytest.mark.parametrize("multiplicity", [0, -2])
+    def test_f_state_refuses_a_multiplicity_below_one(self, multiplicity):
+        with pytest.raises(DomainError, match="multiplicity must be a positive integer"):
+            f_state(0.5, 0.25, 1.0, multiplicity=multiplicity)
+
+    @pytest.mark.parametrize("state", [b_state, f_state])
     @pytest.mark.parametrize("temperature", [1e308, 1e-300])
-    def test_lambda_cubed_must_be_a_positive_finite_double(self, state, family,
-                                                           temperature):
+    def test_lambda_cubed_must_be_a_positive_finite_double(self, state, temperature):
         # lam underflows lam^3 to 0 at the first temperature and overflows it
         # at the second
-        params = GasParams(family=family, q=0.5, temperature=temperature,
-                           fugacity=0.25)
         with pytest.raises(DomainError, match="lam\\^3"):
-            state(params)
+            state(0.5, 0.25, temperature)
 
 
 class TestThermalWavelength:
@@ -342,8 +344,10 @@ class TestThermalWavelength:
         lam = thermal_wavelength(ELECTRON_MASS_SI, 300.0, PLANCK_SI, BOLTZMANN_SI)
         assert lam == pytest.approx(4.30347543959521e-09, rel=1e-12, abs=0.0)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            thermal_wavelength(0.0, 300.0)
-        with pytest.raises(DomainError):
-            thermal_wavelength(1.0, -1.0)
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["mass", "temperature", "h", "k"])
+    def test_domain(self, name, value):
+        inputs = dict(mass=1.0, temperature=1.0, h=1.0, k=1.0)
+        inputs[name] = value
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+            thermal_wavelength(**inputs)
