@@ -8,8 +8,13 @@ Occupation and bounds grids are tabulated in one pass each by the grid
 kernels of `distributions`, and an eos --density run solves for the
 fugacity once per q.  A grid's domain errors come from those kernels, at
 the first row outside the domain; the CLI only adds which flag to raise.
-The algebra and the oracle are imported by the fock and verify commands
-alone, so the other commands load neither; no command imports numpy.
+
+Importing this module loads only `errors` from the package, and `json`
+loads only for JSON output.  Each command's driver imports the modules it
+runs: occupation, bounds and limits load `distributions`; eos and virial
+load `thermo` and the zeta functions behind it, and virial `decimal`
+too; fock loads the algebra, and verify the oracle and with it the rest.
+No command imports numpy.
 
 The writer streams: it writes the head, then the rows in strings of up to
 _CHUNK_ROWS lines, then the tail, to the file or to standard output,
@@ -31,13 +36,10 @@ error, 3 domain error.
 import argparse
 import functools
 import itertools
-import json
 import math
 import sys
 
-from . import distributions, thermo
 from .errors import ConvergenceError, DomainError
-from .qcore import Family, as_family, as_qparam
 
 SCHEMA_VERSION = "1"
 # the fugacity of an eos run given neither --z, a --z sweep nor --density
@@ -119,6 +121,8 @@ def _csv_text(dataset, precision, extra_comments):
 
 
 def _json_text(dataset, precision):
+    import json
+
     head = {key: dataset[key]
             for key in ("schema_version", "command", "config", "columns")}
     tail = {key: dataset[key] for key in ("report", "metadata") if key in dataset}
@@ -160,30 +164,8 @@ def _write(dataset, fmt, out_path, precision, extra_comments=()):
 
 
 # ---------------------------------------------------------------------------
-# one eos output row, a tuple, per (q, T, z) point; the occupation and
-# bounds rows come from the grid kernels of `distributions`
-
-
-def _eos_row(args, family, solved, q, temperature, z):
-    # solved maps q to the fugacity of the --density solve, which depends on
-    # neither T nor the row: each q solves once in a command call.  The F
-    # density is gs f(z/q, 3/2), so its solve targets density / gs
-    if args.density is not None:
-        if q not in solved:
-            density = args.density
-            if family is Family.F:
-                density /= args.multiplicity
-            solved[q] = thermo.solve_fugacity(family, q, density)
-        z = solved[q]
-    gas = dict(mass=args.mass, volume=args.volume, h=args.h, k=args.k)
-    state = (thermo.b_state(q, z, temperature, **gas) if family is Family.B
-             else thermo.f_state(q, z, temperature, multiplicity=args.multiplicity,
-                                 **gas))
-    return (
-        q, temperature, state.fugacity, state.thermal_wavelength ** 3,
-        state.pressure, state.number_density, state.internal_energy,
-        state.entropy, state.grand_potential,
-    )
+# the occupation and bounds rows come from the grid kernels of
+# `distributions`
 
 
 def _b_grid_rows(kernel, qp, etas):
@@ -201,6 +183,9 @@ def _b_grid_rows(kernel, qp, etas):
 
 
 def _cmd_occupation(args):
+    from . import distributions
+    from .qcore import Family, as_family, as_qparam
+
     family = as_family(args.family)
     etas = _linspace(args.eta_min, args.eta_max, args.steps, "eta")
     qp = as_qparam(args.q)
@@ -221,6 +206,9 @@ def _cmd_occupation(args):
 
 
 def _cmd_bounds(args):
+    from . import distributions
+    from .qcore import as_qparam
+
     etas = _linspace(args.eta_min, args.eta_max, args.steps, "eta")
     qp = as_qparam(args.q)
     rows = _b_grid_rows(distributions.bounds_rows, qp, etas)
@@ -268,6 +256,9 @@ def _is_sweep(args, name):
 
 
 def _cmd_eos(args):
+    from . import thermo
+    from .qcore import Family, as_family
+
     family = as_family(args.family)
     qs = _parse_q_list(args.q)
     z_sweep = _is_sweep(args, "z")
@@ -293,11 +284,31 @@ def _cmd_eos(args):
         raise DomainError(f"multiplicity {args.multiplicity!r} has no effect on the B "
                           "family, whose state functions carry no spin factor; give "
                           "multiplicity 1")
-    # the rows are built before anything is written, so a row outside the
-    # domain, such as a B fugacity z >= q, exits 3 with no output
+    # the F density is gs f(z/q, 3/2), so its solve targets density / gs
+    target = args.density
+    gas = dict(mass=args.mass, volume=args.volume, h=args.h, k=args.k)
+    if family is Family.F:
+        gas["multiplicity"] = args.multiplicity
+        if target is not None:
+            target /= args.multiplicity
+    # one row per (q, T, z), all built before anything is written, so a row
+    # outside the domain, such as a B fugacity z >= q, exits 3 with no
+    # output.  The fugacity of a --density solve depends on neither T nor
+    # the row: each q solves once in a command call
     solved = {}
-    rows = [_eos_row(args, family, solved, *item)
-            for item in itertools.product(qs, temperatures, fugacities)]
+    rows = []
+    for q, temperature, fugacity in itertools.product(qs, temperatures, fugacities):
+        if target is not None:
+            if q not in solved:
+                solved[q] = thermo.solve_fugacity(family, q, target)
+            fugacity = solved[q]
+        state = (thermo.b_state if family is Family.B else thermo.f_state)(
+            q, fugacity, temperature, **gas)
+        rows.append((
+            q, temperature, state.fugacity, state.thermal_wavelength ** 3,
+            state.pressure, state.number_density, state.internal_energy,
+            state.entropy, state.grand_potential,
+        ))
     config = {
         "family": family.value.lower(), "q": ",".join(map(str, qs)),
         "temperature": args.temperature, "mass": args.mass,
@@ -322,6 +333,9 @@ def _cmd_eos(args):
 
 
 def _cmd_virial(args):
+    from . import thermo
+    from .qcore import Family, as_family
+
     family = as_family(args.family)
     coeffs = thermo.virial_coefficients(family, args.q, args.order)
     rows = [(k + 1, c) for k, c in enumerate(coeffs)]
@@ -342,6 +356,7 @@ def _cmd_virial(args):
 
 def _cmd_fock(args):
     from .algebra import build_b_rep, build_f_rep, rep_report
+    from .qcore import Family, as_family
 
     family = as_family(args.family)
     rep = (build_b_rep(args.q, args.dim) if family is Family.B
@@ -383,6 +398,8 @@ def _cmd_verify(args):
 
 
 def _cmd_limits(args):
+    from . import distributions
+
     # each row ends in its error and tolerance
     rows = [row + ("PASS" if row[-2] < row[-1] else "FAIL",)
             for row in distributions.classical_limit_rows()]

@@ -37,8 +37,8 @@ row calls cf_bounds once, and the kernels share the closed forms with
 the scalar functions through private helpers.
 """
 
+import collections
 import math
-from typing import NamedTuple
 
 from . import kernels
 from .errors import DomainError
@@ -180,15 +180,12 @@ def cf_convergent(q, eta, k):
     return pref * kernels.cf_convergent_value(y, int(k))
 
 
-class ConvergentPair(NamedTuple):
-    """Two-sided bounds on the exact occupation, lower <= exact <= upper.
+ConvergentPair = collections.namedtuple("ConvergentPair", ("lower", "upper", "exact"))
+ConvergentPair.__doc__ = """Two-sided bounds on the exact occupation.
 
-    A named tuple, so a grid row unpacks it without attribute lookups.
-    """
-
-    lower: float
-    upper: float
-    exact: float
+lower <= exact <= upper.  A named tuple, so a grid row unpacks it
+without attribute lookups.
+"""
 
 
 def cf_bounds(q, eta):

@@ -12,6 +12,10 @@ They stay, with their tests, because the benchmark's span tracer
 to the benchmark.  `fractions` is imported inside them, so no command
 loads it.
 
+`QParam` is a frozen class with slots and `PowerSeries` a named tuple,
+so the module imports `enum`, `math` and `collections` alone from the
+standard library, which the CLI's argparse has loaded already.
+
 The deformation parameter lives in (0, 1].  q = 0 is excluded because
 every formula involves q^-1; q = 1 is the undeformed limit, where the
 deformed expressions are 0/0 forms.  `basic_number` branches at q = 1
@@ -21,9 +25,9 @@ which only the continued-fraction occupations of `distributions` read,
 at three sites: `cf_convergent`, `cf_bounds` and `bounds_rows`.
 """
 
+import collections
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -50,7 +54,6 @@ def as_family(value):
         raise DomainError(f"unknown statistics family: {value!r}") from None
 
 
-@dataclass(frozen=True)
 class QParam:
     """Statistics parameter q in (0, 1] with explicit classical-limit handling.
 
@@ -64,25 +67,49 @@ class QParam:
     -2 sinh(ln q) so that it does not cancel as q -> 1.  Both are inf
     below about q = 5.6e-309, where 1/q overflows.  ``ln_q_inv`` is
     ln(1/q), the log of ``q_inv`` where that is finite and -ln q below.
+
+    Frozen: no attribute can be assigned.  Two QParams are equal, and
+    hash alike, when their q is.
     """
 
-    q: float
+    __slots__ = ("q", "is_classical_limit", "q_inv", "ln_q_inv", "inv_minus_q")
 
-    def __post_init__(self):
-        q = float(self.q)
-        if not math.isfinite(q) or not 0.0 < q <= 1.0:
-            raise DomainError(f"q must lie in (0, 1], got {self.q!r}")
-        object.__setattr__(self, "q", q)
+    def __init__(self, q):
+        value = float(q)
+        if not math.isfinite(value) or not 0.0 < value <= 1.0:
+            raise DomainError(f"q must lie in (0, 1], got {q!r}")
         # derived once: the occupation kernels read them on every row
-        object.__setattr__(self, "is_classical_limit", abs(q - 1.0) < CLASSICAL_EPS)
-        object.__setattr__(self, "q_inv", 1.0 / q)
-        object.__setattr__(self, "ln_q_inv", math.log(self.q_inv)
-                           if self.q_inv < math.inf else -math.log(q))
+        q_inv = 1.0 / value
         try:
-            inv_minus_q = -2.0 * math.sinh(math.log(q))
+            inv_minus_q = -2.0 * math.sinh(math.log(value))
         except OverflowError:  # q below about 2.8e-309, where q_inv is inf too
             inv_minus_q = math.inf
+        object.__setattr__(self, "q", value)
+        object.__setattr__(self, "is_classical_limit", abs(value - 1.0) < CLASSICAL_EPS)
+        object.__setattr__(self, "q_inv", q_inv)
+        object.__setattr__(self, "ln_q_inv", math.log(q_inv) if q_inv < math.inf
+                           else -math.log(value))
         object.__setattr__(self, "inv_minus_q", inv_minus_q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.q == other.q
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.q,))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(q={self.q!r})"
+
+    def __reduce__(self):
+        return type(self), (self.q,)
 
 
 def as_qparam(q):
@@ -95,8 +122,11 @@ def basic_number(q, x):
 
     Defined for any real x; odd in x, strictly increasing in x for fixed
     q, and equal to x at q = 1.  Evaluated through the form
-    sinh(x ln q)/sinh(ln q), which keeps full precision up to the last
-    double below 1; only q = 1 itself, where it is 0/0, returns x.
+    sinh(x ln q)/sinh(ln q), which does not cancel as q -> 1 and holds
+    up to the last double below 1; only q = 1 itself, where it is 0/0,
+    returns x.  The rounding of ln q, magnified |x| times in sinh(x ln q),
+    bounds the relative error by about |x ln q| 2^-53: 6.9e-14 at
+    q = 0.5, x = 1000, where that bound is 7.7e-14.
     Where a sinh overflows, past |x ln q| of about 710.5, it is
     e^((|x| - 1) |ln q|) (1 - q^(2|x|))/(1 - q^2), with the sign of x;
     DomainError where [x] itself passes the largest double.
@@ -155,8 +185,7 @@ def _mul_trunc(a, b, order):
     return out
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(collections.namedtuple("PowerSeries", ("coeffs", "constant"))):
     """Truncated power series c0 + c1 t + ... + cK t^K.
 
     ``coeffs`` holds c1..cK; the constant term is tracked separately.
@@ -165,12 +194,10 @@ class PowerSeries:
     to the smaller of the two orders.
     """
 
-    coeffs: tuple
-    constant: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        object.__setattr__(self, "constant", float(self.constant))
+    def __new__(cls, coeffs, constant=0.0):
+        return super().__new__(cls, tuple(float(c) for c in coeffs), float(constant))
 
     @property
     def order(self):

@@ -14,13 +14,15 @@ ln(z/q) on a bracket from closed-form bounds.  Virial coefficients come
 from Lagrange inversion of the density series in x = z/q, summed in
 stdlib decimal at a precision raised until the sum's own conditioning
 leaves every coefficient correct to a double.
+
+`decimal` is imported inside the virial code, so that the eos command
+does not load it.
 """
 
+import collections
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
 from operator import mul
 
 from .errors import ConvergenceError, DomainError
@@ -48,17 +50,11 @@ _VIRIAL_START_DIGITS = 34
 _VIRIAL_MAX_DIGITS = 34 * 2 ** 6
 
 
-@dataclass(frozen=True)
-class StateFunctions:
-    """Equation-of-state outputs; extensive quantities use the given volume."""
-
-    pressure: float
-    internal_energy: float
-    entropy: float
-    number_density: float
-    grand_potential: float
-    fugacity: float
-    thermal_wavelength: float
+StateFunctions = collections.namedtuple("StateFunctions", (
+    "pressure", "internal_energy", "entropy", "number_density", "grand_potential",
+    "fugacity", "thermal_wavelength"))
+StateFunctions.__doc__ = (
+    "Equation-of-state outputs; extensive quantities use the given volume.")
 
 
 def _check_positive(**values):
@@ -98,8 +94,10 @@ def f_state(q, z, temperature, *, mass=1.0, volume=1.0, multiplicity=1, h=1.0,
     """
     q = as_qparam(q).q
     _check_positive(temperature=temperature, mass=mass, volume=volume, h=h, k=k)
-    if multiplicity < 1:
-        raise DomainError("multiplicity must be a positive integer")
+    # a NaN fails the first test, and 2.5 and inf the second (inf % 1 is NaN)
+    if not (multiplicity >= 1 and multiplicity % 1 == 0):
+        raise DomainError(
+            f"multiplicity must be a positive integer, got {multiplicity!r}")
     z = float(z)
     if not z > 0.0:
         raise DomainError(f"fugacity must be positive, got {z!r}")
@@ -292,6 +290,8 @@ def _density_per_x(family, q, order):
     # precision, rho_1 = 1.  B: g(q, z, 3/2) = q Sum_r c_r x^r / r^(5/2)
     # with c_r = [r]_q q^(r-1) = 1 + q^2 + ... + q^(2r-2), a positive sum
     # that is r at q = 1.  F: f(x, 3/2) = Sum_r (-1)^(r+1) x^r / r^(3/2)
+    from decimal import Decimal
+
     rho = []
     if family is Family.B:
         q2 = q * q
@@ -332,6 +332,8 @@ def _virial_pass(family, q, order):
     # b_n q^(n-1) for n = 1..order at the context precision, and the
     # digits that precision needs for every one of them to be right to a
     # double; |b| >= 10^b.adjusted(), so that overestimates by under one
+    from decimal import Decimal
+
     rho = _density_per_x(family, q, order)
     phi = [Decimal(1)]  # x/rho(x)
     for n in range(1, order):
@@ -373,6 +375,8 @@ def virial_coefficients(family, q, order):
     60).  An order whose b_n passes the largest double raises
     DomainError.
     """
+    from decimal import Context, Decimal, localcontext
+
     family = as_family(family)
     qp = as_qparam(q)
     if order < 2:

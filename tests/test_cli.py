@@ -565,17 +565,42 @@ def _src_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def test_import_loads_neither_scipy_nor_mpmath():
-    # numpy neither: the runtime is the standard library alone; the algebra
-    # and the oracle load only for the commands that use them; and fractions
-    # only for PowerSeries, which no command calls
-    code = ("import sys, anyongas.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'mpmath', 'numpy') "
-            "or m in ('anyongas.algebra', 'anyongas.oracle', 'fractions')))")
-    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+def _loaded_modules(statements):
+    """The modules a fresh interpreter holds after running statements.
+
+    -S keeps the site .pth files, which may import modules of their own,
+    out of the set.
+    """
+    code = f"import sys\n{statements}\nprint('\\n'.join(sys.modules))"
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=_src_env(),
                             capture_output=True, text=True, check=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    return set(result.stdout.split())
+
+
+def test_import_loads_neither_scipy_nor_mpmath():
+    # numpy neither: the runtime is the standard library alone.  Of the
+    # package only the CLI and its errors load: each command imports the
+    # modules it runs.  Nor do dataclasses, decimal, json, or fractions,
+    # which only PowerSeries uses and no command calls
+    loaded = _loaded_modules("import anyongas.cli")
+    assert not {m for m in loaded if m.split(".")[0] in ("scipy", "mpmath", "numpy")}
+    assert {m for m in loaded if m.split(".")[0] == "anyongas"} == {
+        "anyongas", "anyongas.cli", "anyongas.errors"}
+    assert not loaded & {"dataclasses", "decimal", "json", "fractions"}
+
+
+@pytest.mark.parametrize("argv, loads, skips", [
+    (["eos", "--format", "json"], {"anyongas.thermo", "json"},
+     {"anyongas.distributions", "anyongas.report", "decimal", "dataclasses"}),
+    (["occupation"], {"anyongas.distributions"},
+     {"anyongas.thermo", "anyongas.qfunctions", "json", "decimal"}),
+    (["virial"], {"anyongas.thermo", "decimal"}, {"anyongas.distributions"}),
+], ids=["eos-json", "occupation-csv", "virial"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads, skips):
+    argv = [*argv, "--output", str(tmp_path / "out")]
+    loaded = _loaded_modules(f"import anyongas.cli\nassert anyongas.cli.main({argv!r}) == 0")
+    assert loads <= loaded
+    assert not loaded & skips
 
 
 @pytest.mark.parametrize("name", [
@@ -594,6 +619,15 @@ def test_power_series_is_not_exported(name):
 def test_every_lazy_name_resolves(name):
     module = importlib.import_module(f"anyongas.{anyongas._LAZY_MODULE[name]}")
     assert getattr(anyongas, name) is getattr(module, name)
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace = {}
+    exec("from anyongas import *", namespace)
+    exports = set(anyongas._LAZY_MODULE)
+    assert exports <= namespace.keys()
+    assert exports <= set(dir(anyongas))
+    assert "__version__" in dir(anyongas)
 
 
 def test_package_exports_algebra_and_oracle_names_lazily():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import mpmath
 import pytest
@@ -42,6 +44,31 @@ class TestQParam:
     def test_ln_q_inv_is_the_log_of_q_inv_where_that_is_finite(self, q):
         qp = QParam(q)
         assert qp.ln_q_inv == math.log(qp.q_inv)
+
+    def test_is_frozen(self):
+        qp = QParam(0.5)
+        for name in ("q", "q_inv", "extra"):
+            with pytest.raises(AttributeError, match=name):
+                setattr(qp, name, 0.7)
+            with pytest.raises(AttributeError, match=name):
+                delattr(qp, name)
+        assert qp.q == 0.5 and qp.q_inv == 2.0
+
+    def test_compares_and_hashes_by_value(self):
+        assert QParam(0.5) == QParam(0.5)
+        assert QParam(0.5) != QParam(0.7)
+        assert QParam(0.5) != 0.5
+        assert hash(QParam(0.5)) == hash(QParam(0.5))
+        assert len({QParam(0.5), QParam(0.5), QParam(0.7)}) == 2
+
+    def test_repr_names_its_field(self):
+        assert repr(QParam(0.5)) == "QParam(q=0.5)"
+
+    def test_copies_and_pickles(self):
+        qp = QParam(1.0 - 1e-13)
+        for other in (copy.copy(qp), copy.deepcopy(qp), pickle.loads(pickle.dumps(qp))):
+            assert other == qp
+            assert other.is_classical_limit and other.inv_minus_q == qp.inv_minus_q
 
     def test_coercion(self):
         assert as_qparam(0.5).q == 0.5
@@ -119,6 +146,16 @@ class TestBasicNumber:
         for sign in (1.0, -1.0):
             with pytest.raises(DomainError, match="passes the largest double"):
                 basic_number(q, sign * x)
+
+    # the rounding of ln q, magnified |x| times in sinh(x ln q), bounds the
+    # relative error by about |x ln q| 2^-53
+    @pytest.mark.parametrize("q, x", [(0.5, 1000.0), (0.9, 6000.0), (1e-100, 4.0)])
+    def test_relative_error_is_within_x_ln_q_roundings(self, q, x):
+        with mpmath.workdps(60):
+            qm, xm = mpmath.mpf(q), mpmath.mpf(x)
+            want = (qm ** xm - qm ** -xm) / (qm - 1 / qm)
+            error = float(abs((basic_number(q, x) - want) / want))
+        assert error <= 2.0 * abs(x * math.log(q)) * 2.0 ** -53
 
     def test_continuous_across_the_sinh_overflow(self):
         # sinh(x ln q) overflows between these two x at q = 0.1, where [x] is

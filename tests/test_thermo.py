@@ -317,10 +317,16 @@ class TestInputValidation:
         with pytest.raises(DomainError, match="z < q"):
             b_state(0.5, 0.7, 1.0)
 
-    @pytest.mark.parametrize("multiplicity", [0, -2])
-    def test_f_state_refuses_a_multiplicity_below_one(self, multiplicity):
-        with pytest.raises(DomainError, match="multiplicity must be a positive integer"):
+    @pytest.mark.parametrize("multiplicity", [0, -2, 2.5, math.nan, math.inf])
+    def test_f_state_refuses_a_multiplicity_that_is_not_a_positive_integer(
+            self, multiplicity):
+        with pytest.raises(DomainError, match="multiplicity must be a positive integer, "
+                                              f"got {multiplicity!r}"):
             f_state(0.5, 0.25, 1.0, multiplicity=multiplicity)
+
+    def test_f_state_takes_an_integral_float_multiplicity(self):
+        assert f_state(0.5, 0.25, 1.0, multiplicity=2.0) == f_state(
+            0.5, 0.25, 1.0, multiplicity=2)
 
     @pytest.mark.parametrize("state", [b_state, f_state])
     @pytest.mark.parametrize("temperature", [1e308, 1e-300])
@@ -329,6 +335,29 @@ class TestInputValidation:
         # at the second
         with pytest.raises(DomainError, match="lam\\^3"):
             state(0.5, 0.25, temperature)
+
+
+class TestStateFunctions:
+    FIELDS = ("pressure", "internal_energy", "entropy", "number_density",
+              "grand_potential", "fugacity", "thermal_wavelength")
+
+    def test_is_frozen(self):
+        state = b_state(0.5, 0.25, 1.0)
+        for name in ("pressure", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, 0.0)
+        assert state.pressure > 0.0
+
+    def test_compares_and_hashes_by_value(self):
+        state = b_state(0.5, 0.25, 1.0)
+        assert state == b_state(0.5, 0.25, 1.0)
+        assert state != b_state(0.5, 0.2, 1.0)
+        assert hash(state) == hash(b_state(0.5, 0.25, 1.0))
+
+    def test_repr_names_its_fields(self):
+        state = f_state(0.5, 0.25, 1.0)
+        assert repr(state) == "StateFunctions(" + ", ".join(
+            f"{name}={getattr(state, name)!r}" for name in self.FIELDS) + ")"
 
 
 class TestThermalWavelength:
