@@ -12,14 +12,16 @@ band above the diagonal, a+ is its transpose, and N is diagonal.  So
 a+ a, a a+ and q^-N are diagonal as well, a+ a+ has one band two below
 it, and every identity `rep_report` checks is O(dim) arithmetic on
 these vectors, entry for entry the values the matrix products hold.
+The representation is a FockRep namedtuple, and the checks are
+`report.CheckResult` records.
 """
 
+import collections
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import DomainError
-from .qcore import Family, QParam, as_qparam, basic_number
+from .qcore import Family, as_qparam, basic_number
 from .report import CheckResult
 
 DEFAULT_B_DIM = 32
@@ -28,21 +30,15 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _NO_BASIC_NUMBER_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FockRep:
-    """Ladder operators on a truncated Fock space, as bands.
+FockRep = collections.namedtuple("FockRep", ("family", "q", "dim", "band", "number"))
+FockRep.__doc__ = """Ladder operators on a truncated Fock space, as bands.
 
-    ``band[n - 1]`` is the entry a[n-1, n] = a+[n, n-1] = sqrt(alpha_n),
-    n = 1..dim-1, with alpha_n the eigenvalue of a+ a on state n;
-    ``number`` is the diagonal 0, 1, ..., dim-1 of N.  Every other entry
-    of a, a+ and N is zero.
-    """
-
-    family: Family
-    q: QParam
-    dim: int
-    band: tuple
-    number: tuple
+``family`` is a Family, ``q`` a QParam and ``dim`` the number of states.
+``band[n - 1]`` is the entry a[n-1, n] = a+[n, n-1] = sqrt(alpha_n),
+n = 1..dim-1, with alpha_n the eigenvalue of a+ a on state n; ``number``
+is the diagonal 0, 1, ..., dim-1 of N.  Every other entry of a, a+ and N
+is zero.  A namedtuple: immutable and compared by value.
+"""
 
 
 def _ladder_rep(family, qp, dim, weights):

@@ -13,8 +13,8 @@ Importing this module loads only `errors` from the package, and `json`
 loads only for JSON output.  Each command's driver imports the modules it
 runs: occupation, bounds and limits load `distributions`; eos and virial
 load `thermo` and the zeta functions behind it, and virial `decimal`
-too; fock loads the algebra, and verify the oracle and with it the rest.
-No command imports numpy.
+too; fock loads `algebra` and the namedtuple records of `report`, and
+verify the oracle and with it the rest.  No command imports numpy.
 
 The writer streams: it writes the head, then the rows in strings of up to
 _CHUNK_ROWS lines, then the tail, to the file or to standard output,
@@ -354,6 +354,15 @@ def _cmd_virial(args):
     return dataset, 0
 
 
+_CHECK_COLUMNS = ("check", "residual", "threshold", "status")
+
+
+def _check_rows(checks):
+    # one (check, residual, threshold, status) row per CheckResult
+    return [(c.check_id, c.residual, c.threshold, "PASS" if c.passed else "FAIL")
+            for c in checks]
+
+
 def _cmd_fock(args):
     from .algebra import build_b_rep, build_f_rep, rep_report
     from .qcore import Family, as_family
@@ -362,14 +371,10 @@ def _cmd_fock(args):
     rep = (build_b_rep(args.q, args.dim) if family is Family.B
            else build_f_rep(args.q))
     checks = rep_report(rep)
-    rows = [
-        (c.check_id, c.residual, c.threshold, "PASS" if c.passed else "FAIL")
-        for c in checks
-    ]
     config = {"family": family.value.lower(), "q": args.q, "dim": rep.dim}
     dataset = {
         "schema_version": SCHEMA_VERSION, "command": "fock", "config": config,
-        "columns": ["check", "residual", "threshold", "status"], "rows": rows,
+        "columns": _CHECK_COLUMNS, "rows": _check_rows(checks),
     }
     status = 0 if all(c.passed for c in checks) else 1
     return dataset, status
@@ -379,10 +384,6 @@ def _cmd_verify(args):
     from . import oracle
 
     report = oracle.run_verification()
-    rows = [
-        (c.check_id, c.residual, c.threshold, "PASS" if c.passed else "FAIL")
-        for c in report.checks
-    ]
     config = {"suite": "full"}
     extra = [f"# erratum {e.erratum_id}: printed [{e.printed}] "
              f"-> adopted [{e.adopted}]" for e in report.errata]
@@ -390,7 +391,7 @@ def _cmd_verify(args):
     dataset = {
         "schema_version": SCHEMA_VERSION, "command": "verify",
         "config": config,
-        "columns": ["check", "residual", "threshold", "status"], "rows": rows,
+        "columns": _CHECK_COLUMNS, "rows": _check_rows(report.checks),
         "report": report.to_dict(),
         "_csv_comments": extra,
     }

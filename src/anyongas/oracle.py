@@ -27,12 +27,31 @@ _NMAX_START = 32
 _NMAX_CAP = 4096
 
 
-def _trace_inputs(family, q, observable):
-    # the Family and QParam of one trace average, for a known observable
+def _trace_inputs(family, q, eta, observable):
+    # the Family, QParam and float eta of one trace average, for a known
+    # observable and an eta at which its sum converges
     if observable not in OBSERVABLES:
         raise DomainError(f"unknown observable {observable!r}; "
                           f"choose from {OBSERVABLES}")
-    return as_family(family), as_qparam(q)
+    family, qp, eta = as_family(family), as_qparam(q), float(eta)
+    if family is Family.F:
+        if math.isnan(eta):
+            raise DomainError("F-family trace requires eta that is not NaN")
+    elif not 0.0 < eta < math.inf:
+        raise DomainError(f"B-family trace requires finite eta > 0, got {eta!r}")
+    elif observable not in ("N", "qN") and math.exp(-eta) / qp.q >= 1.0:
+        raise DomainError(
+            f"observable {observable} needs e^eta > 1/q for convergence"
+        )
+    return family, qp, eta
+
+
+def _f_weights(eta):
+    # the Boltzmann weights of the two F states, scaled so that the larger
+    # is 1 and the other e^-|eta| <= 1: finite for every eta, the limits
+    # at eta = +-inf included
+    t = math.exp(-abs(eta))
+    return (1.0, t) if eta >= 0.0 else (t, 1.0)
 
 
 def _powers(r):
@@ -70,17 +89,18 @@ def trace_average(family, q, eta, observable, n_max=None):
 
     eta is beta (E - mu).  Observables: N, q^N (qN), q^-N (q_inv_N), [N]
     (basic_N) and a+ a (adag_a), which is [N] for the B family.  The F
-    family has exactly two states.  The B family needs finite eta > 0,
-    and e^eta > 1/q for the observables that grow like q^-n; n_max=None
-    truncates adaptively, doubling from 32 until the next dropped term is
-    below 1e-15 of both partial sums, capped at 4096.  Each B term is a
-    product of positive factors, so the sums hold full precision for
-    every q, q = 1 included, with no branch on it.
+    family has exactly two states, whose weights are scaled to 1 and
+    e^-|eta|: every eta but NaN has an average, eta = +-inf its limit.
+    The B family needs finite eta > 0, and e^eta > 1/q for the
+    observables that grow like q^-n; n_max=None truncates adaptively,
+    doubling from 32 until the next dropped term is below 1e-15 of both
+    partial sums, capped at 4096.  Each B term is a product of positive
+    factors, so the sums hold full precision for every q, q = 1
+    included, with no branch on it.
     """
-    family, qp = _trace_inputs(family, q, observable)
-    eta = float(eta)
+    family, qp, eta = _trace_inputs(family, q, eta, observable)
     if family is Family.F:
-        w = math.exp(-eta)
+        w0, w1 = _f_weights(eta)
         betas = eigenvalue_seq_f(qp, 1)
         values = {
             "N": (0.0, 1.0),
@@ -89,15 +109,9 @@ def trace_average(family, q, eta, observable, n_max=None):
             "adag_a": (betas[0], betas[1]),
             "basic_N": (basic_number(qp, 0), basic_number(qp, 1)),
         }[observable]
-        return (values[0] + values[1] * w) / (1.0 + w)
+        return (values[0] * w0 + values[1] * w1) / (w0 + w1)
 
-    if not 0.0 < eta < math.inf:
-        raise DomainError(f"B-family trace requires finite eta > 0, got {eta!r}")
     w = math.exp(-eta)
-    if observable not in ("N", "qN") and w / qp.q >= 1.0:
-        raise DomainError(
-            f"observable {observable} needs e^eta > 1/q for convergence"
-        )
     last = _NMAX_START if n_max is None else n_max
     num = den = 0.0
     wn = 1.0
@@ -127,25 +141,25 @@ def trace_average_matrix(family, q, eta, observable, n_max=None):
     forms; ties the operator picture to the spectral picture.  The
     B-family representation spans the states 0..n_max, so it needs an
     n_max, and gives the same truncated sum as trace_average with it.
+    Both functions refuse the same eta, and scale the F weights alike.
     """
-    family, qp = _trace_inputs(family, q, observable)
+    family, qp, eta = _trace_inputs(family, q, eta, observable)
     if family is Family.F:
         rep = build_f_rep(qp)
+        weights = _f_weights(eta)
     else:
         if n_max is None:
             raise DomainError("the B-family representation needs an n_max")
         rep = build_b_rep(qp, n_max + 1)
-    ns = range(rep.dim)
-    diagonals = {
-        "N": lambda: rep.number,
-        "qN": lambda: [qp.q ** n for n in ns],
-        "q_inv_N": lambda: [qp.q_inv ** n for n in ns],
-        "basic_N": lambda: [0.0] + [s * s for s in rep.band],
-        "adag_a": lambda: [0.0] + [s * s for s in rep.band],
-    }
-    diag = diagonals[observable]()
-    eta = float(eta)
-    weights = [math.exp(-eta * n) for n in ns]
+        weights = [math.exp(-eta * n) for n in range(rep.dim)]
+    if observable == "N":
+        diag = rep.number
+    elif observable == "qN":
+        diag = [qp.q ** n for n in range(rep.dim)]
+    elif observable == "q_inv_N":
+        diag = [qp.q_inv ** n for n in range(rep.dim)]
+    else:  # basic_N and adag_a: a+ a, whose diagonal is s_n^2
+        diag = [0.0] + [s * s for s in rep.band]
     return math.fsum(map(operator.mul, diag, weights)) / math.fsum(weights)
 
 

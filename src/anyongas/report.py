@@ -5,19 +5,21 @@ threshold, pass/fail).  Errata record places where two printed forms of
 the same quantity contradict each other; the adopted resolution is part
 of the record.  Notes carry side-by-side values for genuine ambiguities
 that are reported rather than resolved.
+
+Each record is a namedtuple: immutable, compared by value, and turned
+into the dict of its fields by `_asdict`, which is what the JSON report
+holds.
 """
 
-from dataclasses import asdict, dataclass, field
+import collections
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    inputs: dict
-    residual: float
-    threshold: float
-    passed: bool
-    note: str = ""
+class CheckResult(collections.namedtuple(
+        "CheckResult", ("check_id", "inputs", "residual", "threshold", "passed",
+                        "note"), defaults=("",))):
+    """One self-check: its id, inputs, residual, threshold and outcome."""
+
+    __slots__ = ()
 
     @classmethod
     def from_residual(cls, check_id, inputs, residual, threshold, note=""):
@@ -25,40 +27,30 @@ class CheckResult:
                    bool(residual < threshold), note)
 
 
-@dataclass(frozen=True)
-class Erratum:
-    erratum_id: str
-    printed: str
-    adopted: str
-    detail: str
+Erratum = collections.namedtuple(
+    "Erratum", ("erratum_id", "printed", "adopted", "detail"))
+Erratum.__doc__ = "A printed formula, the form adopted in its place, and why."
+
+AmbiguityNote = collections.namedtuple("AmbiguityNote", ("note_id", "detail", "values"))
+AmbiguityNote.__doc__ = "An ambiguity reported with its side-by-side values, not resolved."
 
 
-@dataclass
-class AmbiguityNote:
-    note_id: str
-    detail: str
-    values: dict = field(default_factory=dict)
+class VerificationReport(collections.namedtuple(
+        "VerificationReport", ("checks", "errata", "notes"))):
+    """The checks of a verification run, with the errata and notes it carries."""
 
-
-@dataclass
-class VerificationReport:
-    checks: list
-    errata: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def all_passed(self):
         return all(c.passed for c in self.checks)
 
-    def failed(self):
-        return [c for c in self.checks if not c.passed]
-
     def to_dict(self):
         return {
             "all_passed": self.all_passed,
-            "checks": [asdict(c) for c in self.checks],
-            "errata": [asdict(e) for e in self.errata],
-            "notes": [asdict(n) for n in self.notes],
+            "checks": [c._asdict() for c in self.checks],
+            "errata": [e._asdict() for e in self.errata],
+            "notes": [n._asdict() for n in self.notes],
         }
 
 

@@ -13,7 +13,10 @@ A given density is turned into a fugacity by a Brent-Dekker solve in
 ln(z/q) on a bracket from closed-form bounds.  Virial coefficients come
 from Lagrange inversion of the density series in x = z/q, summed in
 stdlib decimal at a precision raised until the sum's own conditioning
-leaves every coefficient correct to a double.
+leaves every coefficient correct to a double.  One sum, the B family's,
+serves both: in x the F gas is the plain Fermi gas, whose coefficients
+are those of the Bose gas (B at q = 1) with alternating signs, so F has
+no q in them.
 
 `decimal` is imported inside the virial code, so that the eos command
 does not load it.
@@ -285,23 +288,19 @@ class VirialCoefficients(list):
         self.working_digits = working_digits
 
 
-def _density_per_x(family, q, order):
-    # density coefficients rho_1..rho_order in x = z/q at the context
-    # precision, rho_1 = 1.  B: g(q, z, 3/2) = q Sum_r c_r x^r / r^(5/2)
-    # with c_r = [r]_q q^(r-1) = 1 + q^2 + ... + q^(2r-2), a positive sum
-    # that is r at q = 1.  F: f(x, 3/2) = Sum_r (-1)^(r+1) x^r / r^(3/2)
+def _density_per_x(q, order):
+    # B density coefficients rho_1..rho_order in x = z/q at the context
+    # precision, rho_1 = 1: g(q, z, 3/2) = q Sum_r c_r x^r / r^(5/2) with
+    # c_r = [r]_q q^(r-1) = 1 + q^2 + ... + q^(2r-2), a positive sum that
+    # is r at q = 1
     from decimal import Decimal
 
     rho = []
-    if family is Family.B:
-        q2 = q * q
-        weight, step = Decimal(0), Decimal(1)
-        for r in range(1, order + 1):
-            weight, step = weight + step, step * q2
-            rho.append(weight / (r * r * Decimal(r).sqrt()))
-    else:
-        for r in range(1, order + 1):
-            rho.append((1 if r % 2 else -1) / (r * Decimal(r).sqrt()))
+    q2 = q * q
+    weight, step = Decimal(0), Decimal(1)
+    for r in range(1, order + 1):
+        weight, step = weight + step, step * q2
+        rho.append(weight / (r * r * Decimal(r).sqrt()))
     return rho
 
 
@@ -328,13 +327,13 @@ def _virial_scale(phi, order):
     return _diagonal_over_n([abs(float(c)) for c in phi], order, 0.0)
 
 
-def _virial_pass(family, q, order):
+def _virial_pass(q, order):
     # b_n q^(n-1) for n = 1..order at the context precision, and the
     # digits that precision needs for every one of them to be right to a
     # double; |b| >= 10^b.adjusted(), so that overestimates by under one
     from decimal import Decimal
 
-    rho = _density_per_x(family, q, order)
+    rho = _density_per_x(q, order)
     phi = [Decimal(1)]  # x/rho(x)
     for n in range(1, order):
         phi.append(-sum(rho[k] * phi[n - k] for k in range(1, n + 1)))
@@ -346,49 +345,18 @@ def _virial_pass(family, q, order):
     return coeffs, needed
 
 
-def virial_coefficients(family, q, order):
-    """Coefficients b_1..b_order of Pv/kT = 1 + b_2 (lam^3/v) + ...
-
-    Lagrange inversion in x = z/q.  In both families the density rho(x)
-    and the pressure p(x) satisfy x p'(x) = rho(x), so with
-    phi = x/rho(x)
-
-        b_n = (1/n) [x^(n-1)] p'(x) phi(x)^n = (1/n) [x^(n-1)] phi(x)^(n-1),
-
-    in stdlib decimal.  The coefficient [x^(n-1)] phi^(n-1) is the dot
-    product of phi^floor((n-1)/2) and phi^ceil((n-1)/2), so only the
-    powers up to phi^(order//2) are built, each truncated at
-    x^(order-1): about order^3/4 products.  The inputs are built in
-    decimal from the exact double q: B has g(q, z, 3/2) = q rho(x) with
-    the positive coefficients (1 + q^2 + ... + q^(2r-2))/r^(5/2), which
-    are r^(-3/2) at q = 1, and b_n picks up a factor q^(1-n); F has
-    f(x, 3/2) = rho(x) with no q at all, so its coefficients are the same
-    for every q.  b_1 = 1.0 exactly in both.
-
-    Precision: scale_n is the same sum over the absolute values of every
-    term, from the same meet-in-the-middle powers of |phi| in plain
-    floats.  The working precision P starts at 34 digits and at least
-    doubles each pass until every n has
-    P >= 17 + 5 + log10(scale_n/|b_n|); each b_n is then correct to a
-    double.  The result is a list of floats whose ``working_digits`` is
-    that final P (68 for B at q = 0.5 and order 60, 136 for F at order
-    60).  An order whose b_n passes the largest double raises
-    DomainError.
-    """
+def _bose_virial(q, order):
+    # b_1..b_order of the B family at the double q, as floats, and the
+    # digits they were summed at.  B takes the exact double q, however
+    # close to 1: its coefficients are a positive sum with no 0/0 at q = 1,
+    # and they move across |q - 1| < 1e-12
     from decimal import Context, Decimal, localcontext
 
-    family = as_family(family)
-    qp = as_qparam(q)
-    if order < 2:
-        raise DomainError(f"virial expansion needs order >= 2, got {order!r}")
-    # the q of x = z/q; 1 for F, whose series carry no q.  B takes the
-    # exact double q, however close to 1: its coefficients are a positive
-    # sum with no 0/0 at q = 1, and they move across |q - 1| < 1e-12
-    q_x = Decimal(1 if family is Family.F else qp.q)
+    q_x = Decimal(q)
     digits = _VIRIAL_START_DIGITS
     while True:
         with localcontext(Context(prec=digits)):
-            coeffs, needed = _virial_pass(family, q_x, order)
+            coeffs, needed = _virial_pass(q_x, order)
             if digits >= needed:
                 coeffs = [float(b / q_x ** n) for n, b in enumerate(coeffs)]
                 break
@@ -396,12 +364,54 @@ def virial_coefficients(family, q, order):
         if digits > _VIRIAL_MAX_DIGITS:
             raise ConvergenceError(
                 f"virial coefficients need more than {_VIRIAL_MAX_DIGITS} digits "
-                f"at family={family.value}, q={qp.q!r}, order={order}")
+                f"at q={q!r}, order={order}")
     beyond = next((n for n, b in enumerate(coeffs, 1) if math.isinf(b)), 0)
     if beyond:
-        raise DomainError(f"b_{beyond} is beyond the largest double at q={qp.q!r}; "
+        raise DomainError(f"b_{beyond} is beyond the largest double at q={q!r}; "
                           f"give an order below {beyond} or a larger q")
-    return VirialCoefficients(coeffs, digits)
+    return coeffs, digits
+
+
+def virial_coefficients(family, q, order):
+    """Coefficients b_1..b_order of Pv/kT = 1 + b_2 (lam^3/v) + ...
+
+    Lagrange inversion in x = z/q.  The density rho(x) and the pressure
+    p(x) satisfy x p'(x) = rho(x), so with phi = x/rho(x)
+
+        b_n = (1/n) [x^(n-1)] p'(x) phi(x)^n = (1/n) [x^(n-1)] phi(x)^(n-1),
+
+    in stdlib decimal.  The coefficient [x^(n-1)] phi^(n-1) is the dot
+    product of phi^floor((n-1)/2) and phi^ceil((n-1)/2), so only the
+    powers up to phi^(order//2) are built, each truncated at
+    x^(order-1): about order^3/4 products.  The B inputs are built in
+    decimal from the exact double q: g(q, z, 3/2) = q rho(x) with the
+    positive coefficients (1 + q^2 + ... + q^(2r-2))/r^(5/2), which are
+    r^(-3/2) at q = 1, and b_n picks up a factor q^(1-n).
+
+    F has no q: in x the F gas is the plain Fermi gas, f(x, 3/2) =
+    -rho_B(-x) with rho_B the B density at q = 1, so its b_n are the
+    B sum's at q = 1 with b_2, b_4, ... negated, the same for every q.
+    b_1 = 1.0 exactly in both.
+
+    Precision: scale_n is the same sum over the absolute values of every
+    term, from the same meet-in-the-middle powers of |phi| in plain
+    floats.  The working precision P starts at 34 digits and at least
+    doubles each pass until every n has
+    P >= 17 + 5 + log10(scale_n/|b_n|); each b_n is then correct to a
+    double.  The result is a list of floats whose ``working_digits`` is
+    that final P (68 for B at q = 0.5 and order 60, 136 for B at q = 1
+    and so for F at order 60).  An order whose b_n passes the largest
+    double raises DomainError.
+    """
+    family = as_family(family)
+    qp = as_qparam(q)
+    if order < 2:
+        raise DomainError(f"virial expansion needs order >= 2, got {order!r}")
+    if family is Family.B:
+        return VirialCoefficients(*_bose_virial(qp.q, order))
+    coeffs, digits = _bose_virial(1.0, order)
+    return VirialCoefficients([-b if n % 2 else b for n, b in enumerate(coeffs)],
+                              digits)
 
 
 def b_partition_log(spectrum, z, beta):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 
@@ -11,7 +10,7 @@ from anyongas.algebra import (build_b_rep, build_f_rep, eigenvalue_seq_b,
                               eigenvalue_seq_f, eigenvalue_seq_f_closed,
                               max_b_dim, rep_report, verify_no_basic_number_f)
 from anyongas.errors import DomainError
-from anyongas.qcore import Family, basic_number
+from anyongas.qcore import Family, as_qparam, basic_number
 
 
 def _dense(rep):
@@ -49,8 +48,13 @@ class TestBRep:
         rep = build_b_rep(0.5, 4)
         with pytest.raises(TypeError):
             rep.band[0] = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             rep.band = (1.0, 1.0, 1.0)
+
+    def test_representations_compare_by_value(self):
+        qp = as_qparam(0.5)
+        assert build_b_rep(qp, 4) == build_b_rep(qp, 4)
+        assert build_b_rep(qp, 4) != build_b_rep(qp, 5)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("dim", [2, 8, 32, 64])

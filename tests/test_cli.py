@@ -29,7 +29,7 @@ def _run(tmp_path, argv):
 
 def test_oracle_suite_passes():
     report = oracle.run_verification()
-    assert report.all_passed, report.failed()
+    assert report.all_passed, [c for c in report.checks if not c.passed]
 
 
 def test_trace_matrices_span_the_n_max_states():
@@ -580,8 +580,9 @@ def _loaded_modules(statements):
 def test_import_loads_neither_scipy_nor_mpmath():
     # numpy neither: the runtime is the standard library alone.  Of the
     # package only the CLI and its errors load: each command imports the
-    # modules it runs.  Nor do dataclasses, decimal, json, or fractions,
-    # which only PowerSeries uses and no command calls
+    # modules it runs.  Nor do decimal, which only the virial sum uses,
+    # json, which only JSON output uses, fractions, which only PowerSeries
+    # uses and no command calls, or dataclasses, which no module uses
     loaded = _loaded_modules("import anyongas.cli")
     assert not {m for m in loaded if m.split(".")[0] in ("scipy", "mpmath", "numpy")}
     assert {m for m in loaded if m.split(".")[0] == "anyongas"} == {
@@ -595,7 +596,14 @@ def test_import_loads_neither_scipy_nor_mpmath():
     (["occupation"], {"anyongas.distributions"},
      {"anyongas.thermo", "anyongas.qfunctions", "json", "decimal"}),
     (["virial"], {"anyongas.thermo", "decimal"}, {"anyongas.distributions"}),
-], ids=["eos-json", "occupation-csv", "virial"])
+    # the records of fock and verify are namedtuples, so neither loads
+    # dataclasses and with it inspect
+    (["fock", "--family", "b"], {"anyongas.algebra", "anyongas.report"},
+     {"anyongas.thermo", "dataclasses", "inspect"}),
+    (["fock", "--family", "f"], {"anyongas.algebra", "anyongas.report"},
+     {"anyongas.thermo", "dataclasses", "inspect"}),
+    (["verify"], {"anyongas.oracle", "anyongas.report"}, {"dataclasses", "inspect"}),
+], ids=["eos-json", "occupation-csv", "virial", "fock-b", "fock-f", "verify"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads, skips):
     argv = [*argv, "--output", str(tmp_path / "out")]
     loaded = _loaded_modules(f"import anyongas.cli\nassert anyongas.cli.main({argv!r}) == 0")

@@ -63,21 +63,45 @@ def test_f_two_state_values(q, eta):
 
 
 @pytest.mark.parametrize("average", [trace_average, trace_average_matrix])
+@pytest.mark.parametrize("observable", ["N", "qN", "q_inv_N", "basic_N", "adag_a"])
+@pytest.mark.parametrize("q", [0.3, 1.0])
+def test_f_weights_hold_at_every_eta(average, observable, q):
+    # the two weights are scaled to 1 and e^-|eta|: no exp(800) overflows,
+    # and eta = -inf and +inf give the averages on states 1 and 0
+    on_one = average(Family.F, q, -math.inf, observable)
+    assert average(Family.F, q, -800.0, observable) == on_one
+    assert on_one == {"N": 1.0, "qN": q, "q_inv_N": 1.0 / q}.get(observable, 1.0)
+    assert average(Family.F, q, math.inf, observable) == \
+        (0.0 if observable in ("N", "basic_N", "adag_a") else 1.0)
+    assert average(Family.F, q, -2.0, observable) == pytest.approx(
+        trace_average(Family.F, q, -2.0, observable), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("average", [trace_average, trace_average_matrix])
+def test_f_eta_nan_is_refused(average):
+    with pytest.raises(DomainError, match="not NaN"):
+        average(Family.F, 0.5, math.nan, "N")
+
+
+@pytest.mark.parametrize("average", [trace_average, trace_average_matrix])
 def test_a_adag_is_not_an_observable(average):
     with pytest.raises(DomainError, match="unknown observable 'a_adag'"):
         average(Family.B, 0.5, 2.0, "a_adag", n_max=8)
 
 
-@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
-def test_b_eta_outside_the_domain(eta):
+@pytest.mark.parametrize("average", [trace_average, trace_average_matrix])
+@pytest.mark.parametrize("eta", [0.0, -1.0, -3.0, math.nan, math.inf])
+def test_b_eta_outside_the_domain(average, eta):
     with pytest.raises(DomainError, match="finite eta > 0"):
-        trace_average(Family.B, 0.5, eta, "N")
+        average(Family.B, 0.5, eta, "N", 8)
 
 
+@pytest.mark.parametrize("average", [trace_average, trace_average_matrix])
 @pytest.mark.parametrize("observable", ["q_inv_N", "basic_N", "adag_a"])
-def test_growing_observables_need_e_eta_above_one_over_q(observable):
-    with pytest.raises(DomainError, match="e\\^eta > 1/q"):
-        trace_average(Family.B, 0.5, math.log(2.0), observable)
+def test_growing_observables_need_e_eta_above_one_over_q(average, observable):
+    for eta in (math.log(2.0), 0.5):
+        with pytest.raises(DomainError, match="e\\^eta > 1/q"):
+            average(Family.B, 0.5, eta, observable, 8)
     # N and q^N converge for every eta > 0
     assert trace_average(Family.B, 0.5, math.log(2.0), "N") == \
         pytest.approx(1.0, rel=1e-14, abs=0.0)

@@ -29,6 +29,22 @@ class TestVirialF:
         for q in Q_GRID:
             assert virial_coefficients("f", q, 20) == reference
 
+    @pytest.mark.parametrize("order", [10, 60])
+    @pytest.mark.parametrize("q", [0.05, 0.76, 1.0])
+    def test_coefficients_are_the_bose_ones_with_alternating_signs(self, q, order):
+        # in x = z/q the F gas is the Fermi gas, rho_F(x) = -rho_B(-x) at q = 1
+        bose = virial_coefficients("b", 1.0, order)
+        got = virial_coefficients("f", q, order)
+        assert got == [-b if n % 2 else b for n, b in enumerate(bose)]
+        assert got.working_digits == bose.working_digits
+
+    def test_highest_order(self):
+        got = virial_coefficients("f", 0.76, 150)
+        assert got.working_digits == 276
+        # the values the F density series in decimal gave, at 272 digits
+        assert (got[0], got[1], got[144], got[149]) == (
+            1.0, 0.1767766952966369, -1.7466130682302417e-186, -9.891709166770562e-193)
+
 
 @functools.lru_cache(maxsize=None)
 def _virial_reference(family, q, order):
