@@ -21,10 +21,9 @@ import math
 import sys
 
 from .errors import DomainError
-from .qcore import Family, as_qparam, basic_number
+from .qcore import Family, as_count, as_qparam, basic_number
 from .report import CheckResult
 
-DEFAULT_B_DIM = 32
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # relative distance at which an F eigenvalue beta_n counts as apart from [n]
 _NO_BASIC_NUMBER_TOL = 1e-12
@@ -64,10 +63,9 @@ def max_b_dim(q):
     return int(headroom / log_inv)
 
 
-def build_b_rep(q, dim=DEFAULT_B_DIM):
+def build_b_rep(q, dim):
     """B-family representation with a+ a = diag([0], [1], ..., [dim-1])."""
-    if dim < 2:
-        raise DomainError(f"need dim >= 2, got {dim!r}")
+    dim = as_count("dim", dim, 2)
     qp = as_qparam(q)
     largest = max_b_dim(qp)
     if largest is not None and dim > largest:
@@ -91,6 +89,7 @@ def eigenvalue_seq_b(q, n_max):
     of the verification checks.
     """
     qp = as_qparam(q)
+    n_max = as_count("n_max", n_max, 0)
     qi = 1.0 / qp.q
     out = [0.0]
     p = 1.0  # q^-n, maintained by iterated products
@@ -108,6 +107,7 @@ def eigenvalue_seq_f(q, n_max):
     eigenvalue_seq_f_closed produces.
     """
     qp = as_qparam(q)
+    n_max = as_count("n_max", n_max, 0)
     qi = 1.0 / qp.q
     out = [0.0]
     p = 1.0
@@ -120,6 +120,7 @@ def eigenvalue_seq_f(q, n_max):
 def eigenvalue_seq_f_closed(q, n_max):
     """Closed form (1 - (-1)^n)/2 * q^-(n-1): zero for even n, q^-(n-1) odd."""
     qp = as_qparam(q)
+    n_max = as_count("n_max", n_max, 0)
     qi = 1.0 / qp.q
     out = []
     p = 1.0  # q^-(n-1) for the current odd n

@@ -2,8 +2,11 @@
 
 Subcommands: occupation, bounds, eos, virial, fock, verify, limits.
 Outputs are CSV or JSON with the full configuration embedded
-for reproducibility.  Rows are computed in order in one process, so
-identical configurations produce byte-identical files on any machine.
+for reproducibility.  Each command's `_cmd_*` function returns its
+dataset's config, columns and rows, and `main` stamps every dataset with
+SCHEMA_VERSION and the command's name before writing it.  Rows are
+computed in order in one process, so identical configurations produce
+byte-identical files on any machine.
 Occupation and bounds grids are tabulated in one pass each by the grid
 kernels of `distributions`, and an eos --density run solves for the
 fugacity once per q.  A grid's domain errors come from those kernels, at
@@ -153,7 +156,7 @@ def _json_text(dataset, precision):
     yield "\n}\n"
 
 
-def _write(dataset, fmt, out_path, precision, extra_comments=()):
+def _write(dataset, fmt, out_path, precision, extra_comments):
     chunks = (_json_text(dataset, precision) if fmt == "json"
               else _csv_text(dataset, precision, extra_comments))
     if out_path in (None, "-"):
@@ -199,10 +202,7 @@ def _cmd_occupation(args):
         "family": family.value.lower(), "q": args.q, "eta_min": etas[0],
         "eta_max": etas[-1], "steps": len(etas),
     }
-    return {
-        "schema_version": SCHEMA_VERSION, "command": "occupation",
-        "config": config, "columns": columns, "rows": rows,
-    }, 0
+    return {"config": config, "columns": columns, "rows": rows}, 0
 
 
 def _cmd_bounds(args):
@@ -217,9 +217,8 @@ def _cmd_bounds(args):
         "steps": len(etas), "upper_shift": qp.q_inv,
     }
     dataset = {
-        "schema_version": SCHEMA_VERSION, "command": "bounds",
-        "config": config, "columns":
-            ["eta", "n_lower", "n_second", "n_upper", "n_exact", "width"],
+        "config": config,
+        "columns": ["eta", "n_lower", "n_second", "n_upper", "n_exact", "width"],
         "rows": rows,
     }
     dataset["metadata"] = {
@@ -326,10 +325,7 @@ def _cmd_eos(args):
     columns = ["q", "temperature", "fugacity", "lambda3", "pressure",
                "number_density", "internal_energy", "entropy",
                "grand_potential"]
-    return {
-        "schema_version": SCHEMA_VERSION, "command": "eos", "config": config,
-        "columns": columns, "rows": rows,
-    }, 0
+    return {"config": config, "columns": columns, "rows": rows}, 0
 
 
 def _cmd_virial(args):
@@ -341,7 +337,6 @@ def _cmd_virial(args):
     rows = [(k + 1, c) for k, c in enumerate(coeffs)]
     config = {"family": family.value.lower(), "q": args.q, "order": args.order}
     dataset = {
-        "schema_version": SCHEMA_VERSION, "command": "virial",
         "config": config, "columns": ["k", "coefficient"], "rows": rows,
         "metadata": {"working_digits": coeffs.working_digits},
     }
@@ -372,10 +367,8 @@ def _cmd_fock(args):
            else build_f_rep(args.q))
     checks = rep_report(rep)
     config = {"family": family.value.lower(), "q": args.q, "dim": rep.dim}
-    dataset = {
-        "schema_version": SCHEMA_VERSION, "command": "fock", "config": config,
-        "columns": _CHECK_COLUMNS, "rows": _check_rows(checks),
-    }
+    dataset = {"config": config, "columns": _CHECK_COLUMNS,
+               "rows": _check_rows(checks)}
     status = 0 if all(c.passed for c in checks) else 1
     return dataset, status
 
@@ -389,9 +382,8 @@ def _cmd_verify(args):
              f"-> adopted [{e.adopted}]" for e in report.errata]
     extra += [f"# note {n.note_id}: {n.detail}" for n in report.notes]
     dataset = {
-        "schema_version": SCHEMA_VERSION, "command": "verify",
-        "config": config,
-        "columns": _CHECK_COLUMNS, "rows": _check_rows(report.checks),
+        "config": config, "columns": _CHECK_COLUMNS,
+        "rows": _check_rows(report.checks),
         "report": report.to_dict(),
         "_csv_comments": extra,
     }
@@ -405,7 +397,6 @@ def _cmd_limits(args):
     rows = [row + ("PASS" if row[-2] < row[-1] else "FAIL",)
             for row in distributions.classical_limit_rows()]
     dataset = {
-        "schema_version": SCHEMA_VERSION, "command": "limits",
         "config": {"suite": "classical-limit regression"},
         "columns": ["family", "q", "eta", "value", "reference", "error",
                     "tolerance", "status"],
@@ -511,9 +502,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         dataset, status = _COMMANDS[args.command](args)
+        dataset.update(schema_version=SCHEMA_VERSION, command=args.command)
         comments = dataset.pop("_csv_comments", ())
-        _write(dataset, args.format, args.output, args.precision,
-               extra_comments=comments)
+        _write(dataset, args.format, args.output, args.precision, comments)
         return status
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

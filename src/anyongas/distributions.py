@@ -130,8 +130,8 @@ def b_occupation_jd(q, w):
     """
     qp = q if type(q) is QParam else as_qparam(q)
     w = float(w)
-    if w < 0.0:
-        raise DomainError(f"mode variable must be nonnegative, got {w!r}")
+    if not w >= 0.0:
+        raise DomainError(f"mode variable w must be a number >= 0, got {w!r}")
     return _jd_occupation(qp, w)
 
 

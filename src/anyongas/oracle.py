@@ -17,7 +17,7 @@ from .algebra import (build_b_rep, build_f_rep, eigenvalue_seq_f,
                       eigenvalue_seq_f_closed, rep_report,
                       verify_no_basic_number_f)
 from .errors import ConvergenceError, DomainError
-from .qcore import Family, as_family, as_qparam, basic_number
+from .qcore import Family, as_count, as_family, as_qparam, basic_number
 from .report import (AmbiguityNote, CheckResult, KNOWN_ERRATA,
                      VerificationReport)
 
@@ -27,9 +27,10 @@ _NMAX_START = 32
 _NMAX_CAP = 4096
 
 
-def _trace_inputs(family, q, eta, observable):
-    # the Family, QParam and float eta of one trace average, for a known
-    # observable and an eta at which its sum converges
+def _trace_inputs(family, q, eta, observable, n_max):
+    # the Family, QParam, float eta and int or None n_max of one trace
+    # average, for a known observable, an eta at which its sum converges
+    # and a last state n_max >= 1
     if observable not in OBSERVABLES:
         raise DomainError(f"unknown observable {observable!r}; "
                           f"choose from {OBSERVABLES}")
@@ -43,7 +44,9 @@ def _trace_inputs(family, q, eta, observable):
         raise DomainError(
             f"observable {observable} needs e^eta > 1/q for convergence"
         )
-    return family, qp, eta
+    if n_max is not None:
+        n_max = as_count("n_max", n_max, 1)
+    return family, qp, eta, n_max
 
 
 def _f_weights(eta):
@@ -92,13 +95,14 @@ def trace_average(family, q, eta, observable, n_max=None):
     family has exactly two states, whose weights are scaled to 1 and
     e^-|eta|: every eta but NaN has an average, eta = +-inf its limit.
     The B family needs finite eta > 0, and e^eta > 1/q for the
-    observables that grow like q^-n; n_max=None truncates adaptively,
-    doubling from 32 until the next dropped term is below 1e-15 of both
-    partial sums, capped at 4096.  Each B term is a product of positive
+    observables that grow like q^-n.  A given n_max, an integer >= 1, is
+    the last state summed; n_max=None truncates adaptively, doubling from
+    32 until the next dropped term is below 1e-15 of both partial sums,
+    capped at 4096.  Each B term is a product of positive
     factors, so the sums hold full precision for every q, q = 1
     included, with no branch on it.
     """
-    family, qp, eta = _trace_inputs(family, q, eta, observable)
+    family, qp, eta, n_max = _trace_inputs(family, q, eta, observable, n_max)
     if family is Family.F:
         w0, w1 = _f_weights(eta)
         betas = eigenvalue_seq_f(qp, 1)
@@ -143,7 +147,7 @@ def trace_average_matrix(family, q, eta, observable, n_max=None):
     n_max, and gives the same truncated sum as trace_average with it.
     Both functions refuse the same eta, and scale the F weights alike.
     """
-    family, qp, eta = _trace_inputs(family, q, eta, observable)
+    family, qp, eta, n_max = _trace_inputs(family, q, eta, observable, n_max)
     if family is Family.F:
         rep = build_f_rep(qp)
         weights = _f_weights(eta)

@@ -117,6 +117,14 @@ def as_qparam(q):
     return q if isinstance(q, QParam) else QParam(float(q))
 
 
+def as_count(name, value, least):
+    """A whole number value >= least, as an int; DomainError naming it otherwise."""
+    # a NaN fails the first test, and 2.5 and inf the second (inf % 1 is NaN)
+    if not (value >= least and value % 1 == 0):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def basic_number(q, x):
     """The basic number [x] = (q^x - q^-x)/(q - q^-1).
 
@@ -129,26 +137,30 @@ def basic_number(q, x):
     q = 0.5, x = 1000, where that bound is 7.7e-14.
     Where a sinh overflows, past |x ln q| of about 710.5, it is
     e^((|x| - 1) |ln q|) (1 - q^(2|x|))/(1 - q^2), with the sign of x;
-    DomainError where [x] itself passes the largest double.
+    DomainError where [x] itself passes the largest double, as it does
+    for an infinite x at every q, and for a NaN x.
     """
     qp = as_qparam(q)
     x = float(x)
-    if qp.q == 1.0:
-        return x
-    lq = math.log(qp.q)
-    try:
-        n = math.sinh(x * lq) / math.sinh(lq)
-    except OverflowError:
-        n = math.inf
-    if math.isinf(n):
-        try:  # a sinh or the quotient overflows
-            n = math.copysign(math.exp((abs(x) - 1.0) * -lq) * math.expm1(2.0 * abs(x) * lq)
-                              / math.expm1(2.0 * lq), x)
+    if math.isnan(x):
+        raise DomainError(f"[x] needs a number x, got {x!r}")
+    n = x  # [x] at q = 1
+    if qp.q != 1.0:
+        lq = math.log(qp.q)
+        try:
+            n = math.sinh(x * lq) / math.sinh(lq)
         except OverflowError:
-            pass
+            n = math.inf
         if math.isinf(n):
-            raise DomainError(f"[x] passes the largest double at q={qp.q!r}, x={x!r}; "
-                              "give a smaller |x| or a larger q")
+            try:  # a sinh or the quotient overflows
+                n = math.copysign(math.exp((abs(x) - 1.0) * -lq)
+                                  * math.expm1(2.0 * abs(x) * lq)
+                                  / math.expm1(2.0 * lq), x)
+            except OverflowError:
+                pass
+    if math.isinf(n):
+        raise DomainError(f"[x] passes the largest double at q={qp.q!r}, x={x!r}; "
+                          "give a smaller |x| or a larger q")
     return n
 
 

@@ -29,7 +29,7 @@ import sys
 from operator import mul
 
 from .errors import ConvergenceError, DomainError
-from .qcore import Family, as_family, as_qparam, jackson_derivative
+from .qcore import Family, as_count, as_family, as_qparam, jackson_derivative
 from .qfunctions import bose_g, bose_g_supremum, fermi_f
 
 FUGACITY_REL_TOL = 1e-12
@@ -78,7 +78,9 @@ def b_state(q, z, temperature, *, mass=1.0, volume=1.0, h=1.0, k=1.0):
     """State functions of the boson-like gas at fugacity 0 < z < q; no spin factor.
 
     ``h`` and ``k`` are the Planck and Boltzmann constants, natural units by
-    default.  Temperature, mass, volume, h and k must be positive and finite.
+    default.  Temperature, mass, volume, h and k must be positive and finite,
+    and DomainError is raised where the pressure, internal energy, entropy,
+    density or grand potential would pass the largest double.
     """
     qp = as_qparam(q)
     _check_positive(temperature=temperature, mass=mass, volume=volume, h=h, k=k)
@@ -133,7 +135,7 @@ def _state(z, zeta52, zeta32, gs, temperature, mass, volume, h, k):
                           f"T={temperature!r}, h={h!r}, k={k!r}; "
                           "bring m k T / h^2 closer to 1")
     pressure = gs * kt * zeta52 / lam3
-    return StateFunctions(
+    state = StateFunctions(
         pressure=pressure,
         internal_energy=1.5 * pressure * volume,
         entropy=volume * gs * k / lam3 * (2.5 * zeta52 - zeta32 * math.log(z)),
@@ -142,6 +144,15 @@ def _state(z, zeta52, zeta32, gs, temperature, mass, volume, h, k):
         fugacity=z,
         thermal_wavelength=lam,
     )
+    # each of the first five passes the largest double somewhere in the
+    # domain of T, V and m: kT/lam^3 grows like T^(5/2) m^(3/2)
+    overflowed = [name for name, value in zip(state._fields[:5], state)
+                  if not math.isfinite(value)]
+    if overflowed:
+        raise DomainError(
+            f"the state functions {', '.join(overflowed)} pass the largest double at "
+            f"T={temperature!r}, V={volume!r}, m={mass!r}; lower T, V or m")
+    return state
 
 
 def b_density_supremum(q):
@@ -405,8 +416,7 @@ def virial_coefficients(family, q, order):
     """
     family = as_family(family)
     qp = as_qparam(q)
-    if order < 2:
-        raise DomainError(f"virial expansion needs order >= 2, got {order!r}")
+    order = as_count("order", order, 2)
     if family is Family.B:
         return VirialCoefficients(*_bose_virial(qp.q, order))
     coeffs, digits = _bose_virial(1.0, order)

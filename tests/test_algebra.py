@@ -44,6 +44,11 @@ class TestBRep:
         with pytest.raises(DomainError):
             build_b_rep(0.5, 1)
 
+    @pytest.mark.parametrize("dim", [3.5, 1, -4, math.nan, math.inf])
+    def test_dim_must_be_an_integer_from_two(self, dim):
+        with pytest.raises(DomainError, match=f"dim must be an integer >= 2, got {dim!r}"):
+            build_b_rep(0.5, dim)
+
     def test_matrices_are_frozen(self):
         rep = build_b_rep(0.5, 4)
         with pytest.raises(TypeError):
@@ -220,6 +225,13 @@ class TestEigenvalueSequences:
 
     def test_f_classical_alternates(self):
         assert eigenvalue_seq_f(1.0, 5) == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("sequence", [eigenvalue_seq_b, eigenvalue_seq_f,
+                                          eigenvalue_seq_f_closed])
+    @pytest.mark.parametrize("n_max", [-1, 2.5, math.nan, math.inf])
+    def test_n_max_must_be_an_integer_from_zero(self, sequence, n_max):
+        with pytest.raises(DomainError, match=f"n_max must be an integer >= 0, got {n_max!r}"):
+            sequence(0.5, n_max)
 
 
 class TestNoBasicNumber:

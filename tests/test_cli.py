@@ -1,6 +1,5 @@
 """The seven subcommands run through cli.main(argv), plus the oracle suite."""
 
-import importlib
 import json
 import math
 import os
@@ -9,7 +8,6 @@ import sys
 
 import pytest
 
-import anyongas
 from anyongas import cli, oracle, thermo
 from anyongas.distributions import b_occupation, classical_limit_rows
 from anyongas.errors import DomainError
@@ -308,6 +306,11 @@ class TestEos:
         pytest.param(["--k", "1e300", "--temperature", "1e300", "--mass", "1e-300",
                       "--h", "1e150"], "k T is inf at k=1e+300, T=1e+300",
                      id="kt-overflow"),
+        # lam^3 is a finite double too, but k T / lam^3 is not
+        *[pytest.param(["--family", family, "--z", "0.3", "--temperature", "1e200"],
+                       "pressure, internal_energy, grand_potential pass the largest "
+                       "double at T=1e+200, V=1.0, m=1.0", id=f"{family}-pressure-overflow")
+          for family in ("b", "f")],
     ])
     def test_invalid_input_is_domain_error(self, tmp_path, capsys, argv, message):
         path = tmp_path / "x.csv"
@@ -603,12 +606,32 @@ def test_import_loads_neither_scipy_nor_mpmath():
     (["fock", "--family", "f"], {"anyongas.algebra", "anyongas.report"},
      {"anyongas.thermo", "dataclasses", "inspect"}),
     (["verify"], {"anyongas.oracle", "anyongas.report"}, {"dataclasses", "inspect"}),
-], ids=["eos-json", "occupation-csv", "virial", "fock-b", "fock-f", "verify"])
+    # the closed-form grids and the limits table run on distributions alone
+    *[(argv, {"anyongas.distributions", "anyongas.qcore", "anyongas.kernels",
+              "anyongas.errors"},
+       {"anyongas.thermo", "anyongas.qfunctions", "anyongas.report", "json", "decimal"})
+      for argv in (["bounds"], ["limits"], ["occupation", "--family", "f"])],
+], ids=["eos-json", "occupation-csv", "virial", "fock-b", "fock-f", "verify", "bounds",
+        "limits", "occupation-f"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads, skips):
     argv = [*argv, "--output", str(tmp_path / "out")]
     loaded = _loaded_modules(f"import anyongas.cli\nassert anyongas.cli.main({argv!r}) == 0")
     assert loads <= loaded
     assert not loaded & skips
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["occupation", "bounds", "eos", "virial", "fock",
+                                     "verify", "limits"])
+def test_every_dataset_names_its_schema_and_command(tmp_path, command, fmt):
+    path = tmp_path / f"out.{fmt}"
+    assert cli.main([command, "--format", fmt, "--output", str(path)]) == 0
+    text = path.read_text()
+    if fmt == "json":
+        payload = json.loads(text)
+        assert (payload["schema_version"], payload["command"]) == ("1", command)
+    else:
+        assert text.startswith(f"# schema_version = 1\n# command = {command}\n")
 
 
 @pytest.mark.parametrize("name", [
@@ -620,32 +643,6 @@ def test_power_series_is_not_exported(name):
 
     with pytest.raises(AttributeError, match=name):
         getattr(anyongas, name)
-
-
-@pytest.mark.parametrize("name", [name for names in anyongas._LAZY.values()
-                                  for name in names])
-def test_every_lazy_name_resolves(name):
-    module = importlib.import_module(f"anyongas.{anyongas._LAZY_MODULE[name]}")
-    assert getattr(anyongas, name) is getattr(module, name)
-
-
-def test_star_import_and_dir_list_every_export():
-    namespace = {}
-    exec("from anyongas import *", namespace)
-    exports = set(anyongas._LAZY_MODULE)
-    assert exports <= namespace.keys()
-    assert exports <= set(dir(anyongas))
-    assert "__version__" in dir(anyongas)
-
-
-def test_package_exports_algebra_and_oracle_names_lazily():
-    import anyongas
-    from anyongas import algebra
-
-    assert anyongas.rep_report is algebra.rep_report
-    assert anyongas.run_verification is oracle.run_verification
-    with pytest.raises(AttributeError, match="no_such_name"):
-        anyongas.no_such_name
 
 
 _BLOCK_NUMPY = """

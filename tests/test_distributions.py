@@ -106,6 +106,12 @@ class TestBOccupationJD:
         with pytest.raises(DomainError):
             b_occupation_jd(1.0, 1.0)
 
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    @pytest.mark.parametrize("w", [math.nan, -0.1, -math.inf])
+    def test_w_must_be_a_number_from_zero(self, q, w):
+        with pytest.raises(DomainError, match=f"w must be a number >= 0, got {w!r}"):
+            b_occupation_jd(q, w)
+
     def test_prefactor_ratio_at_small_occupation(self):
         # occ/jd -> (1/q - q)/(2 ln(1/q)) as eta grows
         for q in (0.3, 0.6, 0.9):

@@ -113,6 +113,14 @@ def test_weights_that_underflow_give_zero():
     assert trace_average(Family.B, 0.5, 800.0, "basic_N") == 0.0
 
 
+@pytest.mark.parametrize("average", [trace_average, trace_average_matrix])
+@pytest.mark.parametrize("family", [Family.B, Family.F])
+@pytest.mark.parametrize("n_max", [0, -1, 2.5, math.nan])
+def test_n_max_must_be_an_integer_from_one(average, family, n_max):
+    with pytest.raises(DomainError, match=f"n_max must be an integer >= 1, got {n_max!r}"):
+        average(family, 0.5, 2.0, "N", n_max=n_max)
+
+
 def test_fixed_n_max_that_misses_the_tail_bound():
     with pytest.raises(ConvergenceError, match="n_max=8"):
         trace_average(Family.B, 0.5, 1.0, "N", n_max=8)

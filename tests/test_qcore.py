@@ -140,12 +140,17 @@ class TestBasicNumber:
             assert float(abs((got - sign * want) / want)) <= tol
 
     @pytest.mark.parametrize("q, x", [(0.5, 1025.0), (0.9, 6800.0), (1e-5, 1e300),
-                                      (0.5, math.inf)])
+                                      (0.5, math.inf), (1.0, math.inf)])
     def test_past_the_largest_double_is_domain_error(self, q, x):
         # [1025] = 2.4e308 at q = 0.5
         for sign in (1.0, -1.0):
             with pytest.raises(DomainError, match="passes the largest double"):
                 basic_number(q, sign * x)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0 - 1e-13, 1.0])
+    def test_nan_x_is_domain_error_at_every_q(self, q):
+        with pytest.raises(DomainError, match="needs a number x, got nan"):
+            basic_number(q, math.nan)
 
     # the rounding of ln q, magnified |x| times in sinh(x ln q), bounds the
     # relative error by about |x ln q| 2^-53

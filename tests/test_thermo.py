@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -351,6 +352,24 @@ class TestInputValidation:
         # at the second
         with pytest.raises(DomainError, match="lam\\^3"):
             state(0.5, 0.25, temperature)
+
+    @pytest.mark.parametrize("state", [b_state, f_state])
+    @pytest.mark.parametrize("temperature, volume, overflowed", [
+        (1e200, 1.0, "pressure, internal_energy, grand_potential"),
+        (1e10, 1e308, "internal_energy, entropy, grand_potential")])
+    def test_state_functions_past_the_largest_double(self, state, temperature,
+                                                     volume, overflowed):
+        # lam^3 is a finite double at both, and kT/lam^3 or the volume
+        # carries the products past it
+        message = (f"{overflowed} pass the largest double "
+                   f"at T={temperature!r}, V={volume!r}, m=1.0")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            state(0.5, 0.3, temperature, volume=volume)
+
+    @pytest.mark.parametrize("order", [2.5, 1, 0, -3, math.nan, math.inf])
+    def test_virial_order_must_be_an_integer_from_two(self, order):
+        with pytest.raises(DomainError, match=f"order must be an integer >= 2, got {order!r}"):
+            virial_coefficients("b", 0.5, order)
 
 
 class TestStateFunctions:
