@@ -256,7 +256,7 @@ def _is_sweep(args, name):
 
 def _cmd_eos(args):
     from . import thermo
-    from .qcore import Family, as_family
+    from .qcore import Family, as_count, as_family
 
     family = as_family(args.family)
     qs = _parse_q_list(args.q)
@@ -277,8 +277,7 @@ def _cmd_eos(args):
                     else [args.temperature])
     fugacities = (_linspace(args.z_min, args.z_max, args.z_steps, "z") if z_sweep
                   else [z])
-    if args.multiplicity < 1:
-        raise DomainError("multiplicity must be a positive integer")
+    as_count("multiplicity", args.multiplicity, 1)
     if family is Family.B and args.multiplicity != 1:
         raise DomainError(f"multiplicity {args.multiplicity!r} has no effect on the B "
                           "family, whose state functions carry no spin factor; give "

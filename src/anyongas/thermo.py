@@ -12,8 +12,11 @@ h = k = 1 unless `b_state` and `f_state` are given others, SI among them.
 A given density is turned into a fugacity by a Brent-Dekker solve in
 ln(z/q) on a bracket from closed-form bounds.  Virial coefficients come
 from Lagrange inversion of the density series in x = z/q, summed in
-stdlib decimal at a precision raised until the sum's own conditioning
-leaves every coefficient correct to a double.  One sum, the B family's,
+stdlib decimal.  A pass sums b_2, b_3, ... in turn and stops at the
+first one its precision cannot hold to a double; the next pass at least
+doubles the digits, and the first to reach the last coefficient is kept
+(34 digits for B at q = 0.3 and order 40, 68 at q = 0.5, 136 at q = 1
+and for F, both at order 60).  One sum, the B family's,
 serves both: in x the F gas is the plain Fermi gas, whose coefficients
 are those of the Bose gas (B at q = 1) with alternating signs, so F has
 no q in them.
@@ -99,10 +102,7 @@ def f_state(q, z, temperature, *, mass=1.0, volume=1.0, multiplicity=1, h=1.0,
     """
     q = as_qparam(q).q
     _check_positive(temperature=temperature, mass=mass, volume=volume, h=h, k=k)
-    # a NaN fails the first test, and 2.5 and inf the second (inf % 1 is NaN)
-    if not (multiplicity >= 1 and multiplicity % 1 == 0):
-        raise DomainError(
-            f"multiplicity must be a positive integer, got {multiplicity!r}")
+    multiplicity = as_count("multiplicity", multiplicity, 1)
     z = float(z)
     if not z > 0.0:
         raise DomainError(f"fugacity must be positive, got {z!r}")
@@ -315,71 +315,78 @@ def _density_per_x(q, order):
     return rho
 
 
-def _diagonal_over_n(phi, order, zero):
+def _diagonal_over_n(phi, order, zero, short=None):
     # [x^(n-1)] phi(x)^(n-1) / n for n = 1..order, meeting in the middle:
     # the coefficient is the dot product of phi^floor((n-1)/2) and
-    # phi^ceil((n-1)/2), so only the powers up to order // 2 are built,
-    # each truncated at x^(order-1).  zero is the 0 of phi's number type
+    # phi^ceil((n-1)/2), so only the powers up to order // 2 are built.
+    # They grow together one degree at a time, and b_n is summed as soon
+    # as they hold degree n - 1; short(n, b_n), if given, is asked for
+    # n = 2, 3, ... in turn, and a true answer returns None before any
+    # product of a higher degree.  zero is the 0 of phi's number type
     powers = [[zero + 1] + [zero] * (order - 1), phi]
-    for _ in range(2, order // 2 + 1):
-        last = powers[-1]
-        powers.append([sum(map(mul, last[:d + 1], reversed(phi[:d + 1])))
-                       for d in range(order)])
+    powers += [[] for _ in range(2, order // 2 + 1)]
+    steps = list(zip(powers[1:], powers[2:]))
     out = [zero + 1]
-    for n in range(2, order + 1):
-        low, high = powers[(n - 1) // 2], powers[n // 2]
-        out.append(sum(map(mul, low[:n], reversed(high[:n]))) / n)
+    for d in range(order):
+        reversed_phi = phi[d::-1]
+        for last, power in steps:
+            power.append(sum(map(mul, last, reversed_phi)))
+        if d:
+            n = d + 1
+            b = sum(map(mul, powers[d // 2], powers[n // 2][d::-1])) / n
+            if short is not None and short(n, b):
+                return None
+            out.append(b)
     return out
-
-
-def _virial_scale(phi, order):
-    # the sums of _diagonal_over_n over the absolute values of every term,
-    # in doubles: rounding at P digits moves b_n by a few 10^-P scale_n
-    return _diagonal_over_n([abs(float(c)) for c in phi], order, 0.0)
-
-
-def _virial_pass(q, order):
-    # b_n q^(n-1) for n = 1..order at the context precision, and the
-    # digits that precision needs for every one of them to be right to a
-    # double; |b| >= 10^b.adjusted(), so that overestimates by under one
-    from decimal import Decimal
-
-    rho = _density_per_x(q, order)
-    phi = [Decimal(1)]  # x/rho(x)
-    for n in range(1, order):
-        phi.append(-sum(rho[k] * phi[n - k] for k in range(1, n + 1)))
-    coeffs = _diagonal_over_n(phi, order, Decimal(0))
-    needed = max(
-        (_DOUBLE_DIGITS + _VIRIAL_GUARD_DIGITS + math.log10(s) - b.adjusted()
-         if b else math.inf)
-        for b, s in zip(coeffs, _virial_scale(phi, order)))
-    return coeffs, needed
 
 
 def _bose_virial(q, order):
     # b_1..b_order of the B family at the double q, as floats, and the
     # digits they were summed at.  B takes the exact double q, however
     # close to 1: its coefficients are a positive sum with no 0/0 at q = 1,
-    # and they move across |q - 1| < 1e-12
+    # and they move across |q - 1| < 1e-12.  The sum gives b_n q^(n-1);
+    # rounding at P digits moves it by a few 10^-P scale_n, the same sum
+    # over the absolute values of every term, in doubles from the first
+    # pass's phi.  So b_n needs 17 + 5 + log10(scale_n) - b.adjusted()
+    # digits (|b| >= 10^b.adjusted(), so that overestimates by under one),
+    # and a pass stops at the first b_n that needs more than it has
     from decimal import Context, Decimal, localcontext
 
     q_x = Decimal(q)
     digits = _VIRIAL_START_DIGITS
+    scale = None
+    need = 0.0
+
+    def short(n, b):
+        nonlocal need
+        need = (_DOUBLE_DIGITS + _VIRIAL_GUARD_DIGITS + math.log10(scale[n - 1])
+                - b.adjusted() if b else math.inf)
+        return need > digits
+
     while True:
         with localcontext(Context(prec=digits)):
-            coeffs, needed = _virial_pass(q_x, order)
-            if digits >= needed:
+            rho = _density_per_x(q_x, order)
+            phi = [Decimal(1)]  # x/rho(x)
+            for n in range(1, order):
+                phi.append(-sum(rho[k] * phi[n - k] for k in range(1, n + 1)))
+            if scale is None:
+                scale = _diagonal_over_n([abs(float(c)) for c in phi], order, 0.0)
+            coeffs = _diagonal_over_n(phi, order, Decimal(0), short)
+            if coeffs is not None:
                 coeffs = [float(b / q_x ** n) for n, b in enumerate(coeffs)]
                 break
-        digits = max(2 * digits, math.ceil(needed))
+        # an infinite need, of a b_n that is exactly 0, lands past the cap
+        digits = max(2 * digits, math.ceil(min(need, _VIRIAL_MAX_DIGITS + 1)))
         if digits > _VIRIAL_MAX_DIGITS:
             raise ConvergenceError(
                 f"virial coefficients need more than {_VIRIAL_MAX_DIGITS} digits "
                 f"at q={q!r}, order={order}")
     beyond = next((n for n, b in enumerate(coeffs, 1) if math.isinf(b)), 0)
     if beyond:
+        # the order is at least 2, so no smaller order drops an infinite b_2
+        advice = "a larger q" if beyond == 2 else f"an order below {beyond} or a larger q"
         raise DomainError(f"b_{beyond} is beyond the largest double at q={q!r}; "
-                          f"give an order below {beyond} or a larger q")
+                          f"give {advice}")
     return coeffs, digits
 
 
@@ -406,13 +413,17 @@ def virial_coefficients(family, q, order):
 
     Precision: scale_n is the same sum over the absolute values of every
     term, from the same meet-in-the-middle powers of |phi| in plain
-    floats.  The working precision P starts at 34 digits and at least
-    doubles each pass until every n has
-    P >= 17 + 5 + log10(scale_n/|b_n|); each b_n is then correct to a
-    double.  The result is a list of floats whose ``working_digits`` is
-    that final P (68 for B at q = 0.5 and order 60, 136 for B at q = 1
-    and so for F at order 60).  An order whose b_n passes the largest
-    double raises DomainError.
+    floats, and b_n is right to a double at P digits when
+    P >= 17 + 5 + log10(scale_n/|b_n|).  A pass at P digits grows the
+    powers one degree at a time, checks each b_n as soon as it is summed,
+    and stops at the first that P cannot hold, at about (n/order)^2 of
+    the cost of a full pass.  P starts at 34 and the next pass runs at
+    the larger of 2P and that b_n's need; the first pass to reach
+    b_order is kept.  The result is a list of floats whose
+    ``working_digits`` is that pass's P: 34 for B at q = 0.3 and order
+    40, 68 for B at q = 0.5 or 0.9 and order 60, 136 for B at q = 1 and
+    so for F at order 60, 272 for F at order 150.  An order whose b_n
+    passes the largest double raises DomainError.
     """
     family = as_family(family)
     qp = as_qparam(q)

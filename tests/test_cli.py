@@ -290,13 +290,13 @@ class TestEos:
         pytest.param(["--family", "b", "--multiplicity", "3"],
                      "multiplicity 3 has no effect on the B family", id="b-multiplicity"),
         # the F density solve divides by the multiplicity
-        pytest.param(["--multiplicity", "0"], "multiplicity must be a positive integer",
+        pytest.param(["--multiplicity", "0"], "multiplicity must be an integer >= 1, got 0",
                      id="multiplicity-zero"),
         pytest.param(["--family", "f", "--multiplicity", "0", "--density", "1"],
-                     "multiplicity must be a positive integer",
+                     "multiplicity must be an integer >= 1, got 0",
                      id="f-multiplicity-zero-density"),
         pytest.param(["--family", "f", "--multiplicity", "-2", "--density", "1"],
-                     "multiplicity must be a positive integer",
+                     "multiplicity must be an integer >= 1, got -2",
                      id="f-multiplicity-negative-density"),
         # z/q = 2e308 is beyond the largest double, where f is not defined
         pytest.param(["--family", "f", "--q", "0.5", "--z", "1e308"],
@@ -359,6 +359,18 @@ class TestVirial:
         assert payload["metadata"]["q_independent"] is True
         assert rows[0]["coefficient"] == 1.0
         assert rows[1]["coefficient"] == pytest.approx(2.0 ** -2.5, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("q, order, advice", [
+        ("5e-324", "2", "b_2 is beyond the largest double at q=5e-324; give a larger q\n"),
+        ("1e-5", "70", "b_66 is beyond the largest double at q=1e-05; "
+                       "give an order below 66 or a larger q\n")])
+    def test_overflow_advice_is_possible(self, tmp_path, capsys, q, order, advice):
+        # the order is at least 2, so an infinite b_2 leaves only a larger q
+        path = tmp_path / "x.csv"
+        assert cli.main(["virial", "--family", "b", "--q", q, "--order", order,
+                         "--output", str(path)]) == 3
+        assert capsys.readouterr().err.endswith(advice)
+        assert not path.exists()
 
 
 class TestFock:

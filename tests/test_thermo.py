@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import re
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -41,7 +42,7 @@ class TestVirialF:
 
     def test_highest_order(self):
         got = virial_coefficients("f", 0.76, 150)
-        assert got.working_digits == 276
+        assert got.working_digits == 272
         # the values the F density series in decimal gave, at 272 digits
         assert (got[0], got[1], got[144], got[149]) == (
             1.0, 0.1767766952966369, -1.7466130682302417e-186, -9.891709166770562e-193)
@@ -111,11 +112,70 @@ class TestVirial:
         with pytest.raises(DomainError, match="b_66 is beyond the largest double"):
             virial_coefficients("b", 1e-5, 70)
 
-    def test_working_digits_follow_the_conditioning(self):
-        # b_60 at q = 0.5 needs 68 digits, the F series' cancellation 136
-        assert virial_coefficients("b", 0.3, 40).working_digits == 34
-        assert virial_coefficients("b", 0.5, 60).working_digits == 68
-        assert virial_coefficients("f", 0.5, 60).working_digits == 136
+    @pytest.mark.parametrize("family, q, order, digits", [
+        ("b", 0.3, 40, 34), ("b", 0.5, 60, 68), ("b", 0.9, 60, 68),
+        ("b", 1.0, 60, 136), ("f", 0.5, 60, 136)])
+    def test_working_digits_follow_the_conditioning(self, family, q, order, digits):
+        # b_60 at q = 0.5 needs 68 digits, the Bose series' cancellation at
+        # q = 1, and so the F series', 136
+        assert virial_coefficients(family, q, order).working_digits == digits
+
+    def test_b2_past_the_largest_double_asks_only_for_a_larger_q(self):
+        # no order below 2 exists to drop it
+        with pytest.raises(DomainError, match="b_2 is beyond the largest double "
+                                              "at q=5e-324; give a larger q$"):
+            virial_coefficients("b", 5e-324, 2)
+
+    def test_an_infinite_need_ends_at_the_digit_cap(self, monkeypatch):
+        # a b_n that is exactly 0 needs infinitely many digits: the loop
+        # ends with its ConvergenceError, not an OverflowError from ceil(inf)
+        diagonal = thermo._diagonal_over_n
+
+        def zero_b2(phi, order, zero, short=None):
+            if short is None:  # the scale
+                return diagonal(phi, order, zero)
+            assert short(2, zero)
+            return None
+
+        monkeypatch.setattr(thermo, "_diagonal_over_n", zero_b2)
+        with pytest.raises(ConvergenceError, match="need more than 2176 digits"):
+            virial_coefficients("b", 0.5, 10)
+
+
+# phi at K = 12 with unequal rational coefficients, phi_0 = 1
+_DIAGONAL_ORDER = 12
+_DIAGONAL_PHI = [Fraction(1)] + [
+    Fraction(k, r + 1) for r, k in enumerate(random.Random(7).choices(range(-9, 10), k=11), 1)]
+
+
+def _naive_diagonal_over_n(phi, order):
+    # [x^(n-1)] phi^(n-1) / n from phi^0, phi^1, ... as full products
+    power = [Fraction(1)] + [Fraction(0)] * (order - 1)
+    out = []
+    for n in range(1, order + 1):
+        out.append(power[n - 1] / n)
+        power = [sum(power[i] * phi[d - i] for i in range(d + 1)) for d in range(order)]
+    return out
+
+
+class TestDiagonalOverN:
+    def test_matches_the_full_powers_exactly(self):
+        assert (thermo._diagonal_over_n(_DIAGONAL_PHI, _DIAGONAL_ORDER, Fraction(0))
+                == _naive_diagonal_over_n(_DIAGONAL_PHI, _DIAGONAL_ORDER))
+
+    @pytest.mark.parametrize("stop", [2, 5, _DIAGONAL_ORDER, None])
+    def test_short_sees_each_b_n_in_order_and_stops_the_sum(self, stop):
+        want = _naive_diagonal_over_n(_DIAGONAL_PHI, _DIAGONAL_ORDER)
+        seen = []
+
+        def short(n, b):
+            seen.append((n, b))
+            return n == stop
+
+        got = thermo._diagonal_over_n(_DIAGONAL_PHI, _DIAGONAL_ORDER, Fraction(0), short)
+        last = _DIAGONAL_ORDER if stop is None else stop
+        assert seen == [(n, want[n - 1]) for n in range(2, last + 1)]
+        assert got == (want if stop is None else None)
 
 
 class TestDensitySolve:
@@ -337,7 +397,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("multiplicity", [0, -2, 2.5, math.nan, math.inf])
     def test_f_state_refuses_a_multiplicity_that_is_not_a_positive_integer(
             self, multiplicity):
-        with pytest.raises(DomainError, match="multiplicity must be a positive integer, "
+        with pytest.raises(DomainError, match="multiplicity must be an integer >= 1, "
                                               f"got {multiplicity!r}"):
             f_state(0.5, 0.25, 1.0, multiplicity=multiplicity)
 
