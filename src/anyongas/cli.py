@@ -21,16 +21,19 @@ verify the oracle and with it the rest.  No command imports numpy.
 
 The writer streams: it writes the head, then the rows in strings of up to
 _CHUNK_ROWS lines, then the tail, to the file or to standard output,
-without building the whole text.  A CSV row is one %-format, %.Pg for a
-float and %s for anything else, which is the text of format(v, ".Pg")
-and str(v); where every value of a dataset has one type, one format
-serves every row.  Where every value is an int or a float, a JSON row is
-one "[%r, %r, ...]" format, the text json.dumps writes for ints and
-finite floats; a string of rows that holds a NaN or an infinity, and any
-other row, comes from json.dumps.  The rest of the document keeps the
-indent=2 layout.  Below 17 significant digits JSON floats are rounded to
---precision; at 17 and above every double reads back unchanged, so they
-are written as they are.
+without building the whole text.  Every command's rows hold one value
+type per column, so the first row fixes the format of every row.  A CSV
+row is one %-format, %.Pg for a float and %s for anything else, which is
+the text of format(v, ".Pg") and str(v).  Where the first row holds only
+ints and floats, a JSON row is one "[%r, %r, ...]" format, the text
+json.dumps writes for ints and finite floats; a string of rows that holds
+a NaN or an infinity, and every row of any other dataset, comes from
+json.dumps.  The rest of the document keeps the indent=2 layout.  Below
+17 significant digits JSON floats are rounded to --precision; at 17 and
+above every double reads back unchanged, so they are written as they are.
+verify's errata and notes travel as the dataset's `comments`: CSV writes
+them as comment lines after the config, and JSON, whose report holds
+them, leaves them out.
 
 Exit codes: 0 success, 1 internal check or convergence failure, 2 usage
 error, 3 domain error.
@@ -77,12 +80,6 @@ def _linspace(lo, hi, steps, name):
     return [lo + i * h for i in range(steps)]
 
 
-def _row_shape(rows):
-    # the value types and the row lengths of a dataset, each in one C-level pass
-    return (set(map(type, itertools.chain.from_iterable(rows))),
-            set(map(len, rows)))
-
-
 def _chunks(rows):
     # lists of _CHUNK_ROWS rows: the rows of a list are written as one string
     rows = iter(rows)
@@ -96,31 +93,20 @@ def _csv_format(precision, kinds):
                     for kind in kinds) + "\n"
 
 
-def _csv_text(dataset, precision, extra_comments):
+def _csv_text(dataset, precision):
     lines = [f"# schema_version = {dataset['schema_version']}",
              f"# command = {dataset['command']}"]
     for key in sorted(dataset["config"]):
         lines.append(f"# {key} = {dataset['config'][key]}")
-    lines.extend(extra_comments)
+    lines.extend(dataset.get("comments", ()))
     lines.append(",".join(dataset["columns"]))
     yield "\n".join(lines) + "\n"
     rows = dataset["rows"]
-    kinds, widths = _row_shape(rows)
-    if len(kinds) == 1 and len(widths) == 1:
-        # one value type in the whole dataset: one format for every row
-        format_row = _csv_format(precision, tuple(kinds) * widths.pop()).__mod__
-    else:
-        formats = {}  # one format per tuple of value types
-
-        def format_row(row):
-            kinds = tuple(map(type, row))
-            line = formats.get(kinds)
-            if line is None:
-                line = formats[kinds] = _csv_format(precision, kinds)
-            return line % row
-
-    for chunk in _chunks(rows):
-        yield "".join(map(format_row, chunk))
+    if rows:
+        # every row holds the value types of the first
+        line = _csv_format(precision, map(type, rows[0]))
+        for chunk in _chunks(rows):
+            yield "".join(map(line.__mod__, chunk))
 
 
 def _json_text(dataset, precision):
@@ -133,12 +119,12 @@ def _json_text(dataset, precision):
     # head without its closing "\n}" and the tail without "{\n" and "\n}"
     yield json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
     rows = dataset["rows"]
-    kinds, widths = _row_shape(rows)
     # json.dumps writes an int or a finite float as its repr, so a row of
-    # them is one %r each (a bool is neither: its type is bool)
-    numeric = kinds <= {float, int} and len(widths) == 1
+    # them is one %r each (a bool is neither: its type is bool); every row
+    # holds the value types of the first
+    numeric = bool(rows) and {*map(type, rows[0])} <= {float, int}
     if numeric:
-        line = "[" + ", ".join(["%r"] * widths.pop()) + "]"
+        line = "[" + ", ".join(["%r"] * len(rows[0])) + "]"
     if precision < _ROUND_TRIP_DIGITS:
         rows = (tuple([_jsonable(v, precision) for v in row]) for row in rows)
     sep, lead = ",\n    ", "\n    "
@@ -156,9 +142,9 @@ def _json_text(dataset, precision):
     yield "\n}\n"
 
 
-def _write(dataset, fmt, out_path, precision, extra_comments):
+def _write(dataset, fmt, out_path, precision):
     chunks = (_json_text(dataset, precision) if fmt == "json"
-              else _csv_text(dataset, precision, extra_comments))
+              else _csv_text(dataset, precision))
     if out_path in (None, "-"):
         sys.stdout.writelines(chunks)
     else:
@@ -377,14 +363,13 @@ def _cmd_verify(args):
 
     report = oracle.run_verification()
     config = {"suite": "full"}
-    extra = [f"# erratum {e.erratum_id}: printed [{e.printed}] "
-             f"-> adopted [{e.adopted}]" for e in report.errata]
-    extra += [f"# note {n.note_id}: {n.detail}" for n in report.notes]
+    comments = [f"# erratum {e.erratum_id}: printed [{e.printed}] "
+                f"-> adopted [{e.adopted}]" for e in report.errata]
+    comments += [f"# note {n.note_id}: {n.detail}" for n in report.notes]
     dataset = {
         "config": config, "columns": _CHECK_COLUMNS,
         "rows": _check_rows(report.checks),
-        "report": report.to_dict(),
-        "_csv_comments": extra,
+        "report": report.to_dict(), "comments": comments,
     }
     return dataset, 0 if report.all_passed else 1
 
@@ -502,8 +487,7 @@ def main(argv=None):
     try:
         dataset, status = _COMMANDS[args.command](args)
         dataset.update(schema_version=SCHEMA_VERSION, command=args.command)
-        comments = dataset.pop("_csv_comments", ())
-        _write(dataset, args.format, args.output, args.precision, comments)
+        _write(dataset, args.format, args.output, args.precision)
         return status
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ import math
 
 from . import kernels
 from .errors import DomainError
-from .qcore import QParam, as_qparam
+from .qcore import QParam, as_count, as_qparam
 
 _TWO_OVER_PI = 2.0 / math.pi
 _ETA_HUGE = 700.0  # beyond this e^eta overflows a double; switch to e^-eta forms
@@ -170,14 +170,13 @@ def cf_convergent(q, eta, k):
     continued fraction of -ln(1 - y).  k = 1 and k = 2 reproduce the
     closed first and second approximants.
     """
-    if k < 1 or k != int(k):
-        raise DomainError(f"convergent index must be a positive integer, got {k!r}")
+    k = as_count("k", k, 1)
     qp = q if type(q) is QParam else as_qparam(q)
     if qp.is_classical_limit:
         return _bose_occupation(float(eta))
     y = _cf_argument(qp, eta)
     pref = 1.0 / (2.0 * qp.ln_q_inv)
-    return pref * kernels.cf_convergent_value(y, int(k))
+    return pref * kernels.cf_convergent_value(y, k)
 
 
 ConvergentPair = collections.namedtuple("ConvergentPair", ("lower", "upper", "exact"))

@@ -171,10 +171,11 @@ def basic_mean_closed_form(q, eta):
     """Independent geometric-sum reference for the [N] average.
 
     <[N]> = w (1 - w) / ((1 - q w)(1 - w/q)) with w = e^-eta, obtained by
-    splitting [n] into the two geometric series.
+    splitting [n] into the two geometric series.  Its domain is that of
+    trace_average(B, q, eta, "basic_N"): finite eta > 0 with e^eta > 1/q.
     """
-    qp = as_qparam(q)
-    w = math.exp(-float(eta))
+    _, qp, eta, _ = _trace_inputs(Family.B, q, eta, "basic_N", None)
+    w = math.exp(-eta)
     return w * (1.0 - w) / ((1.0 - qp.q * w) * (1.0 - qp.q_inv * w))
 
 
@@ -309,9 +310,7 @@ def taylor_reference(function_id, n_coeffs):
             f"unknown function id {function_id!r}; "
             f"registered: {sorted(_TAYLOR_REGISTRY)}"
         ) from None
-    if n_coeffs < 1:
-        raise DomainError("need at least one coefficient")
-    return builder(n_coeffs)
+    return builder(as_count("n_coeffs", n_coeffs, 1))
 
 
 def arcsin_series_coefficients(n_coeffs):

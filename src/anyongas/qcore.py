@@ -174,12 +174,14 @@ def jackson_derivative(f, q, x):
     while D_q f comes within a relative ln(1/q)^2 of f'.  So every q
     above exp(-1e-6), q = 1 among them, is taken as exp(-1e-6); the
     value is then off D_q f by up to about 1e-12 |3x f'' + x^2 f'''| /
-    (6 |f'|) relative.  x = 0 is outside the domain.
+    (6 |f'|) relative.  x = 0 and a non-finite x are outside the domain.
     """
     q = min(as_qparam(q).q, _JACKSON_Q_MAX)
     x = float(x)
     if x == 0.0:
         raise DomainError("Jackson derivative is undefined at x = 0")
+    if not math.isfinite(x):
+        raise DomainError(f"Jackson derivative needs a finite x, got {x!r}")
     return (f(q * x) - f(x / q)) / (x * (q - 1.0 / q))
 
 

@@ -446,9 +446,10 @@ def b_partition_log(spectrum, z, beta):
     total = 0.0
     for energy in spectrum:
         w = z * math.exp(-beta * energy)
-        if w >= 1.0:
+        if not w < 1.0:
             raise DomainError(
-                f"mode at energy {energy!r} has z e^(-beta E) = {w!r} >= 1"
+                f"mode at energy {energy!r} has z e^(-beta E) = {w!r}; give z "
+                "and beta with z e^(-beta E) below 1 for every mode"
             )
         total -= math.log1p(-w)
     return total

@@ -531,14 +531,45 @@ def test_json_row_text_is_json_dumps(name, precision):
     assert json.loads(text)["columns"] == ["a", "b", "c"]
 
 
+# the CSV writer takes every row's format from the first row, so a dataset
+# whose ints turn into floats is written as ints: no command writes one
+# (test_every_command_writes_one_type_per_column)
 @pytest.mark.parametrize("precision", [6, 17])
-@pytest.mark.parametrize("name", sorted(_WRITER_DATASETS))
+@pytest.mark.parametrize("name", sorted(set(_WRITER_DATASETS) - {"ints-then-floats"}))
 def test_csv_row_text_is_the_per_value_join(name, precision):
     rows = _WRITER_DATASETS[name]
-    text = "".join(cli._csv_text(_dataset(rows), precision, ()))
+    text = "".join(cli._csv_text(_dataset(rows), precision))
     want = [",".join(format(v, f".{precision}g") if isinstance(v, float)
                      else str(v) for v in row) for row in rows]
     assert text.splitlines()[4:] == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["occupation"], id="occupation-b"),
+    pytest.param(["occupation", "--family", "f"], id="occupation-f"),
+    pytest.param(["bounds"], id="bounds"),
+    pytest.param(["eos", "--z-min", "0.1", "--z-max", "0.4", "--z-steps", "3"],
+                 id="eos-b-z-sweep"),
+    pytest.param(["eos", "--family", "f", "--q", "0.4,0.9", "--density", "3",
+                  "--t-min", "0.5", "--t-max", "2", "--t-steps", "3"], id="eos-f-density"),
+    pytest.param(["virial", "--family", "b"], id="virial-b"),
+    pytest.param(["virial", "--family", "f"], id="virial-f"),
+    pytest.param(["fock", "--family", "b"], id="fock-b"),
+    pytest.param(["fock", "--family", "f"], id="fock-f"),
+    pytest.param(["verify"], id="verify"),
+    pytest.param(["limits"], id="limits"),
+])
+def test_every_command_writes_one_type_per_column(monkeypatch, argv, fmt):
+    # the writer formats every row as its first: a command whose rows change
+    # a column's type from row to row would change its output silently
+    written = []
+    monkeypatch.setattr(cli, "_write", lambda *args: written.append(args))
+    assert cli.main([*argv, "--format", fmt]) == 0
+    [(dataset, written_fmt, *_)] = written
+    assert written_fmt == fmt
+    assert dataset["rows"]
+    assert len({tuple(map(type, row)) for row in dataset["rows"]}) == 1
 
 
 @pytest.mark.parametrize("precision", ["-1", "0", "x"])

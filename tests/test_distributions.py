@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import struct
 import sys
 
@@ -203,6 +204,12 @@ class TestConvergents:
     def test_bad_k(self):
         with pytest.raises(DomainError):
             cf_convergent(0.5, 1.0, 0)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 2.5, 0])
+    def test_k_must_be_a_whole_number_from_one(self, k):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"k must be an integer >= 1, got {k!r}")):
+            cf_convergent(0.5, 2.0, k)
 
 
 class TestBounds:

@@ -1,12 +1,14 @@
 """The brute-force trace sums against their closed forms in mpmath."""
 
 import math
+import re
 
 import mpmath
 import pytest
 
 from anyongas.errors import ConvergenceError, DomainError
-from anyongas.oracle import trace_average, trace_average_matrix
+from anyongas.oracle import (basic_mean_closed_form, taylor_reference,
+                             trace_average, trace_average_matrix)
 from anyongas.qcore import Family
 
 # deformed, near the undeformed limit on both sides of |q - 1| = 1e-12,
@@ -132,3 +134,36 @@ def test_matrix_and_scalar_sums_agree(q, observable):
     spec = (Family.B, q, -math.log(q) + 2.0, observable, 64)
     assert trace_average_matrix(*spec) == pytest.approx(
         trace_average(*spec), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 1 - 1e-9, 1.0])
+def test_basic_mean_closed_form_is_the_trace_sum(q):
+    for offset in OFFSETS:
+        eta = -math.log(q) + offset
+        assert basic_mean_closed_form(q, eta) == pytest.approx(
+            _closed_form("basic_N", q, eta), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("q, eta, match", [
+    # e^eta < 1/q: the geometric sum in w/q diverges
+    (0.5, 0.1, "e\\^eta > 1/q"), (0.5, math.log(2.0), "e\\^eta > 1/q"),
+    (0.5, math.nan, "finite eta > 0"), (0.5, math.inf, "finite eta > 0"),
+    (0.5, 0.0, "finite eta > 0"), (0.5, -1.0, "finite eta > 0"),
+])
+def test_basic_mean_closed_form_refuses_what_the_trace_sum_refuses(q, eta, match):
+    for function in (basic_mean_closed_form,
+                     lambda q, eta: trace_average(Family.B, q, eta, "basic_N")):
+        with pytest.raises(DomainError, match=match):
+            function(q, eta)
+
+
+@pytest.mark.parametrize("n_coeffs", [math.nan, math.inf, -math.inf, 2.5, 0])
+@pytest.mark.parametrize("function_id", ["arcsin-sqrt", "degenerate-density-bracket"])
+def test_taylor_reference_needs_a_whole_number_of_coefficients(function_id, n_coeffs):
+    with pytest.raises(DomainError, match=re.escape(
+            f"n_coeffs must be an integer >= 1, got {n_coeffs!r}")):
+        taylor_reference(function_id, n_coeffs)
+
+
+def test_taylor_reference_takes_a_whole_float_count():
+    assert taylor_reference("arcsin-sqrt", 3.0) == taylor_reference("arcsin-sqrt", 3)

@@ -266,6 +266,11 @@ class TestJacksonDerivative:
         with pytest.raises(DomainError):
             jackson_derivative(lambda t: t, 0.5, 0.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_x_is_outside_domain(self, x):
+        with pytest.raises(DomainError, match="finite x"):
+            jackson_derivative(lambda t: t, 0.5, x)
+
 
 class TestSumFormIdentity:
     def test_log_form_equals_basic_number_series(self):

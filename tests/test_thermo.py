@@ -475,3 +475,22 @@ class TestThermalWavelength:
         inputs[name] = value
         with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
             thermal_wavelength(**inputs)
+
+
+class TestModeSum:
+    SPECTRUM = [0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("z, beta", [
+        (math.nan, 1.0), (0.5, math.nan), (2.0, 0.1), (math.inf, 1.0)])
+    def test_partition_log_needs_every_weight_below_one(self, z, beta):
+        with pytest.raises(DomainError, match="z e\\^\\(-beta E\\) below 1"):
+            thermo.b_partition_log(self.SPECTRUM, z, beta)
+
+    def test_number_refuses_a_nan_beta(self):
+        with pytest.raises(DomainError, match="z e\\^\\(-beta E\\) below 1"):
+            thermo.b_number_from_partition(self.SPECTRUM, 0.5, math.nan, 0.5)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_number_refuses_a_non_finite_fugacity(self, z):
+        with pytest.raises(DomainError, match="finite x"):
+            thermo.b_number_from_partition(self.SPECTRUM, z, 1.0, 0.5)
