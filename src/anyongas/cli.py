@@ -15,9 +15,9 @@ the first row outside the domain; the CLI only adds which flag to raise.
 Importing this module loads only `errors` from the package, and `json`
 loads only for JSON output.  Each command's driver imports the modules it
 runs: occupation, bounds and limits load `distributions`; eos and virial
-load `thermo` and the zeta functions behind it, and virial `decimal`
-too; fock loads `algebra` and the namedtuple records of `report`, and
-verify the oracle and with it the rest.  No command imports numpy.
+load `thermo` and the zeta functions behind it; fock loads `algebra`
+and the namedtuple records of `report`, and verify the oracle and with
+it the rest.  No command imports numpy.
 
 The writer streams: it writes the head, then the rows in strings of up to
 _CHUNK_ROWS lines, then the tail, to the file or to standard output,

@@ -25,6 +25,8 @@ OBSERVABLES = ("N", "qN", "q_inv_N", "basic_N", "adag_a")
 _TAIL_REL = 1e-15
 _NMAX_START = 32
 _NMAX_CAP = 4096
+# odd coefficients the arcsin-sqrt step schedule holds
+_ARCSIN_MAX_COEFFS = 4
 
 
 def _trace_inputs(family, q, eta, observable, n_max):
@@ -253,8 +255,13 @@ def _odd_maclaurin_coefficient(f, m, base_step, levels):
 
 def _arcsin_reference(n_coeffs):
     # step schedule tuned so the first three coefficients come out to
-    # 1e-8 or better (the fourth reaches ~1e-7; beyond that the noise
-    # amplification of high-order differences takes over)
+    # 1.2e-7 or better and the fourth to 7.3e-6; beyond that the noise
+    # amplification of high-order differences takes over (6.6e-2 at the
+    # fifth, 131 at the sixth), so more are refused
+    if n_coeffs > _ARCSIN_MAX_COEFFS:
+        raise DomainError(
+            f"the arcsin-sqrt step schedule holds {_ARCSIN_MAX_COEFFS} coefficients; "
+            f"n_coeffs must be at most {_ARCSIN_MAX_COEFFS}, got {n_coeffs!r}")
     f = lambda u: (2.0 / math.pi) * math.asin(u)
     coeffs = []
     for m in range(n_coeffs):
@@ -267,7 +274,8 @@ def _arcsin_reference(n_coeffs):
 
 def _degenerate_bracket_reference(n_coeffs):
     # bracket B(nu) = Gamma(5/2) f(e^nu, 3/2)/nu^(3/2) = 1 + c1 u + c2 u^2,
-    # u = nu^-2; extrapolate (B-1)/u, then ((B-1)/u - c1)/u, to u -> 0
+    # u = nu^-2; extrapolate (B-1)/u, then ((B-1)/u - c1)/u, ... to u -> 0:
+    # each pass divides the residual of the one before by u again
     gamma52 = math.gamma(2.5)
     nus = [12.0, 16.0, 22.0, 30.0, 42.0, 58.0]
     us = [nu ** -2 for nu in nus]
@@ -281,7 +289,7 @@ def _degenerate_bracket_reference(n_coeffs):
         scaled = [r / u for r, u in zip(resid, us)]
         c = _neville_to_zero(us, scaled)
         coeffs.append(c)
-        resid = [r - c * u for r, u in zip(resid, us)]
+        resid = [r - c for r in scaled]
     return tuple(coeffs)
 
 
@@ -297,11 +305,15 @@ def taylor_reference(function_id, n_coeffs):
     "arcsin-sqrt": the Maclaurin coefficients c1, c2, ... of (2/pi)
     arcsin(u) in u, with every even one 0 (so the n-th odd coefficient,
     at index 2n, multiplies g^(n+1/2) after u = sqrt(g)); computed by
-    Richardson-extrapolated central differences.
+    Richardson-extrapolated central differences.  Its step schedule holds
+    four odd coefficients, right to 5.2e-15, 4.7e-12, 1.2e-7 and 7.3e-6
+    relative to the closed form (`arcsin_series_coefficients`); n_coeffs
+    above 4 raises DomainError, as the fifth would be 6.6e-2 off and the
+    sixth 131.
     "degenerate-density-bracket": the coefficients c1, c2, ... of the
     asymptotic bracket 1 + c1 u + c2 u^2 + ... in u = (ln x)^-2, from
-    quadrature values; its constant term is 1 and is not returned, and
-    c1 recovers pi^2/8.
+    quadrature values; its constant term is 1 and is not returned, c1
+    recovers pi^2/8 to 4.9e-9 and c2 7 pi^4/640 to 3.8e-5.
     """
     try:
         builder = _TAYLOR_REGISTRY[function_id]

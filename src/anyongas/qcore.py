@@ -6,7 +6,7 @@ derivative that replaces d/dx in the boson-like thermodynamics.
 
 `PowerSeries` keeps only its exact composition and reversion, summed in
 rationals and rounded to doubles.  No command calls them: the virial
-coefficients are summed in decimal by `thermo.virial_coefficients`.
+coefficients are summed in int fixed point by `thermo.virial_coefficients`.
 They stay, with their tests, because the benchmark's span tracer
 (perfbench/spans.py) wraps both by name; they go with the next change
 to the benchmark.  `fractions` is imported inside them, so no command

@@ -12,17 +12,14 @@ h = k = 1 unless `b_state` and `f_state` are given others, SI among them.
 A given density is turned into a fugacity by a Brent-Dekker solve in
 ln(z/q) on a bracket from closed-form bounds.  Virial coefficients come
 from Lagrange inversion of the density series in x = z/q, summed in
-stdlib decimal.  A pass sums b_2, b_3, ... in turn and stops at the
-first one its precision cannot hold to a double; the next pass at least
-doubles the digits, and the first to reach the last coefficient is kept
-(34 digits for B at q = 0.3 and order 40, 68 at q = 0.5, 136 at q = 1
-and for F, both at order 60).  One sum, the B family's,
-serves both: in x the F gas is the plain Fermi gas, whose coefficients
-are those of the Bose gas (B at q = 1) with alternating signs, so F has
-no q in them.
-
-`decimal` is imported inside the virial code, so that the eos command
-does not load it.
+binary fixed point on Python ints.  A pass at P digits sums b_2, b_3,
+... in turn and stops at the first one its precision cannot hold to a
+double; the next pass at least doubles the digits, and the first to
+reach the last coefficient is kept (34 digits for B at q = 0.3 and order
+40, 68 at q = 0.5, 136 at q = 1 and for F, both at order 60).  One sum,
+the B family's, serves both: in x the F gas is the plain Fermi gas, whose
+coefficients are those of the Bose gas (B at q = 1) with alternating
+signs, so F has no q in them.
 """
 
 import collections
@@ -50,6 +47,11 @@ _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 # rounding that builds up over the O(K^3) products of the virial sum
 _DOUBLE_DIGITS = 17
 _VIRIAL_GUARD_DIGITS = 5
+# a pass at P digits sums in fixed point at 2^-bits <= 10^-(P + 5): one
+# unit per floor builds up to at most 10^(0.63 - P) n scale_n at orders up
+# to 150, so the fixed point costs under one of the 5 guard digits above
+_FIXED_POINT_GUARD_DIGITS = 5
+_LOG2_10 = math.log2(10.0)
 # the virial sum starts at 34 digits and at least doubles them each pass;
 # the cap ends the loop should some b_n be exactly 0 or its scale overflow
 _VIRIAL_START_DIGITS = 34
@@ -292,51 +294,57 @@ def _closest_fugacity(density, z, z_top, target):
 
 
 class VirialCoefficients(list):
-    """b_1..b_K as doubles, with the decimal precision they were summed at."""
+    """b_1..b_K as doubles, with the precision in digits they were summed at."""
 
     def __init__(self, coefficients, working_digits):
         super().__init__(coefficients)
         self.working_digits = working_digits
 
 
-def _density_per_x(q, order):
-    # B density coefficients rho_1..rho_order in x = z/q at the context
-    # precision, rho_1 = 1: g(q, z, 3/2) = q Sum_r c_r x^r / r^(5/2) with
+def _density_per_x(q, order, bits):
+    # B density coefficients rho_1..rho_order in x = z/q, ints scaled by
+    # 2^bits, rho_1 = 1: g(q, z, 3/2) = q Sum_r c_r x^r / r^(5/2) with
     # c_r = [r]_q q^(r-1) = 1 + q^2 + ... + q^(2r-2), a positive sum that
-    # is r at q = 1
-    from decimal import Decimal
-
+    # is r at q = 1.  The double q is m/2^k exactly, so each q^(2r) is
+    # floored once from the one before, and sqrt(r) 2^bits is isqrt(r 4^bits)
+    m, d = q.as_integer_ratio()
+    m2, k2 = m * m, 2 * (d.bit_length() - 1)
     rho = []
-    q2 = q * q
-    weight, step = Decimal(0), Decimal(1)
+    weight, step = 0, 1 << bits
     for r in range(1, order + 1):
-        weight, step = weight + step, step * q2
-        rho.append(weight / (r * r * Decimal(r).sqrt()))
+        weight, step = weight + step, step * m2 >> k2
+        rho.append((weight << bits) // (r * r * math.isqrt(r << 2 * bits)))
     return rho
 
 
-def _diagonal_over_n(phi, order, zero, short=None):
-    # [x^(n-1)] phi(x)^(n-1) / n for n = 1..order, meeting in the middle:
-    # the coefficient is the dot product of phi^floor((n-1)/2) and
+def _diagonal_over_n(phi, order, shift=0, short=None):
+    # [x^(n-1)] phi(x)^(n-1) for n = 1..order, the n b_n q^(n-1) of the
+    # virial sum before it is divided by n.  It meets in the middle: the
+    # coefficient is the dot product of phi^floor((n-1)/2) and
     # phi^ceil((n-1)/2), so only the powers up to order // 2 are built.
-    # They grow together one degree at a time, and b_n is summed as soon
-    # as they hold degree n - 1; short(n, b_n), if given, is asked for
-    # n = 2, 3, ... in turn, and a true answer returns None before any
-    # product of a higher degree.  zero is the 0 of phi's number type
-    powers = [[zero + 1] + [zero] * (order - 1), phi]
+    # They grow together one degree at a time, and each diagonal term is
+    # summed as soon as they hold degree n - 1; short(n, term), if given,
+    # is asked for n = 2, 3, ... in turn, and a true answer returns None
+    # before any product of a higher degree.  phi_0 is 1 at phi's scale:
+    # ints scaled by 2^shift, whose products each power floors back by
+    # shift, or any exact or float numbers at shift 0.  The terms are not
+    # shifted back, so they are at the square of phi's scale
+    one = phi[0]
+    powers = [[one] + [0] * (order - 1), phi]
     powers += [[] for _ in range(2, order // 2 + 1)]
     steps = list(zip(powers[1:], powers[2:]))
-    out = [zero + 1]
+    out = [one * one]
     for d in range(order):
         reversed_phi = phi[d::-1]
         for last, power in steps:
-            power.append(sum(map(mul, last, reversed_phi)))
+            term = sum(map(mul, last, reversed_phi))
+            power.append(term >> shift if shift else term)
         if d:
             n = d + 1
-            b = sum(map(mul, powers[d // 2], powers[n // 2][d::-1])) / n
-            if short is not None and short(n, b):
+            term = sum(map(mul, powers[d // 2], powers[n // 2][d::-1]))
+            if short is not None and short(n, term):
                 return None
-            out.append(b)
+            out.append(term)
     return out
 
 
@@ -344,49 +352,60 @@ def _bose_virial(q, order):
     # b_1..b_order of the B family at the double q, as floats, and the
     # digits they were summed at.  B takes the exact double q, however
     # close to 1: its coefficients are a positive sum with no 0/0 at q = 1,
-    # and they move across |q - 1| < 1e-12.  The sum gives b_n q^(n-1);
-    # rounding at P digits moves it by a few 10^-P scale_n, the same sum
-    # over the absolute values of every term, in doubles from the first
-    # pass's phi.  So b_n needs 17 + 5 + log10(scale_n) - b.adjusted()
-    # digits (|b| >= 10^b.adjusted(), so that overestimates by under one),
-    # and a pass stops at the first b_n that needs more than it has
-    from decimal import Context, Decimal, localcontext
-
-    q_x = Decimal(q)
+    # and they move across |q - 1| < 1e-12.  A pass at P digits sums in
+    # fixed point at 2^-bits <= 10^-(P + _FIXED_POINT_GUARD_DIGITS), and the
+    # diagonal term s_n is n b_n q^(n-1) 2^(2 bits).  Its fixed-point error
+    # is a few 10^-P n scale_n, scale_n the same sum over the absolute
+    # values of every term, in doubles from the first pass's phi.  So b_n
+    # needs 17 + 5 + log10(scale_n) - floor(log10 |b_n q^(n-1)|) digits
+    # (that overestimates by under one; the floor is taken from s_n), and
+    # a pass stops at the first b_n that needs more than it has
     digits = _VIRIAL_START_DIGITS
     scale = None
     need = 0.0
 
-    def short(n, b):
+    def short(n, s):
         nonlocal need
         need = (_DOUBLE_DIGITS + _VIRIAL_GUARD_DIGITS + math.log10(scale[n - 1])
-                - b.adjusted() if b else math.inf)
+                - math.floor(math.log10(abs(s)) - math.log10(n) - 2 * bits / _LOG2_10)
+                if s else math.inf)
         return need > digits
 
     while True:
-        with localcontext(Context(prec=digits)):
-            rho = _density_per_x(q_x, order)
-            phi = [Decimal(1)]  # x/rho(x)
-            for n in range(1, order):
-                phi.append(-sum(rho[k] * phi[n - k] for k in range(1, n + 1)))
-            if scale is None:
-                scale = _diagonal_over_n([abs(float(c)) for c in phi], order, 0.0)
-            coeffs = _diagonal_over_n(phi, order, Decimal(0), short)
-            if coeffs is not None:
-                coeffs = [float(b / q_x ** n) for n, b in enumerate(coeffs)]
-                break
+        bits = math.ceil((digits + _FIXED_POINT_GUARD_DIGITS) * _LOG2_10)
+        rho = _density_per_x(q, order, bits)
+        phi = [1 << bits]  # x/rho(x)
+        for n in range(1, order):
+            phi.append(-sum(map(mul, rho[1:n + 1], phi[::-1])) >> bits)
+        if scale is None:
+            scale = [c / n for n, c in enumerate(
+                _diagonal_over_n([abs(c) / phi[0] for c in phi], order), 1)]
+        sums = _diagonal_over_n(phi, order, bits, short)
+        if sums is not None:
+            break
         # an infinite need, of a b_n that is exactly 0, lands past the cap
         digits = max(2 * digits, math.ceil(min(need, _VIRIAL_MAX_DIGITS + 1)))
         if digits > _VIRIAL_MAX_DIGITS:
             raise ConvergenceError(
                 f"virial coefficients need more than {_VIRIAL_MAX_DIGITS} digits "
                 f"at q={q!r}, order={order}")
-    beyond = next((n for n, b in enumerate(coeffs, 1) if math.isinf(b)), 0)
-    if beyond:
-        # the order is at least 2, so no smaller order drops an infinite b_2
-        advice = "a larger q" if beyond == 2 else f"an order below {beyond} or a larger q"
-        raise DomainError(f"b_{beyond} is beyond the largest double at q={q!r}; "
-                          f"give {advice}")
+    # b_n = s_n 2^(k(n-1)) / (n 2^(2 bits) m^(n-1)) with q = m/2^k, the
+    # powers of 2 cancelled; int true division rounds correctly
+    m, d = q.as_integer_ratio()
+    k = d.bit_length() - 1
+    coeffs = []
+    m_power = 1
+    for n, s in enumerate(sums, 1):
+        shift = k * (n - 1) - 2 * bits
+        try:
+            coeffs.append((s << shift) / (n * m_power) if shift >= 0
+                          else s / (n * m_power << -shift))
+        except OverflowError:
+            # the order is at least 2, so no smaller order drops an infinite b_2
+            advice = "a larger q" if n == 2 else f"an order below {n} or a larger q"
+            raise DomainError(f"b_{n} is beyond the largest double at q={q!r}; "
+                              f"give {advice}") from None
+        m_power *= m
     return coeffs, digits
 
 
@@ -398,26 +417,32 @@ def virial_coefficients(family, q, order):
 
         b_n = (1/n) [x^(n-1)] p'(x) phi(x)^n = (1/n) [x^(n-1)] phi(x)^(n-1),
 
-    in stdlib decimal.  The coefficient [x^(n-1)] phi^(n-1) is the dot
-    product of phi^floor((n-1)/2) and phi^ceil((n-1)/2), so only the
-    powers up to phi^(order//2) are built, each truncated at
-    x^(order-1): about order^3/4 products.  The B inputs are built in
-    decimal from the exact double q: g(q, z, 3/2) = q rho(x) with the
-    positive coefficients (1 + q^2 + ... + q^(2r-2))/r^(5/2), which are
-    r^(-3/2) at q = 1, and b_n picks up a factor q^(1-n).
+    in binary fixed point on Python ints.  The coefficient
+    [x^(n-1)] phi^(n-1) is the dot product of phi^floor((n-1)/2) and
+    phi^ceil((n-1)/2), so only the powers up to phi^(order//2) are built,
+    each truncated at x^(order-1): about order^3/4 products.  The B inputs
+    are built from the exact double q = m/2^k: g(q, z, 3/2) = q rho(x)
+    with the positive coefficients (1 + q^2 + ... + q^(2r-2))/r^(5/2),
+    which are r^(-3/2) at q = 1, and b_n picks up a factor q^(1-n).
 
     F has no q: in x the F gas is the plain Fermi gas, f(x, 3/2) =
     -rho_B(-x) with rho_B the B density at q = 1, so its b_n are the
     B sum's at q = 1 with b_2, b_4, ... negated, the same for every q.
     b_1 = 1.0 exactly in both.
 
-    Precision: scale_n is the same sum over the absolute values of every
-    term, from the same meet-in-the-middle powers of |phi| in plain
-    floats, and b_n is right to a double at P digits when
-    P >= 17 + 5 + log10(scale_n/|b_n|).  A pass at P digits grows the
-    powers one degree at a time, checks each b_n as soon as it is summed,
-    and stops at the first that P cannot hold, at about (n/order)^2 of
-    the cost of a full pass.  P starts at 34 and the next pass runs at
+    Precision: a pass at P digits holds rho, phi and the powers of phi
+    as ints scaled by 2^F, F = ceil((P + 5) log2 10) bits; each power
+    coefficient is one exact dot product floored once, and n b_n q^(n-1)
+    is an exact dot product at scale 2^(2F), turned into the double b_n
+    by one correctly rounded int division.  scale_n is the same sum over
+    the absolute values of every term, from the same meet-in-the-middle
+    powers of |phi| in plain floats.  The floors move n b_n q^(n-1) by
+    at most 10^(0.63 - P) n scale_n up to order 150, and b_n is right to
+    a double at P digits when P >= 17 + 5 + log10(scale_n) -
+    floor(log10 |b_n q^(n-1)|).  A pass at P digits grows the powers one
+    degree at a time, checks each b_n as soon as it is summed, and stops
+    at the first that P cannot hold, at about (n/order)^2 of the cost of
+    a full pass.  P starts at 34 and the next pass runs at
     the larger of 2P and that b_n's need; the first pass to reach
     b_order is kept.  The result is a list of floats whose
     ``working_digits`` is that pass's P: 34 for B at q = 0.3 and order

@@ -626,9 +626,9 @@ def _loaded_modules(statements):
 def test_import_loads_neither_scipy_nor_mpmath():
     # numpy neither: the runtime is the standard library alone.  Of the
     # package only the CLI and its errors load: each command imports the
-    # modules it runs.  Nor do decimal, which only the virial sum uses,
-    # json, which only JSON output uses, fractions, which only PowerSeries
-    # uses and no command calls, or dataclasses, which no module uses
+    # modules it runs.  Nor do json, which only JSON output uses,
+    # fractions, which only PowerSeries uses and no command calls, or
+    # decimal and dataclasses, which no module uses
     loaded = _loaded_modules("import anyongas.cli")
     assert not {m for m in loaded if m.split(".")[0] in ("scipy", "mpmath", "numpy")}
     assert {m for m in loaded if m.split(".")[0] == "anyongas"} == {
@@ -641,14 +641,15 @@ def test_import_loads_neither_scipy_nor_mpmath():
      {"anyongas.distributions", "anyongas.report", "decimal", "dataclasses"}),
     (["occupation"], {"anyongas.distributions"},
      {"anyongas.thermo", "anyongas.qfunctions", "json", "decimal"}),
-    (["virial"], {"anyongas.thermo", "decimal"}, {"anyongas.distributions"}),
+    (["virial"], {"anyongas.thermo"}, {"anyongas.distributions", "decimal"}),
     # the records of fock and verify are namedtuples, so neither loads
     # dataclasses and with it inspect
     (["fock", "--family", "b"], {"anyongas.algebra", "anyongas.report"},
      {"anyongas.thermo", "dataclasses", "inspect"}),
     (["fock", "--family", "f"], {"anyongas.algebra", "anyongas.report"},
      {"anyongas.thermo", "dataclasses", "inspect"}),
-    (["verify"], {"anyongas.oracle", "anyongas.report"}, {"dataclasses", "inspect"}),
+    (["verify"], {"anyongas.oracle", "anyongas.report"},
+     {"dataclasses", "inspect", "decimal"}),
     # the closed-form grids and the limits table run on distributions alone
     *[(argv, {"anyongas.distributions", "anyongas.qcore", "anyongas.kernels",
               "anyongas.errors"},

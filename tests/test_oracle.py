@@ -165,5 +165,21 @@ def test_taylor_reference_needs_a_whole_number_of_coefficients(function_id, n_co
         taylor_reference(function_id, n_coeffs)
 
 
+def test_arcsin_reference_refuses_more_coefficients_than_its_steps_hold():
+    # the fifth odd coefficient would be 6.6e-2 off the closed form
+    assert len(taylor_reference("arcsin-sqrt", 4)) == 7
+    with pytest.raises(DomainError, match="step schedule holds 4 coefficients; "
+                                          "n_coeffs must be at most 4, got 5$"):
+        taylor_reference("arcsin-sqrt", 5)
+
+
+def test_degenerate_bracket_second_coefficient_is_the_sommerfeld_one():
+    # 1 + (pi^2/8) nu^-2 + (7 pi^4/640) nu^-4 + ...: c2 comes out 3.8e-5
+    # off, c1 4.9e-9
+    c1, c2 = taylor_reference("degenerate-density-bracket", 2)
+    assert c1 == pytest.approx(math.pi ** 2 / 8, rel=1e-8, abs=0.0)
+    assert c2 == pytest.approx(7 * math.pi ** 4 / 640, rel=1e-4, abs=0.0)
+
+
 def test_taylor_reference_takes_a_whole_float_count():
     assert taylor_reference("arcsin-sqrt", 3.0) == taylor_reference("arcsin-sqrt", 3)

@@ -3,6 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 import pytest
@@ -43,7 +44,7 @@ class TestVirialF:
     def test_highest_order(self):
         got = virial_coefficients("f", 0.76, 150)
         assert got.working_digits == 272
-        # the values the F density series in decimal gave, at 272 digits
+        # the values the F density series gave in decimal at 272 digits
         assert (got[0], got[1], got[144], got[149]) == (
             1.0, 0.1767766952966369, -1.7466130682302417e-186, -9.891709166770562e-193)
 
@@ -131,10 +132,10 @@ class TestVirial:
         # ends with its ConvergenceError, not an OverflowError from ceil(inf)
         diagonal = thermo._diagonal_over_n
 
-        def zero_b2(phi, order, zero, short=None):
+        def zero_b2(phi, order, shift=0, short=None):
             if short is None:  # the scale
-                return diagonal(phi, order, zero)
-            assert short(2, zero)
+                return diagonal(phi, order)
+            assert short(2, 0)
             return None
 
         monkeypatch.setattr(thermo, "_diagonal_over_n", zero_b2)
@@ -142,40 +143,110 @@ class TestVirial:
             virial_coefficients("b", 0.5, 10)
 
 
-# phi at K = 12 with unequal rational coefficients, phi_0 = 1
+# phi at K = 12 with unequal rational coefficients, phi_0 = 1, and with
+# integer ones
 _DIAGONAL_ORDER = 12
 _DIAGONAL_PHI = [Fraction(1)] + [
     Fraction(k, r + 1) for r, k in enumerate(random.Random(7).choices(range(-9, 10), k=11), 1)]
+_DIAGONAL_INT_PHI = [1] + random.Random(8).choices(range(-99, 100), k=11)
 
 
-def _naive_diagonal_over_n(phi, order):
-    # [x^(n-1)] phi^(n-1) / n from phi^0, phi^1, ... as full products
-    power = [Fraction(1)] + [Fraction(0)] * (order - 1)
+def _naive_diagonal(phi, order):
+    # [x^(n-1)] phi^(n-1) from phi^0, phi^1, ... as full products
+    power = [1] + [0] * (order - 1)
     out = []
     for n in range(1, order + 1):
-        out.append(power[n - 1] / n)
+        out.append(power[n - 1])
         power = [sum(power[i] * phi[d - i] for i in range(d + 1)) for d in range(order)]
     return out
 
 
 class TestDiagonalOverN:
-    def test_matches_the_full_powers_exactly(self):
-        assert (thermo._diagonal_over_n(_DIAGONAL_PHI, _DIAGONAL_ORDER, Fraction(0))
-                == _naive_diagonal_over_n(_DIAGONAL_PHI, _DIAGONAL_ORDER))
+    @pytest.mark.parametrize("phi", [_DIAGONAL_PHI, _DIAGONAL_INT_PHI],
+                             ids=["fractions", "ints"])
+    def test_matches_the_full_powers_exactly_at_shift_0(self, phi):
+        got = thermo._diagonal_over_n(phi, _DIAGONAL_ORDER)
+        assert got == _naive_diagonal(phi, _DIAGONAL_ORDER)
+        assert all(type(b) is type(phi[1]) for b in got)
+
+    def test_fixed_point_terms_are_the_floored_powers_dotted(self):
+        # at shift s each power is floored to a multiple of 2^-s, one floor
+        # per coefficient, and the diagonal is their unshifted dot product
+        shift = 40
+        phi = [c * 2 ** shift // 7 ** n if n else 1 << shift
+               for n, c in enumerate(_DIAGONAL_INT_PHI)]
+        powers = [[1 << shift] + [0] * (_DIAGONAL_ORDER - 1)]
+        for _ in range(_DIAGONAL_ORDER // 2):
+            powers.append([sum(powers[-1][i] * phi[d - i] for i in range(d + 1)) >> shift
+                           for d in range(_DIAGONAL_ORDER)])
+        want = [sum(powers[(n - 1) // 2][i] * powers[n // 2][n - 1 - i] for i in range(n))
+                for n in range(1, _DIAGONAL_ORDER + 1)]
+        assert thermo._diagonal_over_n(phi, _DIAGONAL_ORDER, shift) == want
 
     @pytest.mark.parametrize("stop", [2, 5, _DIAGONAL_ORDER, None])
     def test_short_sees_each_b_n_in_order_and_stops_the_sum(self, stop):
-        want = _naive_diagonal_over_n(_DIAGONAL_PHI, _DIAGONAL_ORDER)
+        want = _naive_diagonal(_DIAGONAL_PHI, _DIAGONAL_ORDER)
         seen = []
 
         def short(n, b):
             seen.append((n, b))
             return n == stop
 
-        got = thermo._diagonal_over_n(_DIAGONAL_PHI, _DIAGONAL_ORDER, Fraction(0), short)
+        got = thermo._diagonal_over_n(_DIAGONAL_PHI, _DIAGONAL_ORDER, 0, short)
         last = _DIAGONAL_ORDER if stop is None else stop
         assert seen == [(n, want[n - 1]) for n in range(2, last + 1)]
         assert got == (want if stop is None else None)
+
+
+def _fixed_point_error_bound(q, order, bits):
+    """First-order bounds E_n on the fixed-point error of n b_n q^(n-1), n >= 2.
+
+    In units of 2^-bits, with one unit per floor, propagated in floats
+    through |rho|, |phi| and the powers of |phi|; returned with the scale
+    sums n scale_n of the same terms.  rho_r carries r(r-1)/2 units from
+    its floored powers of q^2 over r^(5/2), and one each from its division
+    and its square root.
+    """
+    one = 1 << bits
+    rho_int = thermo._density_per_x(q, order, bits)
+    phi_int = [one]
+    for n in range(1, order):
+        phi_int.append(-sum(map(mul, rho_int[1:n + 1], phi_int[::-1])) >> bits)
+    rho = [r / one for r in rho_int]
+    phi = [abs(c) / one for c in phi_int]
+    d_rho = [0.0] + [2.0 + r * (r - 1) / 2 / r ** 2.5 for r in range(2, order + 1)]
+    d_phi = [0.0]
+    for n in range(1, order):
+        d_phi.append(1.0 + sum(map(mul, rho[1:n + 1], d_phi[::-1]))
+                     + sum(map(mul, d_rho[1:n + 1], phi[n - 1::-1])))
+    powers = [([1.0] + [0.0] * (order - 1), [0.0] * order), (phi, d_phi)]
+    for _ in range(2, order // 2 + 1):
+        last, d_last = powers[-1]
+        powers.append((
+            [sum(map(mul, last[:d + 1], phi[d::-1])) for d in range(order)],
+            [1.0 + sum(map(mul, last[:d + 1], d_phi[d::-1]))
+             + sum(map(mul, d_last[:d + 1], phi[d::-1])) for d in range(order)]))
+    bounds = []
+    for n in range(2, order + 1):
+        (low, d_low), (high, d_high) = powers[(n - 1) // 2], powers[n // 2]
+        bounds.append((sum(map(mul, low[:n], d_high[n - 1::-1]))
+                       + sum(map(mul, d_low[:n], high[n - 1::-1])),
+                       sum(map(mul, low[:n], high[n - 1::-1]))))
+    return bounds
+
+
+@pytest.mark.parametrize("order", [60, 150])
+@pytest.mark.parametrize("q", [0.05, 0.5, 1.0])
+def test_fixed_point_error_costs_under_one_guard_digit(q, order):
+    # the need counts on an error of a few 10^-P n scale_n in the diagonal
+    # term; the fixed point at 2^-bits <= 10^-(P + G) keeps it below
+    # 10^(1-P) n scale_n, which the bound reaches at 10^(0.63-P) at q = 0.05
+    # and order 150, so G = 4 would fail
+    digits = thermo._VIRIAL_START_DIGITS
+    bits = math.ceil((digits + thermo._FIXED_POINT_GUARD_DIGITS) * math.log2(10.0))
+    for error, scale in _fixed_point_error_bound(q, order, bits):
+        assert (math.log10(error) - bits * math.log10(2.0)
+                < 1 - digits + math.log10(scale))
 
 
 class TestDensitySolve:
