@@ -77,8 +77,16 @@ def build_b_rep(q, dim):
 
 
 def build_f_rep(q):
-    """F-family representation; the Fock space has exactly two states."""
+    """F-family representation; the Fock space has exactly two states.
+
+    The relation holds q^-N, so q below about 5.6e-309, where 1/q
+    overflows, raises DomainError.
+    """
     qp = as_qparam(q)
+    if qp.q_inv == math.inf:
+        raise DomainError(
+            f"1/q overflows a double at q={qp.q!r}; the F relation "
+            "needs q^-N")
     return _ladder_rep(Family.F, qp, 2, eigenvalue_seq_f(qp, 1))
 
 
@@ -112,7 +120,9 @@ def eigenvalue_seq_f(q, n_max):
     out = [0.0]
     p = 1.0
     for _ in range(n_max):
-        out.append(p - qi * out[-1])
+        # beta_n = 0 gives q^-n alone: at a q whose 1/q overflows, inf * 0
+        # would make beta_1 NaN
+        out.append(p - qi * out[-1] if out[-1] else p)
         p *= qi
     return out
 

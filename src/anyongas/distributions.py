@@ -48,9 +48,6 @@ _TWO_OVER_PI = 2.0 / math.pi
 _ETA_HUGE = 700.0  # beyond this e^eta overflows a double; switch to e^-eta forms
 # ln 2 as a 32-bit head, whose product with a binary exponent is exact, and a tail
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
-# the scalar functions test for a QParam inline, which skips the as_qparam
-# call on the QParam a grid kernel passes to cf_bounds on every row
-
 # builds a ConvergentPair without the namedtuple's Python-level __new__,
 # which would add about a third to the time of a cf_bounds call
 _new_tuple = tuple.__new__
@@ -216,6 +213,8 @@ def cf_bounds(q, eta):
     1 - y rounds to 1 (y < 2^-54, which every eta > 700 meets for q above
     about e^-663) all three are the same product pref * y.
     """
+    # a QParam is tested for inline, as in the other scalar functions: it
+    # skips the as_qparam call on the QParam a grid kernel passes on every row
     qp = q if type(q) is QParam else as_qparam(q)
     if qp.is_classical_limit:
         bose = _bose_occupation(float(eta))

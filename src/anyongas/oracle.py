@@ -2,8 +2,7 @@
 
 Everything here is deliberately independent of the closed forms it
 checks: thermal averages are computed as explicit weighted sums over the
-Fock spectrum (adaptively truncated), Taylor coefficients by Richardson-
-extrapolated finite differences, and asymptotic coefficients by
+Fock spectrum (adaptively truncated), and asymptotic coefficients by
 polynomial extrapolation of quadrature values.  run_verification wires
 the whole suite into a machine-readable report.
 """
@@ -25,8 +24,8 @@ OBSERVABLES = ("N", "qN", "q_inv_N", "basic_N", "adag_a")
 _TAIL_REL = 1e-15
 _NMAX_START = 32
 _NMAX_CAP = 4096
-# odd coefficients the arcsin-sqrt step schedule holds
-_ARCSIN_MAX_COEFFS = 4
+# bracket coefficients the quadrature nodes hold: c3 would be 0.9% off
+_BRACKET_MAX_COEFFS = 2
 
 
 def _trace_inputs(family, q, eta, observable, n_max):
@@ -148,6 +147,8 @@ def trace_average_matrix(family, q, eta, observable, n_max=None):
     B-family representation spans the states 0..n_max, so it needs an
     n_max, and gives the same truncated sum as trace_average with it.
     Both functions refuse the same eta, and scale the F weights alike.
+    The F family inherits the refusal of `build_f_rep`: a q whose 1/q
+    overflows, below about 5.6e-309, raises DomainError.
     """
     family, qp, eta, n_max = _trace_inputs(family, q, eta, observable, n_max)
     if family is Family.F:
@@ -178,7 +179,8 @@ def basic_mean_closed_form(q, eta):
     """
     _, qp, eta, _ = _trace_inputs(Family.B, q, eta, "basic_N", None)
     w = math.exp(-eta)
-    return w * (1.0 - w) / ((1.0 - qp.q * w) * (1.0 - qp.q_inv * w))
+    # w/q stays finite where 1/q overflows, below q of about 5.6e-309
+    return w * (1.0 - w) / ((1.0 - qp.q * w) * (1.0 - w / qp.q))
 
 
 def check_detailed_trace_identity_b(q, eta):
@@ -214,20 +216,7 @@ def occupation_relation_residual(q, eta):
 
 
 # ---------------------------------------------------------------------------
-# Taylor-coefficient references
-
-
-def _odd_stencil_weights(m):
-    # minimal symmetric stencil for the coefficient of u^(2m+1): solve
-    # sum_j w_j j^(2i+1) = delta_{i,m} over nodes j = 1..m+1.  With
-    # x_j = j^2 this is a Vandermonde system in j w_j, solved by the
-    # leading coefficients of the Lagrange basis: j w_j = 1/prod_k (x_j - x_k),
-    # k != j.  The product is an exact integer, so each weight is the
-    # exact solution rounded once
-    js = range(1, m + 2)
-    weights = [1 / (j * math.prod(j * j - k * k for k in js if k != j))
-               for j in js]
-    return [float(j) for j in js], weights
+# Series references
 
 
 def _neville_to_zero(xs, ys):
@@ -241,50 +230,29 @@ def _neville_to_zero(xs, ys):
     return tbl[0]
 
 
-def _odd_maclaurin_coefficient(f, m, base_step, levels):
-    js, weights = _odd_stencil_weights(m)
-    hs = [base_step / 2 ** l for l in range(levels)]
-    ests = []
-    for h in hs:
-        total = 0.0
-        for j, w in zip(js, weights):
-            total += w * (f(j * h) - f(-j * h)) / 2.0
-        ests.append(total / h ** (2 * m + 1))
-    return _neville_to_zero([h * h for h in hs], ests)
+def taylor_reference(n_coeffs):
+    """Coefficients c1, c2 of the degenerate Fermi-density bracket, as a tuple.
 
-
-def _arcsin_reference(n_coeffs):
-    # step schedule tuned so the first three coefficients come out to
-    # 1.2e-7 or better and the fourth to 7.3e-6; beyond that the noise
-    # amplification of high-order differences takes over (6.6e-2 at the
-    # fifth, 131 at the sixth), so more are refused
-    if n_coeffs > _ARCSIN_MAX_COEFFS:
+    The bracket Gamma(5/2) f(e^nu, 3/2)/nu^(3/2) = 1 + c1 u + c2 u^2 + ...
+    in u = nu^-2 (the Sommerfeld expansion, nu = ln x), extrapolated to
+    u -> 0 from quadrature values at nu = 12..58; its constant term is 1
+    and is not returned.  c1 recovers pi^2/8 to 4.9e-9 and c2 7 pi^4/640
+    to 3.8e-5.  Those nodes hold no more: c3 would be 0.9% off and c4
+    32%, so n_coeffs above 2 raises DomainError.
+    """
+    n_coeffs = as_count("n_coeffs", n_coeffs, 1)
+    if n_coeffs > _BRACKET_MAX_COEFFS:
         raise DomainError(
-            f"the arcsin-sqrt step schedule holds {_ARCSIN_MAX_COEFFS} coefficients; "
-            f"n_coeffs must be at most {_ARCSIN_MAX_COEFFS}, got {n_coeffs!r}")
-    f = lambda u: (2.0 / math.pi) * math.asin(u)
-    coeffs = []
-    for m in range(n_coeffs):
-        base = (0.5 if m < 3 else 0.6) / (m + 1)
-        levels = 6 if m < 3 else 5
-        c = _odd_maclaurin_coefficient(f, m, base, levels)
-        coeffs.extend([c, 0.0] if m < n_coeffs - 1 else [c])
-    return tuple(coeffs)
-
-
-def _degenerate_bracket_reference(n_coeffs):
-    # bracket B(nu) = Gamma(5/2) f(e^nu, 3/2)/nu^(3/2) = 1 + c1 u + c2 u^2,
-    # u = nu^-2; extrapolate (B-1)/u, then ((B-1)/u - c1)/u, ... to u -> 0:
-    # each pass divides the residual of the one before by u again
+            f"the bracket nodes hold {_BRACKET_MAX_COEFFS} coefficients; "
+            f"n_coeffs must be at most {_BRACKET_MAX_COEFFS}, got {n_coeffs!r}")
+    # each pass extrapolates the residual of the one before, divided by u
+    # again: (B-1)/u, then ((B-1)/u - c1)/u
     gamma52 = math.gamma(2.5)
     nus = [12.0, 16.0, 22.0, 30.0, 42.0, 58.0]
     us = [nu ** -2 for nu in nus]
-    brackets = [
-        gamma52 * qfunctions.fermi_f(math.exp(nu), 1.5) / nu ** 1.5
-        for nu in nus
-    ]
+    resid = [gamma52 * qfunctions.fermi_f(math.exp(nu), 1.5) / nu ** 1.5 - 1.0
+             for nu in nus]
     coeffs = []
-    resid = [(b - 1.0) for b in brackets]
     for _ in range(n_coeffs):
         scaled = [r / u for r, u in zip(resid, us)]
         c = _neville_to_zero(us, scaled)
@@ -293,40 +261,12 @@ def _degenerate_bracket_reference(n_coeffs):
     return tuple(coeffs)
 
 
-_TAYLOR_REGISTRY = {
-    "arcsin-sqrt": _arcsin_reference,
-    "degenerate-density-bracket": _degenerate_bracket_reference,
-}
-
-
-def taylor_reference(function_id, n_coeffs):
-    """Reference expansion coefficients for a registered function, as a tuple.
-
-    "arcsin-sqrt": the Maclaurin coefficients c1, c2, ... of (2/pi)
-    arcsin(u) in u, with every even one 0 (so the n-th odd coefficient,
-    at index 2n, multiplies g^(n+1/2) after u = sqrt(g)); computed by
-    Richardson-extrapolated central differences.  Its step schedule holds
-    four odd coefficients, right to 5.2e-15, 4.7e-12, 1.2e-7 and 7.3e-6
-    relative to the closed form (`arcsin_series_coefficients`); n_coeffs
-    above 4 raises DomainError, as the fifth would be 6.6e-2 off and the
-    sixth 131.
-    "degenerate-density-bracket": the coefficients c1, c2, ... of the
-    asymptotic bracket 1 + c1 u + c2 u^2 + ... in u = (ln x)^-2, from
-    quadrature values; its constant term is 1 and is not returned, c1
-    recovers pi^2/8 to 4.9e-9 and c2 7 pi^4/640 to 3.8e-5.
-    """
-    try:
-        builder = _TAYLOR_REGISTRY[function_id]
-    except KeyError:
-        raise DomainError(
-            f"unknown function id {function_id!r}; "
-            f"registered: {sorted(_TAYLOR_REGISTRY)}"
-        ) from None
-    return builder(as_count("n_coeffs", n_coeffs, 1))
-
-
 def arcsin_series_coefficients(n_coeffs):
-    """Closed-form (2/pi) binom(2m,m)/(4^m (2m+1)) for cross-checking."""
+    """Closed-form (2/pi) binom(2m,m)/(4^m (2m+1)), m = 0..n_coeffs-1.
+
+    The coefficients of u^(2m+1) in the Maclaurin series of (2/pi) arcsin(u),
+    so of g^(m+1/2) in the arcsine form of the F occupation.
+    """
     out = []
     c = 1.0
     for m in range(n_coeffs):
@@ -350,7 +290,7 @@ def run_verification():
 
     Covers the trace identities, the continued-fraction/closed-form
     agreement and interlacing, classical-limit regressions, algebra
-    representation checks, the Taylor and asymptotic references, the
+    representation checks, the asymptotic bracket reference, the
     Jackson-derivative mode-sum identity, and the virial q-independence.
     The known-errata catalog and the side-by-side ambiguity notes are
     attached to the report.
@@ -454,16 +394,10 @@ def run_verification():
             "f-no-basic-number", {"q": q, "n_max": 4},
             0.0 if verify_no_basic_number_f(q, 4) else 1.0, 0.5))
 
-    oracle_series = taylor_reference("arcsin-sqrt", 3)
-    closed = arcsin_series_coefficients(3)
-    diffs = [abs(oracle_series[2 * m] - closed[m]) for m in range(3)]
-    checks.append(CheckResult.from_residual(
-        "arcsin-taylor-oracle", {"coefficients": 3}, max(diffs), 1e-8))
-
-    bracket = taylor_reference("degenerate-density-bracket", 2)
+    (c1,) = taylor_reference(1)
     checks.append(CheckResult.from_residual(
         "degenerate-bracket-first-coefficient", {"target": "pi^2/8"},
-        abs(bracket[0] - math.pi ** 2 / 8.0), 1e-6))
+        abs(c1 - math.pi ** 2 / 8.0), 1e-6))
 
     spectrum = (0.5, 1.0, 1.5, 2.0, 2.5)
     worst = 0.0

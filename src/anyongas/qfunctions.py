@@ -203,7 +203,11 @@ def _polylog(s, x):
     # Li_s(x) unchecked; bose_g takes s = order + 1 up to _ORDER_MAX + 1
     if x <= 0.5:
         return kernels.g_series_sum(x, s)
-    mu = math.log(x)
+    return _polylog_mu(s, math.log(x))
+
+
+def _polylog_mu(s, mu):
+    # Li_s(e^mu) by the mu-series, for -ln 2 <= mu <= 0
     total = 0.0
     for c in reversed(_mu_series_coefficients(s)):
         total = total * mu + c
@@ -230,18 +234,20 @@ def _bose_g(qp, z, order):
         return _polylog(order, z)
     s = order + 1.0
     tau = -math.log(qp.q)
+    # b = ln(z/q) in -ln 2 <= b <= 0, where z - q is exact (Sterbenz), so b
+    # has the relative precision that g needs as z -> q below order 1; the
+    # rounded z/q would put an absolute 1e-16 into it
+    b = math.log1p((z - qp.q) / qp.q) if z >= 0.5 * qp.q else None
     if tau >= _DIVIDED_DIFFERENCE_TAU:
         # q z underflows to 0 below q of about 1e-162, and Li_s(0) = 0
         qz = qp.q * z
         return ((_polylog(s, qz) if qz else 0.0)
-                - _polylog(s, z / qp.q)) / -qp.inv_minus_q
-    # q -> 1: with a = ln(qz), b = ln(z/q), a - b = -2 tau and q - 1/q =
-    # -2 sinh tau, so g is the divided difference times tau/sinh(tau)
-    # ln z + tau is good to about 1e-22 for z/q near 1, unlike ln(z/q); it
-    # can round above 0 for z within an ulp of q, where g is the supremum
-    b = min(math.log(z) + tau, 0.0)
-    if b <= -_LN2:
+                - (_polylog(s, z / qp.q) if b is None else _polylog_mu(s, b))
+                ) / -qp.inv_minus_q
+    if b is None:
         return kernels.gq_series_sum(z, tau, order)
+    # q -> 1: with a = ln(qz), a - b = -2 tau and q - 1/q = -2 sinh tau, so
+    # g is the divided difference times tau/sinh(tau)
     return _polylog_divided_difference(s, b - 2.0 * tau, b) * (tau / math.sinh(tau))
 
 
@@ -262,10 +268,13 @@ def bose_g(q, z, order):
     float
         The sum, from the polylogarithm core at a fixed cost; within
         1e-13 (relative) of the exact value on the whole domain, z -> q
-        and q -> 1 included, for orders from 1 to 150.  Below order 1,
-        g is ill-conditioned in z as z -> q: the rounding of z/q costs
-        about order 1e-16 (1 - z/q)^(order - 1), 4e-11 at order 1/2 and
-        2e-6 at order 0.01 for z/q = 1 - 1e-12.
+        and q -> 1 included.  Within d < 0.01 of a whole order, but not
+        at it, the error grows to about 1e-15/d, as in `polylog` (1.2e-12
+        at orders 0.001 and 1.001).  Below order 1, g's sensitivity to z
+        grows like (1 - z/q)^(order - 1) as z -> q, so ln(z/q) is formed
+        from z - q, which is exact there: against 50-digit mpmath at
+        z/q = 1 - 1e-12, 1 - 1e-9 and 1 - 1e-6 for q from 0.05 to 0.99,
+        the error is 8.1e-16 at order 0.01 and 7.3e-16 at order 1/2.
     """
     qp = as_qparam(q)
     z = float(z)

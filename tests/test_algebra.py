@@ -188,6 +188,16 @@ class TestFRep:
     def test_all_checks_pass_any_q(self, q):
         assert all(c.passed for c in rep_report(build_f_rep(q)))
 
+    @pytest.mark.parametrize("q", [5e-324, 1e-310, 5.5e-309])
+    def test_refuses_a_q_whose_inverse_overflows(self, q):
+        with pytest.raises(DomainError, match=f"1/q overflows a double at q={q!r}"):
+            build_f_rep(q)
+
+    def test_smallest_q_with_a_finite_inverse(self):
+        q = 5.6e-309
+        assert math.isfinite(1.0 / q)
+        assert all(c.passed for c in rep_report(build_f_rep(q)))
+
 
 class TestEigenvalueSequences:
     def test_b_vacuum_and_first(self):
@@ -222,6 +232,11 @@ class TestEigenvalueSequences:
     def test_f_recurrence_equals_closed_form_bitwise(self):
         for q in (0.3, 0.5, 0.77, 0.9, 1.0):
             assert eigenvalue_seq_f(q, 24) == eigenvalue_seq_f_closed(q, 24)
+
+    @pytest.mark.parametrize("q", [5e-324, 1e-310, 5.5e-309])
+    def test_f_first_entries_where_one_over_q_overflows(self, q):
+        # beta_1 = q^0 - (1/q) beta_0 = 1, with no inf * 0
+        assert eigenvalue_seq_f(q, 1) == [0.0, 1.0]
 
     def test_f_classical_alternates(self):
         assert eigenvalue_seq_f(1.0, 5) == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]

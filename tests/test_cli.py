@@ -387,12 +387,36 @@ class TestFock:
         assert status == 3
         assert "largest usable dim is 308" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["b", "f"])
+    def test_q_whose_inverse_overflows_is_domain_error(self, tmp_path, capsys, family):
+        path = tmp_path / "x.csv"
+        assert cli.main(["fock", "--family", family, "--q", "1e-310",
+                         "--output", str(path)]) == 3
+        assert "domain error" in capsys.readouterr().err
+        assert not path.exists()
+
 
 def test_verify(tmp_path):
     status, payload, rows = _run(tmp_path, ["verify"])
     assert status == 0
     assert payload["report"]["all_passed"] is True
     assert rows and all(row["status"] == "PASS" for row in rows)
+    # the checks verify runs, in the order of their first rows
+    assert list(dict.fromkeys(row["check"] for row in rows)) == [
+        "b-trace-identity", "f-trace-identity", "occupation-defining-relation",
+        "trace-matrix-vs-scalar", "basic-mean-geometric-reference",
+        "cf-closed-form-agreement", "cf-monotone-convergents",
+        "convergent-bounds-strict", "cf-bracketing-counterexample",
+        "bose-limit-regression", "fermi-limit-regression",
+        "commutator-number-lowering", "commutator-number-raising",
+        "algebra-relation-interior", "number-eigenvalues-basic",
+        "fock-state-normalization", "algebra-relation-exact",
+        "number-operator-parity-form", "lowering-raising-product-form",
+        "raising-squared-is-zero", "occupancy-spectrum-zero-one",
+        "f-eigenvalue-recurrence-closed-form", "f-no-basic-number",
+        "degenerate-bracket-first-coefficient", "jd-mode-sum-identity",
+        "f-virial-q-independence", "b-virial-second-coefficient",
+        "trace-truncation-stability"]
     # one check per row of the limits table, in its order
     limits = [(row["check"][0], row["residual"], row["threshold"]) for row in rows
               if row["check"].endswith("-limit-regression")]

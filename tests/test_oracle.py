@@ -7,8 +7,8 @@ import mpmath
 import pytest
 
 from anyongas.errors import ConvergenceError, DomainError
-from anyongas.oracle import (basic_mean_closed_form, taylor_reference,
-                             trace_average, trace_average_matrix)
+from anyongas.oracle import (arcsin_series_coefficients, basic_mean_closed_form,
+                             taylor_reference, trace_average, trace_average_matrix)
 from anyongas.qcore import Family
 
 # deformed, near the undeformed limit on both sides of |q - 1| = 1e-12,
@@ -79,6 +79,16 @@ def test_f_weights_hold_at_every_eta(average, observable, q):
         trace_average(Family.F, q, -2.0, observable), rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("eta", [-2.0, 0.0, 1.0])
+def test_f_trace_where_one_over_q_overflows(eta):
+    # a+ a is 0 and 1 on the two states at every q; the matrix form needs
+    # the F representation, which such a q does not have
+    assert trace_average(Family.F, 1e-310, eta, "adag_a") == pytest.approx(
+        1.0 / (math.exp(eta) + 1.0), rel=1e-15, abs=0.0)
+    with pytest.raises(DomainError, match="1/q overflows"):
+        trace_average_matrix(Family.F, 1e-310, eta, "adag_a")
+
+
 @pytest.mark.parametrize("average", [trace_average, trace_average_matrix])
 def test_f_eta_nan_is_refused(average):
     with pytest.raises(DomainError, match="not NaN"):
@@ -144,6 +154,12 @@ def test_basic_mean_closed_form_is_the_trace_sum(q):
             _closed_form("basic_N", q, eta), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("q, eta", [(1e-310, 720.0), (4e-309, 712.0), (1e-310, 800.0)])
+def test_basic_mean_closed_form_where_one_over_q_overflows(q, eta):
+    assert basic_mean_closed_form(q, eta) == pytest.approx(
+        trace_average(Family.B, q, eta, "basic_N"), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("q, eta, match", [
     # e^eta < 1/q: the geometric sum in w/q diverges
     (0.5, 0.1, "e\\^eta > 1/q"), (0.5, math.log(2.0), "e\\^eta > 1/q"),
@@ -158,28 +174,40 @@ def test_basic_mean_closed_form_refuses_what_the_trace_sum_refuses(q, eta, match
 
 
 @pytest.mark.parametrize("n_coeffs", [math.nan, math.inf, -math.inf, 2.5, 0])
-@pytest.mark.parametrize("function_id", ["arcsin-sqrt", "degenerate-density-bracket"])
-def test_taylor_reference_needs_a_whole_number_of_coefficients(function_id, n_coeffs):
+def test_taylor_reference_needs_a_whole_number_of_coefficients(n_coeffs):
     with pytest.raises(DomainError, match=re.escape(
             f"n_coeffs must be an integer >= 1, got {n_coeffs!r}")):
-        taylor_reference(function_id, n_coeffs)
+        taylor_reference(n_coeffs)
 
 
-def test_arcsin_reference_refuses_more_coefficients_than_its_steps_hold():
-    # the fifth odd coefficient would be 6.6e-2 off the closed form
-    assert len(taylor_reference("arcsin-sqrt", 4)) == 7
-    with pytest.raises(DomainError, match="step schedule holds 4 coefficients; "
-                                          "n_coeffs must be at most 4, got 5$"):
-        taylor_reference("arcsin-sqrt", 5)
+def test_bracket_reference_refuses_more_coefficients_than_its_nodes_hold():
+    # c3 would be 9.79 against the Sommerfeld 9.7015, c4 164 against about 243
+    assert len(taylor_reference(2)) == 2
+    with pytest.raises(DomainError, match="nodes hold 2 coefficients; "
+                                          "n_coeffs must be at most 2, got 3$"):
+        taylor_reference(3)
 
 
 def test_degenerate_bracket_second_coefficient_is_the_sommerfeld_one():
     # 1 + (pi^2/8) nu^-2 + (7 pi^4/640) nu^-4 + ...: c2 comes out 3.8e-5
     # off, c1 4.9e-9
-    c1, c2 = taylor_reference("degenerate-density-bracket", 2)
+    c1, c2 = taylor_reference(2)
     assert c1 == pytest.approx(math.pi ** 2 / 8, rel=1e-8, abs=0.0)
     assert c2 == pytest.approx(7 * math.pi ** 4 / 640, rel=1e-4, abs=0.0)
 
 
 def test_taylor_reference_takes_a_whole_float_count():
-    assert taylor_reference("arcsin-sqrt", 3.0) == taylor_reference("arcsin-sqrt", 3)
+    assert taylor_reference(2.0) == taylor_reference(2)
+
+
+def test_one_coefficient_is_the_first_of_two():
+    assert taylor_reference(1) == taylor_reference(2)[:1]
+
+
+def test_arcsin_series_coefficients_are_the_maclaurin_ones():
+    # (2/pi) arcsin(u) at odd powers u^1 .. u^23, at 30 digits; the worst
+    # of the 12 is 2.0e-16 off
+    with mpmath.workdps(30):
+        series = mpmath.taylor(mpmath.asin, 0, 23)
+        want = [float(2 / mpmath.pi * c) for c in series[1::2]]
+    assert arcsin_series_coefficients(12) == pytest.approx(want, rel=1e-15, abs=0.0)

@@ -78,9 +78,9 @@ Q_GRID = (0.05, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-13,
 X_GRID = (1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12)
 
 
-def reference_g(q, z, order):
-    """g(q, z, order) from mpmath polylogarithms at 40 digits."""
-    with mpmath.workdps(40):
+def reference_g(q, z, order, dps=40):
+    """g(q, z, order) from mpmath polylogarithms at dps digits."""
+    with mpmath.workdps(dps):
         q, z = mpmath.mpf(q), mpmath.mpf(z)
         if q == 1:
             return mpmath.polylog(order, z)
@@ -143,6 +143,16 @@ class TestBoseGAgainstMpmath:
             z = q * x
             assert _rel(bose_g(q, z, order), reference_g(q, z, order)) < 1e-13, x
         assert _rel(bose_g_supremum(q, order), reference_g(q, q, order)) < 1e-13
+
+    @pytest.mark.parametrize("order", [0.01, 0.5])
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.7, 0.9, 0.99])
+    def test_below_order_one_as_z_nears_q(self, q, order):
+        # g's sensitivity to z grows like (1 - z/q)^(order - 1), so ln(z/q)
+        # must come from the exact z - q, not from the rounded z/q
+        for gap in (1e-12, 1e-9, 1e-6):
+            z = q * (1.0 - gap)
+            assert bose_g(q, z, order) == pytest.approx(
+                reference_g(q, z, order, dps=50), rel=1e-14, abs=0.0), gap
 
     def test_supremum_diverges_at_q1_for_low_order(self):
         with pytest.raises(DomainError):
