@@ -120,9 +120,11 @@ def eigenvalue_seq_f(q, n_max):
     out = [0.0]
     p = 1.0
     for _ in range(n_max):
-        # beta_n = 0 gives q^-n alone: at a q whose 1/q overflows, inf * 0
-        # would make beta_1 NaN
-        out.append(p - qi * out[-1] if out[-1] else p)
+        # beta_n = 0 gives q^-n alone, where inf * 0 would be NaN; and
+        # (1/q) beta_n is the same double as q^-n when beta_n is q^-(n-1),
+        # so the difference is exactly 0, even once both are inf
+        drop = qi * out[-1] if out[-1] else 0.0
+        out.append(0.0 if drop == p else p - drop)
         p *= qi
     return out
 

@@ -163,8 +163,9 @@ def _b_grid_rows(kernel, qp, etas):
     try:
         return kernel(qp, etas)
     except DomainError as exc:
-        raise DomainError(f"B-family grid: {exc}. Raise --eta-min or raise q.") \
-            from None
+        # at q = 1 no larger q exists
+        fix = "Raise --eta-min" if qp.q == 1.0 else "Raise --eta-min or raise q"
+        raise DomainError(f"B-family grid: {exc}. {fix}.") from None
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,8 @@ def _cmd_virial(args):
     config = {"family": family.value.lower(), "q": args.q, "order": args.order}
     dataset = {
         "config": config, "columns": ["k", "coefficient"], "rows": rows,
-        "metadata": {"working_digits": coeffs.working_digits},
+        "metadata": {"working_digits": coeffs.working_digits,
+                     "passes": coeffs.passes},
     }
     if family is Family.F:
         dataset["metadata"].update(

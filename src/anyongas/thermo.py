@@ -14,12 +14,16 @@ ln(z/q) on a bracket from closed-form bounds.  Virial coefficients come
 from Lagrange inversion of the density series in x = z/q, summed in
 binary fixed point on Python ints.  A pass at P digits sums b_2, b_3,
 ... in turn and stops at the first one its precision cannot hold to a
-double; the next pass at least doubles the digits, and the first to
-reach the last coefficient is kept (34 digits for B at q = 0.3 and order
-40, 68 at q = 0.5, 136 at q = 1 and for F, both at order 60).  One sum,
-the B family's, serves both: in x the F gas is the plain Fermi gas, whose
-coefficients are those of the Bose gas (B at q = 1) with alternating
-signs, so F has no q in them.
+double, or, the first pass, once the coefficients it holds already
+show that the last one needs more.  The next pass runs at the most
+digits a later coefficient is predicted to need, from a straight line
+through the orders of magnitude of those summed so far, plus a margin of
+3; a prediction too low costs one more pass, never a wrong double.  The
+first pass to reach the last coefficient is kept (34 digits for B at
+q = 0.3 and order 40, 45 at q = 0.5, 114 at q = 1 and for F, all three
+at order 60).  One sum, the B family's, serves both: in x the F gas is
+the plain Fermi gas, whose coefficients are those of the Bose gas (B at
+q = 1) with alternating signs, so F has no q in them.
 """
 
 import collections
@@ -52,10 +56,18 @@ _VIRIAL_GUARD_DIGITS = 5
 # to 150, so the fixed point costs under one of the 5 guard digits above
 _FIXED_POINT_GUARD_DIGITS = 5
 _LOG2_10 = math.log2(10.0)
-# the virial sum starts at 34 digits and at least doubles them each pass;
-# the cap ends the loop should some b_n be exactly 0 or its scale overflow
+# the virial sum starts at 34 digits, and a pass that stops short is
+# followed by one at the most digits a later b_n is predicted to need,
+# plus the margin; the cap ends the loop should some b_n be exactly 0 or
+# its scale overflow
 _VIRIAL_START_DIGITS = 34
-_VIRIAL_MAX_DIGITS = 34 * 2 ** 6
+_VIRIAL_MARGIN_DIGITS = 3
+# the probe, the first pass, may stop short once it holds this many b_n
+# and the line through them puts b_order's need more than the slack past
+# its digits
+_VIRIAL_PROBE_FIT_MIN = 16
+_VIRIAL_PROBE_SLACK_DIGITS = 2.5
+_VIRIAL_MAX_DIGITS = 2176
 
 
 StateFunctions = collections.namedtuple("StateFunctions", (
@@ -294,11 +306,17 @@ def _closest_fugacity(density, z, z_top, target):
 
 
 class VirialCoefficients(list):
-    """b_1..b_K as doubles, with the precision in digits they were summed at."""
+    """b_1..b_K as doubles, with the precision passes that summed them.
 
-    def __init__(self, coefficients, working_digits):
+    ``passes`` lists each fixed-point pass as (digits, the n of the b_n it
+    stopped at), the kept last pass with None; ``working_digits`` is that
+    pass's digits.
+    """
+
+    def __init__(self, coefficients, passes):
         super().__init__(coefficients)
-        self.working_digits = working_digits
+        self.passes = passes
+        self.working_digits = passes[-1][0]
 
 
 def _density_per_x(q, order, bits):
@@ -350,26 +368,36 @@ def _diagonal_over_n(phi, order, shift=0, short=None):
 
 def _bose_virial(q, order):
     # b_1..b_order of the B family at the double q, as floats, and the
-    # digits they were summed at.  B takes the exact double q, however
-    # close to 1: its coefficients are a positive sum with no 0/0 at q = 1,
-    # and they move across |q - 1| < 1e-12.  A pass at P digits sums in
-    # fixed point at 2^-bits <= 10^-(P + _FIXED_POINT_GUARD_DIGITS), and the
+    # passes that summed them.  B takes the exact double q, however close
+    # to 1: its coefficients are a positive sum with no 0/0 at q = 1, and
+    # they move across |q - 1| < 1e-12.  A pass at P digits sums in fixed
+    # point at 2^-bits <= 10^-(P + _FIXED_POINT_GUARD_DIGITS), and the
     # diagonal term s_n is n b_n q^(n-1) 2^(2 bits).  Its fixed-point error
     # is a few 10^-P n scale_n, scale_n the same sum over the absolute
     # values of every term, in doubles from the first pass's phi.  So b_n
     # needs 17 + 5 + log10(scale_n) - floor(log10 |b_n q^(n-1)|) digits
     # (that overestimates by under one; the floor is taken from s_n), and
-    # a pass stops at the first b_n that needs more than it has
+    # a pass stops at the first b_n that needs more than it has.  The
+    # first pass, the probe, also stops once the line through its floors
+    # puts b_order's need past its digits by more than the slack
     digits = _VIRIAL_START_DIGITS
-    scale = None
+    base = None  # 17 + 5 + log10(scale_n) for n = 1..order
+    passes = []
     need = 0.0
 
     def short(n, s):
         nonlocal need
-        need = (_DOUBLE_DIGITS + _VIRIAL_GUARD_DIGITS + math.log10(scale[n - 1])
-                - math.floor(math.log10(abs(s)) - math.log10(n) - 2 * bits / _LOG2_10)
-                if s else math.inf)
-        return need > digits
+        if not s:
+            need = math.inf
+            return True
+        floors.append(math.floor(math.log10(abs(s)) - math.log10(n)
+                                 - 2 * bits / _LOG2_10))
+        need = base[n - 1] - floors[-1]
+        if need > digits:
+            return True
+        return (not passes and _VIRIAL_PROBE_FIT_MIN <= n < order
+                and base[-1] - _floor_line(floors)(order)
+                > digits + _VIRIAL_PROBE_SLACK_DIGITS)
 
     while True:
         bits = math.ceil((digits + _FIXED_POINT_GUARD_DIGITS) * _LOG2_10)
@@ -377,18 +405,29 @@ def _bose_virial(q, order):
         phi = [1 << bits]  # x/rho(x)
         for n in range(1, order):
             phi.append(-sum(map(mul, rho[1:n + 1], phi[::-1])) >> bits)
-        if scale is None:
-            scale = [c / n for n, c in enumerate(
-                _diagonal_over_n([abs(c) / phi[0] for c in phi], order), 1)]
+        if base is None:
+            base = [_DOUBLE_DIGITS + _VIRIAL_GUARD_DIGITS + math.log10(c / n)
+                    for n, c in enumerate(_diagonal_over_n(
+                        [abs(c) / phi[0] for c in phi], order), 1)]
+        floors = []  # floor(log10 |b_n q^(n-1)|) for n = 2, 3, ...
         sums = _diagonal_over_n(phi, order, bits, short)
         if sums is not None:
+            passes.append((digits, None))
             break
-        # an infinite need, of a b_n that is exactly 0, lands past the cap
-        digits = max(2 * digits, math.ceil(min(need, _VIRIAL_MAX_DIGITS + 1)))
-        if digits > _VIRIAL_MAX_DIGITS:
+        if need > _VIRIAL_MAX_DIGITS:  # an infinite need, of a b_n exactly 0
             raise ConvergenceError(
                 f"virial coefficients need more than {_VIRIAL_MAX_DIGITS} digits "
                 f"at q={q!r}, order={order}")
+        stop = len(floors) + 1
+        passes.append((digits, stop))
+        # the next pass runs at the most digits b_stop..b_order are
+        # predicted to need, plus the margin.  A need predicted too low
+        # costs one more pass, never a wrong double: each b_n of a pass is
+        # checked against its own need
+        line = _floor_line(floors)
+        predicted = _VIRIAL_MARGIN_DIGITS + max(base[m - 1] - line(m)
+                                                for m in range(stop, order + 1))
+        digits = math.ceil(max(need, min(predicted, _VIRIAL_MAX_DIGITS)))
     # b_n = s_n 2^(k(n-1)) / (n 2^(2 bits) m^(n-1)) with q = m/2^k, the
     # powers of 2 cancelled; int true division rounds correctly
     m, d = q.as_integer_ratio()
@@ -406,7 +445,20 @@ def _bose_virial(q, order):
             raise DomainError(f"b_{n} is beyond the largest double at q={q!r}; "
                               f"give {advice}") from None
         m_power *= m
-    return coeffs, digits
+    return coeffs, passes
+
+
+def _floor_line(floors):
+    # floors[i] = floor(log10 |b_(i+2) q^(i+1)|) for b_2 up to the b_stop a
+    # pass stopped at is close to linear in n: the least-squares line
+    # through those with n >= stop/2, as a function of n
+    stop = len(floors) + 1
+    points = [(n, low) for n, low in enumerate(floors, 2) if 2 * n >= stop]
+    mean_n = sum(n for n, _ in points) / len(points)
+    mean_low = sum(low for _, low in points) / len(points)
+    slope = (sum((n - mean_n) * (low - mean_low) for n, low in points)
+             / sum((n - mean_n) ** 2 for n, _ in points)) if len(points) > 1 else 0.0
+    return lambda n: mean_low + slope * (n - mean_n)
 
 
 def virial_coefficients(family, q, order):
@@ -442,22 +494,33 @@ def virial_coefficients(family, q, order):
     floor(log10 |b_n q^(n-1)|).  A pass at P digits grows the powers one
     degree at a time, checks each b_n as soon as it is summed, and stops
     at the first that P cannot hold, at about (n/order)^2 of the cost of
-    a full pass.  P starts at 34 and the next pass runs at
-    the larger of 2P and that b_n's need; the first pass to reach
-    b_order is kept.  The result is a list of floats whose
-    ``working_digits`` is that pass's P: 34 for B at q = 0.3 and order
-    40, 68 for B at q = 0.5 or 0.9 and order 60, 136 for B at q = 1 and
-    so for F at order 60, 272 for F at order 150.  An order whose b_n
-    passes the largest double raises DomainError.
+    a full pass.  P starts at 34.  After a pass stops at b_n, the next
+    runs at the larger of b_n's need and the most any b_m, m >= n, is
+    predicted to need, plus a margin of 3 digits: floor(log10 |b_m
+    q^(m-1)|) is close to linear in m (it falls about 1.3 per order at
+    q = 1 and 0.2 at q = 0.5), so it is fitted by least squares over
+    m >= n/2 and extended to the order, and scale_m is already known.
+    The first pass, the probe, also stops once it holds b_2..b_n with
+    n >= 16 and that line puts b_order's need more than 2.5 digits past
+    34.  A prediction too low costs one more pass, never a wrong double,
+    as every b_n of a pass is still checked against its own need; the
+    first pass to reach b_order is kept.  The result is a list of floats
+    whose ``working_digits`` is that pass's P and whose ``passes`` lists
+    each pass as (P, the n it stopped at), with None for the kept one:
+    34 for B at q = 0.3 and order 40, one pass; 45 for B at q = 0.5 and
+    56 at q = 0.9, order 60, after a probe that stops at b_16; 114 for B
+    at q = 1 and so for F at order 60, and 252 for F at order 150, after
+    a probe that stops at b_10.  An order whose b_n passes the largest
+    double raises DomainError.
     """
     family = as_family(family)
     qp = as_qparam(q)
     order = as_count("order", order, 2)
     if family is Family.B:
         return VirialCoefficients(*_bose_virial(qp.q, order))
-    coeffs, digits = _bose_virial(1.0, order)
+    coeffs, passes = _bose_virial(1.0, order)
     return VirialCoefficients([-b if n % 2 else b for n, b in enumerate(coeffs)],
-                              digits)
+                              passes)
 
 
 def b_partition_log(spectrum, z, beta):

@@ -238,6 +238,14 @@ class TestEigenvalueSequences:
         # beta_1 = q^0 - (1/q) beta_0 = 1, with no inf * 0
         assert eigenvalue_seq_f(q, 1) == [0.0, 1.0]
 
+    @pytest.mark.parametrize("q", [1e-200, 1e-310])
+    def test_f_recurrence_is_the_closed_form_where_q_powers_overflow(self, q):
+        # q^-n - (1/q) beta_n is inf - inf once q^-n overflows: at q = 1e-200
+        # from beta_4 on, at q = 1e-310, where 1/q is inf, from beta_2
+        got = eigenvalue_seq_f(q, 12)
+        assert got == eigenvalue_seq_f_closed(q, 12)
+        assert got[::2] == [0.0] * 7
+
     def test_f_classical_alternates(self):
         assert eigenvalue_seq_f(1.0, 5) == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
 

@@ -119,6 +119,18 @@ def test_bose_grid_where_the_occupation_overflows_is_domain_error(tmp_path, caps
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", [["occupation", "--family", "b"], ["bounds"]],
+                         ids=["occupation", "bounds"])
+def test_bose_grid_at_q_1_names_only_eta_min(tmp_path, capsys, command):
+    # no q above 1 exists to raise q to
+    path = tmp_path / "out.csv"
+    assert cli.main([*command, "--q", "1", "--eta-min", "0", "--eta-max", "2",
+                     "--steps", "3", "--output", str(path)]) == 3
+    assert capsys.readouterr().err.endswith(
+        "Bose occupation requires eta > 0, got 0.0. Raise --eta-min.\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["bounds", "--q", "1", "--eta-min", "nan", "--eta-max", "2"],
                  id="bounds-nan"),
@@ -349,7 +361,14 @@ class TestVirial:
     def test_json_reports_the_working_digits(self, tmp_path):
         _, payload, _ = _run(tmp_path, [
             "virial", "--family", "b", "--q", "0.5", "--order", "60"])
-        assert payload["metadata"]["working_digits"] == 68
+        assert payload["metadata"]["working_digits"] == 45
+
+    def test_json_reports_each_pass(self, tmp_path):
+        # the 34-digit probe holds b_2..b_16, and the line through them
+        # already puts b_60 past its digits; the kept pass has no stop
+        _, payload, _ = _run(tmp_path, [
+            "virial", "--family", "b", "--q", "0.5", "--order", "60"])
+        assert payload["metadata"]["passes"] == [[34, 16], [45, None]]
 
     def test_f_family_first_coefficient_exact(self, tmp_path):
         # q = 0.76 gave b_1 = 0.9999999999999999 while the series were built in z

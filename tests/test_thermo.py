@@ -43,7 +43,7 @@ class TestVirialF:
 
     def test_highest_order(self):
         got = virial_coefficients("f", 0.76, 150)
-        assert got.working_digits == 272
+        assert got.working_digits == 252
         # the values the F density series gave in decimal at 272 digits
         assert (got[0], got[1], got[144], got[149]) == (
             1.0, 0.1767766952966369, -1.7466130682302417e-186, -9.891709166770562e-193)
@@ -114,11 +114,12 @@ class TestVirial:
             virial_coefficients("b", 1e-5, 70)
 
     @pytest.mark.parametrize("family, q, order, digits", [
-        ("b", 0.3, 40, 34), ("b", 0.5, 60, 68), ("b", 0.9, 60, 68),
-        ("b", 1.0, 60, 136), ("f", 0.5, 60, 136)])
+        ("b", 0.3, 40, 34), ("b", 0.5, 60, 45), ("b", 0.9, 60, 56),
+        ("b", 1.0, 60, 114), ("f", 0.5, 60, 114)])
     def test_working_digits_follow_the_conditioning(self, family, q, order, digits):
-        # b_60 at q = 0.5 needs 68 digits, the Bose series' cancellation at
-        # q = 1, and so the F series', 136
+        # b_60 at q = 0.5 needs 40 digits, the Bose series' cancellation at
+        # q = 1, and so the F series', 109; the pass after the 34-digit
+        # probe runs at the prediction plus the margin
         assert virial_coefficients(family, q, order).working_digits == digits
 
     def test_b2_past_the_largest_double_asks_only_for_a_larger_q(self):
@@ -141,6 +142,75 @@ class TestVirial:
         monkeypatch.setattr(thermo, "_diagonal_over_n", zero_b2)
         with pytest.raises(ConvergenceError, match="need more than 2176 digits"):
             virial_coefficients("b", 0.5, 10)
+
+    @pytest.mark.parametrize("order", [40, 60, 100])
+    @pytest.mark.parametrize("q", Q_GRID)
+    def test_the_predicted_pass_is_the_last(self, q, order):
+        # the 34-digit probe, then at most one pass at the predicted digits
+        passes = _virial_needs(q, order)[0].passes
+        assert len(passes) <= 2
+        assert passes[0][0] == thermo._VIRIAL_START_DIGITS
+        assert all(n for _, n in passes[:-1])
+        assert passes[-1][1] is None
+
+    @pytest.mark.parametrize("order", [40, 60, 100])
+    @pytest.mark.parametrize("q", Q_GRID)
+    def test_the_kept_pass_holds_every_coefficient(self, q, order):
+        coeffs, needs = _virial_needs(q, order)
+        assert len(needs) == order - 1
+        assert max(needs) <= coeffs.working_digits
+
+    @pytest.mark.parametrize("family, q, order", [
+        ("b", 0.5, 60), ("b", 0.9, 60), ("f", 0.3, 60), ("b", 0.05, 100)])
+    def test_a_prediction_too_low_costs_only_passes(self, monkeypatch, family, q,
+                                                    order):
+        # a line of floors at +inf predicts that no b_n needs a digit: the
+        # probe never stops early and each pass runs at the need of the b_n
+        # the last one stopped at, so more passes give the same doubles
+        want = virial_coefficients(family, q, order)
+        monkeypatch.setattr(thermo, "_floor_line", lambda floors: lambda n: math.inf)
+        got = virial_coefficients(family, q, order)
+        assert len(got.passes) > len(want.passes)
+        assert [d for d, _ in got.passes] == sorted({d for d, _ in got.passes})
+        assert [b.hex() for b in got] == [b.hex() for b in want]
+
+
+@functools.lru_cache(maxsize=None)
+def _virial_needs(q, order):
+    """B virial_coefficients(q, order) and the need of b_2..b_order in its kept pass.
+
+    The need is read from the diagonal terms the kept pass hands its
+    `short` hook, as 17 + 5 + log10 scale_n - floor(log10 |b_n q^(n-1)|),
+    with scale_n from the float pass over |phi|.
+    """
+    diagonal = thermo._diagonal_over_n
+    scale, seen = [], []
+
+    def spy(phi, order, shift=0, short=None):
+        if short is None:  # the scale
+            sums = diagonal(phi, order)
+            scale[:] = [c / n for n, c in enumerate(sums, 1)]
+            return sums
+        terms = []
+
+        def watch(n, s):
+            terms.append((n, s))
+            return short(n, s)
+
+        sums = diagonal(phi, order, shift, watch)
+        seen.append((shift, terms))
+        return sums
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thermo, "_diagonal_over_n", spy)
+        coeffs = virial_coefficients("b", q, order)
+    bits, terms = seen[-1]
+    assert bits == math.ceil((coeffs.working_digits + thermo._FIXED_POINT_GUARD_DIGITS)
+                             * math.log2(10.0))
+    needs = [17 + 5 + math.log10(scale[n - 1])
+             - math.floor(math.log10(abs(s)) - math.log10(n) - 2 * bits / math.log2(10.0))
+             for n, s in terms]
+    return coeffs, needs
 
 
 # phi at K = 12 with unequal rational coefficients, phi_0 = 1, and with
