@@ -472,7 +472,9 @@ def build_parser():
     p = sub.add_parser("fock", help="algebra checks on a Fock representation")
     p.add_argument("--family", choices=("b", "f", "B", "F"), default="b")
     p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--dim", type=int, default=32)
+    p.add_argument("--dim", type=int, default=32,
+                   help="states of the B truncation (default 32); "
+                        "the F space always has 2")
     _add_common(p)
 
     p = sub.add_parser("verify", help="full oracle suite; nonzero exit on failure")
@@ -484,8 +486,32 @@ def build_parser():
     return parser
 
 
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv):
+    # argparse reads a token that starts with "-" as an option unless it
+    # looks like -10 or -1.5, so "--eta-min -1e1" or "--z -inf" would lack
+    # a value; such a number is joined to its flag as --eta-min=-1e1
+    joined = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if (token.startswith("-") and flag.startswith("--") and "=" not in flag
+                and _is_number(token)):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         dataset, status = _COMMANDS[args.command](args)
         dataset.update(schema_version=SCHEMA_VERSION, command=args.command)

@@ -12,18 +12,7 @@ h = k = 1 unless `b_state` and `f_state` are given others, SI among them.
 A given density is turned into a fugacity by a Brent-Dekker solve in
 ln(z/q) on a bracket from closed-form bounds.  Virial coefficients come
 from Lagrange inversion of the density series in x = z/q, summed in
-binary fixed point on Python ints.  A pass at P digits sums b_2, b_3,
-... in turn and stops at the first one its precision cannot hold to a
-double, or, the first pass, once the coefficients it holds already
-show that the last one needs more.  The next pass runs at the most
-digits a later coefficient is predicted to need, from a straight line
-through the orders of magnitude of those summed so far, plus a margin of
-3; a prediction too low costs one more pass, never a wrong double.  The
-first pass to reach the last coefficient is kept (34 digits for B at
-q = 0.3 and order 40, 45 at q = 0.5, 114 at q = 1 and for F, all three
-at order 60).  One sum, the B family's, serves both: in x the F gas is
-the plain Fermi gas, whose coefficients are those of the Bose gas (B at
-q = 1) with alternating signs, so F has no q in them.
+binary fixed point at the precision `virial_coefficients` accounts for.
 """
 
 import collections
@@ -335,70 +324,41 @@ def _density_per_x(q, order, bits):
     return rho
 
 
-def _diagonal_over_n(phi, order, shift=0, short=None):
-    # [x^(n-1)] phi(x)^(n-1) for n = 1..order, the n b_n q^(n-1) of the
-    # virial sum before it is divided by n.  It meets in the middle: the
-    # coefficient is the dot product of phi^floor((n-1)/2) and
+def _diagonal_over_n(phi, order, shift=0):
+    # yields [x^(n-1)] phi(x)^(n-1) for n = 1..order, the n b_n q^(n-1) of
+    # the virial sum before it is divided by n.  It meets in the middle:
+    # the coefficient is the dot product of phi^floor((n-1)/2) and
     # phi^ceil((n-1)/2), so only the powers up to order // 2 are built.
     # They grow together one degree at a time, and each diagonal term is
-    # summed as soon as they hold degree n - 1; short(n, term), if given,
-    # is asked for n = 2, 3, ... in turn, and a true answer returns None
-    # before any product of a higher degree.  phi_0 is 1 at phi's scale:
-    # ints scaled by 2^shift, whose products each power floors back by
-    # shift, or any exact or float numbers at shift 0.  The terms are not
-    # shifted back, so they are at the square of phi's scale
+    # yielded as soon as they hold degree n - 1, so a reader that stops
+    # early builds no higher degree.  phi_0 is 1 at phi's scale: ints
+    # scaled by 2^shift, whose products each power floors back by shift,
+    # or any exact or float numbers at shift 0.  The terms are not shifted
+    # back, so they are at the square of phi's scale
     one = phi[0]
     powers = [[one] + [0] * (order - 1), phi]
     powers += [[] for _ in range(2, order // 2 + 1)]
     steps = list(zip(powers[1:], powers[2:]))
-    out = [one * one]
+    yield one * one
     for d in range(order):
         reversed_phi = phi[d::-1]
         for last, power in steps:
             term = sum(map(mul, last, reversed_phi))
             power.append(term >> shift if shift else term)
         if d:
-            n = d + 1
-            term = sum(map(mul, powers[d // 2], powers[n // 2][d::-1]))
-            if short is not None and short(n, term):
-                return None
-            out.append(term)
-    return out
+            yield sum(map(mul, powers[d // 2], powers[(d + 1) // 2][d::-1]))
 
 
 def _bose_virial(q, order):
     # b_1..b_order of the B family at the double q, as floats, and the
-    # passes that summed them.  B takes the exact double q, however close
-    # to 1: its coefficients are a positive sum with no 0/0 at q = 1, and
-    # they move across |q - 1| < 1e-12.  A pass at P digits sums in fixed
-    # point at 2^-bits <= 10^-(P + _FIXED_POINT_GUARD_DIGITS), and the
-    # diagonal term s_n is n b_n q^(n-1) 2^(2 bits).  Its fixed-point error
-    # is a few 10^-P n scale_n, scale_n the same sum over the absolute
-    # values of every term, in doubles from the first pass's phi.  So b_n
-    # needs 17 + 5 + log10(scale_n) - floor(log10 |b_n q^(n-1)|) digits
-    # (that overestimates by under one; the floor is taken from s_n), and
-    # a pass stops at the first b_n that needs more than it has.  The
-    # first pass, the probe, also stops once the line through its floors
-    # puts b_order's need past its digits by more than the slack
+    # passes that summed them; the precision account is in the
+    # `virial_coefficients` docstring.  B takes the exact double q, however
+    # close to 1: its coefficients are a positive sum with no 0/0 at q = 1,
+    # and they move across |q - 1| < 1e-12.  The diagonal term s_n is
+    # n b_n q^(n-1) 2^(2 bits)
     digits = _VIRIAL_START_DIGITS
     base = None  # 17 + 5 + log10(scale_n) for n = 1..order
     passes = []
-    need = 0.0
-
-    def short(n, s):
-        nonlocal need
-        if not s:
-            need = math.inf
-            return True
-        floors.append(math.floor(math.log10(abs(s)) - math.log10(n)
-                                 - 2 * bits / _LOG2_10))
-        need = base[n - 1] - floors[-1]
-        if need > digits:
-            return True
-        return (not passes and _VIRIAL_PROBE_FIT_MIN <= n < order
-                and base[-1] - _floor_line(floors)(order)
-                > digits + _VIRIAL_PROBE_SLACK_DIGITS)
-
     while True:
         bits = math.ceil((digits + _FIXED_POINT_GUARD_DIGITS) * _LOG2_10)
         rho = _density_per_x(q, order, bits)
@@ -409,24 +369,33 @@ def _bose_virial(q, order):
             base = [_DOUBLE_DIGITS + _VIRIAL_GUARD_DIGITS + math.log10(c / n)
                     for n, c in enumerate(_diagonal_over_n(
                         [abs(c) / phi[0] for c in phi], order), 1)]
+        terms = _diagonal_over_n(phi, order, bits)
+        sums = [next(terms)]
         floors = []  # floor(log10 |b_n q^(n-1)|) for n = 2, 3, ...
-        sums = _diagonal_over_n(phi, order, bits, short)
-        if sums is not None:
+        for n, s in enumerate(terms, 2):
+            if not s:
+                need = math.inf
+                break
+            floors.append(math.floor(math.log10(abs(s)) - math.log10(n)
+                                     - 2 * bits / _LOG2_10))
+            need = base[n - 1] - floors[-1]
+            if need > digits or (
+                    not passes and _VIRIAL_PROBE_FIT_MIN <= n < order
+                    and base[-1] - _floor_line(floors)(order)
+                    > digits + _VIRIAL_PROBE_SLACK_DIGITS):
+                break
+            sums.append(s)
+        else:
             passes.append((digits, None))
             break
         if need > _VIRIAL_MAX_DIGITS:  # an infinite need, of a b_n exactly 0
             raise ConvergenceError(
                 f"virial coefficients need more than {_VIRIAL_MAX_DIGITS} digits "
                 f"at q={q!r}, order={order}")
-        stop = len(floors) + 1
-        passes.append((digits, stop))
-        # the next pass runs at the most digits b_stop..b_order are
-        # predicted to need, plus the margin.  A need predicted too low
-        # costs one more pass, never a wrong double: each b_n of a pass is
-        # checked against its own need
+        passes.append((digits, n))
         line = _floor_line(floors)
         predicted = _VIRIAL_MARGIN_DIGITS + max(base[m - 1] - line(m)
-                                                for m in range(stop, order + 1))
+                                                for m in range(n, order + 1))
         digits = math.ceil(max(need, min(predicted, _VIRIAL_MAX_DIGITS)))
     # b_n = s_n 2^(k(n-1)) / (n 2^(2 bits) m^(n-1)) with q = m/2^k, the
     # powers of 2 cancelled; int true division rounds correctly
@@ -511,7 +480,8 @@ def virial_coefficients(family, q, order):
     56 at q = 0.9, order 60, after a probe that stops at b_16; 114 for B
     at q = 1 and so for F at order 60, and 252 for F at order 150, after
     a probe that stops at b_10.  An order whose b_n passes the largest
-    double raises DomainError.
+    double raises DomainError; a b_n of exactly 0, whose need is
+    infinite, raises ConvergenceError at the cap of 2176 digits.
     """
     family = as_family(family)
     qp = as_qparam(q)

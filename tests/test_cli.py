@@ -10,7 +10,7 @@ import pytest
 
 from anyongas import cli, oracle, thermo
 from anyongas.distributions import b_occupation, classical_limit_rows
-from anyongas.errors import DomainError
+from anyongas.errors import ConvergenceError, DomainError
 from anyongas.qfunctions import bose_g, fermi_f
 from anyongas.thermo import solve_fugacity, thermal_wavelength
 
@@ -85,6 +85,16 @@ class TestOccupation:
         assert first == second
         assert b"jobs" not in first
 
+    def test_negative_value_in_exponent_form_is_a_number(self, tmp_path):
+        # argparse alone reads "-1e1" after a flag as an unknown option
+        paths = {}
+        for eta_min in ("-1e1", "-10"):
+            paths[eta_min] = tmp_path / f"{eta_min}.csv"
+            assert cli.main(["occupation", "--family", "f", "--eta-min", eta_min,
+                             "--eta-max", "1", "--steps", "2",
+                             "--output", str(paths[eta_min])]) == 0
+        assert paths["-1e1"].read_bytes() == paths["-10"].read_bytes()
+
     def test_grid_below_pole_is_domain_error(self, tmp_path, capsys):
         status = cli.main(["occupation", "--family", "b", "--q", "0.5",
                            "--eta-min", "0.5", "--output", str(tmp_path / "x.csv")])
@@ -138,6 +148,8 @@ def test_bose_grid_at_q_1_names_only_eta_min(tmp_path, capsys, command):
                   "--eta-max", "inf"], id="occupation-inf"),
     pytest.param(["occupation", "--family", "f", "--q", "0.5", "--eta-min=-inf",
                   "--eta-max", "1"], id="occupation-f-minus-inf"),
+    pytest.param(["occupation", "--family", "f", "--q", "0.5", "--eta-min", "-inf",
+                  "--eta-max", "1"], id="occupation-f-minus-inf-token"),
     pytest.param(["occupation", "--family", "b", "--q", "0.5",
                   "--eta-min=-1.7e308", "--eta-max", "1.7e308"],
                  id="occupation-span-overflows"),
@@ -287,6 +299,12 @@ class TestEos:
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["--q", ","], "holds no value", id="empty-q"),
+        pytest.param(["--q", "abc"], "could not parse q list", id="q-not-a-number"),
+        pytest.param(["--z", "-1e-3"], "fugacity must be positive", id="z-negative-exponent"),
+        pytest.param(["--z-min", "0.1", "--z-max", "0.2", "--t-min", "0.5", "--t-max", "2"],
+                     "sweep either fugacity or temperature", id="z-and-t-sweep"),
+        pytest.param(["--density", "0.1", "--z", "0.1"],
+                     "give either a density or a fugacity", id="density-and-z"),
         pytest.param(["--mass", "inf"], "mass must be positive and finite", id="mass-inf"),
         pytest.param(["--temperature", "1e308"], "bring m k T / h^2 closer to 1",
                      id="lambda-underflow"),
@@ -328,6 +346,16 @@ class TestEos:
         path = tmp_path / "x.csv"
         assert cli.main(["eos", *argv, "--output", str(path)]) == 3
         assert message in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_convergence_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def stalled(family, q, density):
+            raise ConvergenceError("stalled")
+
+        monkeypatch.setattr(thermo, "solve_fugacity", stalled)
+        path = tmp_path / "x.csv"
+        assert cli.main(["eos", "--density", "0.1", "--output", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("convergence failure:")
         assert not path.exists()
 
     @pytest.mark.parametrize("sweep", [[], ["--t-min", "0.5", "--t-max", "2"]],
@@ -399,6 +427,12 @@ class TestFock:
             "fock", "--family", family, "--q", "0.5", "--dim", dim])
         assert status == 0
         assert rows and all(row["status"] == "PASS" for row in rows)
+
+    def test_dim_help_names_the_default_and_the_f_space(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["fock", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "states of the B truncation (default 32); the F space always has 2" in help_text
 
     def test_overflowing_dim_is_domain_error(self, tmp_path, capsys):
         status = cli.main(["fock", "--family", "b", "--q", "0.1", "--dim", "400",

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import re
@@ -44,6 +45,7 @@ class TestVirialF:
     def test_highest_order(self):
         got = virial_coefficients("f", 0.76, 150)
         assert got.working_digits == 252
+        assert got.passes == [(34, 10), (252, None)]
         # the values the F density series gave in decimal at 272 digits
         assert (got[0], got[1], got[144], got[149]) == (
             1.0, 0.1767766952966369, -1.7466130682302417e-186, -9.891709166770562e-193)
@@ -133,11 +135,11 @@ class TestVirial:
         # ends with its ConvergenceError, not an OverflowError from ceil(inf)
         diagonal = thermo._diagonal_over_n
 
-        def zero_b2(phi, order, shift=0, short=None):
-            if short is None:  # the scale
-                return diagonal(phi, order)
-            assert short(2, 0)
-            return None
+        def zero_b2(phi, order, shift=0):
+            terms = diagonal(phi, order, shift)
+            if not shift:  # the scale
+                return terms
+            return (0 if n == 2 else s for n, s in enumerate(terms, 1))
 
         monkeypatch.setattr(thermo, "_diagonal_over_n", zero_b2)
         with pytest.raises(ConvergenceError, match="need more than 2176 digits"):
@@ -152,6 +154,12 @@ class TestVirial:
         assert passes[0][0] == thermo._VIRIAL_START_DIGITS
         assert all(n for _, n in passes[:-1])
         assert passes[-1][1] is None
+
+    def test_three_passes_where_the_probe_predicts_too_little(self):
+        # the line through the probe's floors falls short at the top orders,
+        # so the predicted pass stops at b_148 and a third one is kept
+        got = virial_coefficients("b", 0.9975159460813107, 150)
+        assert got.passes == [(34, 16), (111, 148), (116, None)]
 
     @pytest.mark.parametrize("order", [40, 60, 100])
     @pytest.mark.parametrize("q", Q_GRID)
@@ -179,27 +187,21 @@ class TestVirial:
 def _virial_needs(q, order):
     """B virial_coefficients(q, order) and the need of b_2..b_order in its kept pass.
 
-    The need is read from the diagonal terms the kept pass hands its
-    `short` hook, as 17 + 5 + log10 scale_n - floor(log10 |b_n q^(n-1)|),
+    The need is read from the diagonal terms the kept pass reads from
+    `_diagonal_over_n`, as 17 + 5 + log10 scale_n - floor(log10 |b_n q^(n-1)|),
     with scale_n from the float pass over |phi|.
     """
     diagonal = thermo._diagonal_over_n
     scale, seen = [], []
 
-    def spy(phi, order, shift=0, short=None):
-        if short is None:  # the scale
-            sums = diagonal(phi, order)
+    def spy(phi, order, shift=0):
+        if not shift:  # the scale
+            sums = list(diagonal(phi, order))
             scale[:] = [c / n for n, c in enumerate(sums, 1)]
             return sums
         terms = []
-
-        def watch(n, s):
-            terms.append((n, s))
-            return short(n, s)
-
-        sums = diagonal(phi, order, shift, watch)
         seen.append((shift, terms))
-        return sums
+        return (terms.append(s) or s for s in diagonal(phi, order, shift))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(thermo, "_diagonal_over_n", spy)
@@ -209,7 +211,7 @@ def _virial_needs(q, order):
                              * math.log2(10.0))
     needs = [17 + 5 + math.log10(scale[n - 1])
              - math.floor(math.log10(abs(s)) - math.log10(n) - 2 * bits / math.log2(10.0))
-             for n, s in terms]
+             for n, s in enumerate(terms[1:], 2)]
     return coeffs, needs
 
 
@@ -231,11 +233,24 @@ def _naive_diagonal(phi, order):
     return out
 
 
+class _DegreeLog(list):
+    """A list that records the start of each slice read from it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.degrees = []
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.degrees.append(index.start)
+        return super().__getitem__(index)
+
+
 class TestDiagonalOverN:
     @pytest.mark.parametrize("phi", [_DIAGONAL_PHI, _DIAGONAL_INT_PHI],
                              ids=["fractions", "ints"])
     def test_matches_the_full_powers_exactly_at_shift_0(self, phi):
-        got = thermo._diagonal_over_n(phi, _DIAGONAL_ORDER)
+        got = list(thermo._diagonal_over_n(phi, _DIAGONAL_ORDER))
         assert got == _naive_diagonal(phi, _DIAGONAL_ORDER)
         assert all(type(b) is type(phi[1]) for b in got)
 
@@ -251,21 +266,16 @@ class TestDiagonalOverN:
                            for d in range(_DIAGONAL_ORDER)])
         want = [sum(powers[(n - 1) // 2][i] * powers[n // 2][n - 1 - i] for i in range(n))
                 for n in range(1, _DIAGONAL_ORDER + 1)]
-        assert thermo._diagonal_over_n(phi, _DIAGONAL_ORDER, shift) == want
+        assert list(thermo._diagonal_over_n(phi, _DIAGONAL_ORDER, shift)) == want
 
-    @pytest.mark.parametrize("stop", [2, 5, _DIAGONAL_ORDER, None])
-    def test_short_sees_each_b_n_in_order_and_stops_the_sum(self, stop):
+    @pytest.mark.parametrize("stop", [2, 5, _DIAGONAL_ORDER])
+    def test_yields_in_order_and_a_reader_that_stops_builds_no_higher_degree(self, stop):
+        # phi[d::-1] is read once per power for each degree d the powers grow to
         want = _naive_diagonal(_DIAGONAL_PHI, _DIAGONAL_ORDER)
-        seen = []
-
-        def short(n, b):
-            seen.append((n, b))
-            return n == stop
-
-        got = thermo._diagonal_over_n(_DIAGONAL_PHI, _DIAGONAL_ORDER, 0, short)
-        last = _DIAGONAL_ORDER if stop is None else stop
-        assert seen == [(n, want[n - 1]) for n in range(2, last + 1)]
-        assert got == (want if stop is None else None)
+        phi = _DegreeLog(_DIAGONAL_PHI)
+        got = list(itertools.islice(thermo._diagonal_over_n(phi, _DIAGONAL_ORDER), stop))
+        assert got == want[:stop]
+        assert max(phi.degrees) == stop - 1
 
 
 def _fixed_point_error_bound(q, order, bits):
@@ -497,13 +507,23 @@ class TestBrent:
         assert brentq(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(
             math.sqrt(2.0), rel=1e-15, abs=0.0)
         assert brentq(math.cos, 0.0, 3.0) == pytest.approx(math.pi / 2, rel=1e-15, abs=0.0)
-        # a root at an endpoint, and a flat function that only bisection moves
+        # a root at either endpoint, and a flat function that only bisection moves
         assert brentq(lambda x: x, 0.0, 1.0) == 0.0
+        assert brentq(lambda x: x - 1, 0.0, 1.0) == 1.0
         assert brentq(lambda x: (x - 0.3) ** 7, 0.0, 1.0) == pytest.approx(0.3, abs=1e-6)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(ConvergenceError):
             brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            brentq(lambda x: 1.0, 0.0, 1.0)
+
+    def test_evaluation_cap_raises(self):
+        # bisection needs about 1000 halvings to narrow [0, 1e300] to the
+        # step at 1e-300, and no interpolation step does better on a step
+        with pytest.raises(ConvergenceError,
+                           match="not converged after 200 evaluations"):
+            brentq(lambda x: -1.0 if x < 1e-300 else 1.0, 0.0, 1e300)
 
 
 class TestInputValidation:
@@ -527,6 +547,16 @@ class TestInputValidation:
         inputs[name] = math.inf
         with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
             state(0.5, 0.25, **inputs)
+
+    def test_f_state_refuses_a_zero_fugacity(self):
+        with pytest.raises(DomainError, match="fugacity must be positive"):
+            f_state(0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("density", [math.inf, math.nan])
+    def test_solve_fugacity_refuses_a_target_that_is_not_finite(self, density):
+        with pytest.raises(DomainError,
+                           match="target density must be positive and finite"):
+            solve_fugacity("f", 0.5, density)
 
     def test_temperature_is_checked_before_the_fugacity(self):
         # z = 0.7 >= q is refused too, but only once the zeta functions run
