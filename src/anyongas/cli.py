@@ -486,23 +486,17 @@ def build_parser():
     return parser
 
 
-def _is_number(token):
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
 def _join_negative_values(argv):
     # argparse reads a token that starts with "-" as an option unless it
-    # looks like -10 or -1.5, so "--eta-min -1e1" or "--z -inf" would lack
-    # a value; such a number is joined to its flag as --eta-min=-1e1
+    # looks like -10 or -1.5, so "--eta-min -1e1", "--z -inf" or
+    # "--q -0.5,0.3" would lack a value.  Every option takes a value, so a
+    # token with a single leading "-" after a --flag is joined to it as
+    # --eta-min=-1e1
     joined = []
     for token in argv:
         flag = joined[-1] if joined else ""
-        if (token.startswith("-") and flag.startswith("--") and "=" not in flag
-                and _is_number(token)):
+        if (token.startswith("-") and not token.startswith("--")
+                and flag.startswith("--") and "=" not in flag):
             joined[-1] = f"{flag}={token}"
         else:
             joined.append(token)

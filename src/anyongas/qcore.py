@@ -1,20 +1,15 @@
-"""Deformation-parameter arithmetic and truncated power series.
+"""Deformation-parameter arithmetic.
 
 Everything downstream is built from two primitives: the basic number
 [x] = (q^x - q^-x)/(q - q^-1) and the Jackson finite-difference
 derivative that replaces d/dx in the boson-like thermodynamics.
 
-`PowerSeries` keeps only its exact composition and reversion, summed in
-rationals and rounded to doubles.  No command calls them: the virial
-coefficients are summed in int fixed point by `thermo.virial_coefficients`.
-They stay, with their tests, because the benchmark's span tracer
-(perfbench/spans.py) wraps both by name; they go with the next change
-to the benchmark.  `fractions` is imported inside them, so no command
-loads it.
+`PowerSeries` is an empty placeholder that keeps two names the
+benchmark's span tracer (perfbench/spans.py) wraps.
 
-`QParam` is a frozen class with slots and `PowerSeries` a named tuple,
-so the module imports `enum`, `math` and `collections` alone from the
-standard library, which the CLI's argparse has loaded already.
+`QParam` is a frozen class with slots, so the module imports `enum` and
+`math` alone from the standard library, which the CLI's argparse has
+loaded already.
 
 The deformation parameter lives in (0, 1].  q = 0 is excluded because
 every formula involves q^-1; q = 1 is the undeformed limit, where the
@@ -25,7 +20,6 @@ which only the continued-fraction occupations of `distributions` read,
 at three sites: `cf_convergent`, `cf_bounds` and `bounds_rows`.
 """
 
-import collections
 import enum
 import math
 
@@ -185,106 +179,15 @@ def jackson_derivative(f, q, x):
     return (f(q * x) - f(x / q)) / (x * (q - 1.0 / q))
 
 
-def _mul_trunc(a, b, order):
-    # raw coefficient lists of Fractions indexed from power 0, product
-    # truncated at `order`; the int zeros take the type of the entries
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0.0 or i > order:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
+class PowerSeries:
+    """Placeholder: no command composes or reverts a series.
 
-
-class PowerSeries(collections.namedtuple("PowerSeries", ("coeffs", "constant"))):
-    """Truncated power series c0 + c1 t + ... + cK t^K.
-
-    ``coeffs`` holds c1..cK; the constant term is tracked separately.
-    Composition and reversion are exact up to the truncation order
-    K = len(coeffs) and never silently exceed it: a composition truncates
-    to the smaller of the two orders.
+    The benchmark's span tracer wraps `compose` and `revert` by name; the
+    class goes with those two span targets.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, coeffs, constant=0.0):
-        return super().__new__(cls, tuple(float(c) for c in coeffs), float(constant))
-
-    @property
-    def order(self):
-        return len(self.coeffs)
-
-    def _raw(self, order):
-        return [self.constant] + list(self.coeffs[:order]) + [0.0] * max(
-            0, order - self.order
-        )
-
     def compose(self, inner):
-        """Coefficients of self(inner(t)), truncated to the smaller order.
-
-        The inner series must have zero constant term, otherwise the
-        composition would shift the expansion point.  The sum is exact and
-        each coefficient is rounded once.
-        """
-        if inner.constant != 0.0:
-            raise DomainError("composition requires the inner constant term to be 0")
-        k = min(self.order, inner.order)
-        acc = self._compose_exact(inner._raw(k), k)
-        return PowerSeries(tuple(acc[1:]), acc[0])
-
-    def _compose_exact(self, inner_raw, k):
-        # raw coefficients of self(inner) up to t^k as Fractions (Horner)
-        from fractions import Fraction
-
-        inner_raw = [Fraction(c) for c in inner_raw[: k + 1]]
-        acc = [Fraction(0)] * (k + 1)
-        for c in reversed(self.coeffs[:k]):
-            acc[0] += Fraction(c)
-            acc = _mul_trunc(acc, inner_raw, k)
-        acc[0] += Fraction(self.constant)
-        return acc
+        raise NotImplementedError
 
     def revert(self):
-        """The compositional inverse r with self(r(t)) = t up to order K.
-
-        Computed by order-by-order substitution (equivalent to Lagrange
-        inversion).  Each residual is summed exactly from the already
-        rounded lower coefficients, so coefficient m of s(r(t)) - t comes
-        only from rounding r_m, at most |c1| ulp(r_m) / 2 for the nearest
-        double.  r_m also enters coefficient m + 1, so of the nearest
-        double and its two neighbours the one that leaves the smaller
-        residual over orders m and m + 1 is kept.
-        Requires zero constant term and c1 != 0.
-        """
-        if self.constant != 0.0:
-            raise DomainError("reversion requires a zero constant term")
-        if not self.coeffs or self.coeffs[0] == 0.0:
-            raise DomainError("reversion requires a nonzero linear coefficient")
-        from fractions import Fraction
-
-        c1 = Fraction(self.coeffs[0])
-
-        def exact_next(inv):
-            # the rational r_m that zeroes coefficient m, given r_1..r_(m-1)
-            m = len(inv) + 1
-            return ((m == 1) - self._compose_exact([0.0] + inv, m)[m]) / c1
-
-        def rounding(x):
-            return abs(Fraction(float(x)) - x)
-
-        inv = []
-        for m in range(1, self.order + 1):
-            x = exact_next(inv)
-            r = float(x)
-            if m < self.order:
-                r = min(
-                    (r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf)),
-                    key=lambda c: max(
-                        abs(Fraction(c) - x), rounding(exact_next(inv + [c]))
-                    ),
-                )
-            inv.append(r)
-        return PowerSeries(tuple(inv))
+        raise NotImplementedError

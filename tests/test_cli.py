@@ -95,6 +95,11 @@ class TestOccupation:
                              "--output", str(paths[eta_min])]) == 0
         assert paths["-1e1"].read_bytes() == paths["-10"].read_bytes()
 
+    def test_single_step_grid_is_eta_min(self, tmp_path):
+        status, _, rows = _run(tmp_path, ["occupation", "--steps", "1", "--eta-min", "2"])
+        assert status == 0
+        assert [row["eta"] for row in rows] == [2.0]
+
     def test_grid_below_pole_is_domain_error(self, tmp_path, capsys):
         status = cli.main(["occupation", "--family", "b", "--q", "0.5",
                            "--eta-min", "0.5", "--output", str(tmp_path / "x.csv")])
@@ -212,6 +217,12 @@ class TestEos:
             assert row["lambda3"] * row["number_density"] == pytest.approx(
                 0.5, rel=1e-12, abs=0.0)
 
+    def test_single_temperature_step_is_t_min(self, tmp_path):
+        status, _, rows = _run(tmp_path, [
+            "eos", "--density", "0.1", "--t-min", "0.5", "--t-max", "2", "--t-steps", "1"])
+        assert status == 0
+        assert [row["temperature"] for row in rows] == [0.5]
+
     def test_density_solves_once_per_q_per_call(self, tmp_path, monkeypatch):
         calls = []
 
@@ -301,6 +312,9 @@ class TestEos:
         pytest.param(["--q", ","], "holds no value", id="empty-q"),
         pytest.param(["--q", "abc"], "could not parse q list", id="q-not-a-number"),
         pytest.param(["--z", "-1e-3"], "fugacity must be positive", id="z-negative-exponent"),
+        # a comma list that starts with "-" is the value of its flag too
+        pytest.param(["--q", "-0.5,0.3"], "q must lie in (0, 1], got -0.5",
+                     id="q-negative-list"),
         pytest.param(["--z-min", "0.1", "--z-max", "0.2", "--t-min", "0.5", "--t-max", "2"],
                      "sweep either fugacity or temperature", id="z-and-t-sweep"),
         pytest.param(["--density", "0.1", "--z", "0.1"],
@@ -703,9 +717,8 @@ def _loaded_modules(statements):
 def test_import_loads_neither_scipy_nor_mpmath():
     # numpy neither: the runtime is the standard library alone.  Of the
     # package only the CLI and its errors load: each command imports the
-    # modules it runs.  Nor do json, which only JSON output uses,
-    # fractions, which only PowerSeries uses and no command calls, or
-    # decimal and dataclasses, which no module uses
+    # modules it runs.  Nor do json, which only JSON output uses, or
+    # fractions, decimal and dataclasses, which no module uses
     loaded = _loaded_modules("import anyongas.cli")
     assert not {m for m in loaded if m.split(".")[0] in ("scipy", "mpmath", "numpy")}
     assert {m for m in loaded if m.split(".")[0] == "anyongas"} == {

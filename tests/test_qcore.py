@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyongas.errors import DomainError
-from anyongas.qcore import (Family, PowerSeries, QParam, as_family, as_qparam,
-                            basic_number, jackson_derivative)
+from anyongas.qcore import (Family, QParam, as_family, as_qparam, basic_number,
+                            jackson_derivative)
 from anyongas.thermo import b_partition_log
 
 
@@ -280,56 +280,3 @@ class TestSumFormIdentity:
             closed = math.log((1 - w / q) / (1 - q * w)) / (q - 1.0 / q)
             partial = sum(basic_number(q, r) * w ** r / r for r in range(1, 200))
             assert partial == pytest.approx(closed, abs=1e-10)
-
-
-class TestPowerSeries:
-    def test_compose_hand_expansion(self):
-        # (t + t^2)^2 = t^2 + 2 t^3 + t^4
-        outer = PowerSeries((0.0, 1.0, 0.0, 0.0))
-        inner = PowerSeries((1.0, 1.0, 0.0, 0.0))
-        got = outer.compose(inner)
-        assert got.coeffs == (0.0, 1.0, 2.0, 1.0)
-
-    def test_compose_identity_is_noop(self):
-        s = PowerSeries((0.3, -0.7, 0.11, 0.9))
-        t = PowerSeries((1.0, 0.0, 0.0, 0.0))
-        assert t.compose(s).coeffs == s.coeffs
-        assert s.compose(t).coeffs == s.coeffs
-
-    def test_compose_requires_zero_inner_constant(self):
-        with pytest.raises(DomainError):
-            PowerSeries((1.0, 1.0)).compose(PowerSeries((1.0, 0.0), constant=1.0))
-
-    def test_revert_identity(self):
-        t = PowerSeries((1.0, 0.0, 0.0, 0.0, 0.0))
-        assert t.revert().coeffs == t.coeffs
-
-    def test_revert_requires_invertible(self):
-        with pytest.raises(DomainError):
-            PowerSeries((0.0, 1.0)).revert()
-        with pytest.raises(DomainError):
-            PowerSeries((1.0, 1.0), constant=0.5).revert()
-
-    def test_revert_three_term_closed_form(self):
-        # revert(z + a z^2 + b z^3) = t - a t^2 + (2 a^2 - b) t^3
-        for q in (0.5, 0.8):
-            a = basic_number(q, 2) / 2 ** 2.5
-            b = basic_number(q, 3) / 3 ** 2.5
-            r = PowerSeries((1.0, a, b)).revert()
-            assert r.coeffs[0] == pytest.approx(1.0, abs=1e-15)
-            assert r.coeffs[1] == pytest.approx(-a, abs=1e-15)
-            assert r.coeffs[2] == pytest.approx(2 * a * a - b, abs=1e-14)
-
-    @given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
-           st.floats(0.75, 1.5), st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_revert_round_trip(self, tail, c1, flip):
-        # well-conditioned linear coefficient; reversion coefficients blow
-        # up like (c2/c1)^k otherwise and float round-off dominates
-        coeffs = (c1 if not flip else -c1,) + tuple(tail[1:])
-        s = PowerSeries(coeffs)
-        composed = s.compose(s.revert())
-        assert composed.constant == pytest.approx(0.0, abs=1e-12)
-        assert composed.coeffs[0] == pytest.approx(1.0, abs=1e-11)
-        for c in composed.coeffs[1:]:
-            assert c == pytest.approx(0.0, abs=1e-11)

@@ -11,7 +11,7 @@ import pytest
 
 from anyongas import thermo
 from anyongas.errors import ConvergenceError, DomainError
-from anyongas.qcore import Family
+from anyongas.qcore import Family, basic_number
 from anyongas.qfunctions import fermi_f
 from anyongas.thermo import (b_density_supremum, b_state, brentq, f_state,
                              solve_fugacity, thermal_wavelength, virial_coefficients)
@@ -495,6 +495,32 @@ class TestSolveFugacity:
         monkeypatch.setattr(thermo, name, counted)
         assert solve_fugacity(family, q, density) == z
         assert len(points) == len(set(points))
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.0])
+    def test_b_low_density_follows_the_adopted_cubic_fugacity_series(self, q):
+        # erratum fugacity-series-cubic-term: reverting n = z + a z^2 + b z^3
+        # gives z = n - a n^2 + (2 a^2 - b) n^3, where the paper prints the
+        # cubic coefficient [2]^2/4 - b, off by -(3/16) [2]^2
+        n = 1e-3
+        a = basic_number(q, 2) / 2 ** 2.5
+        b = basic_number(q, 3) / 3 ** 2.5
+        z = solve_fugacity("b", q, n)
+        assert abs(z - (n - a * n ** 2 + (2 * a * a - b) * n ** 3)) <= 0.1 * n ** 4
+        printed = n - a * n ** 2 + (basic_number(q, 2) ** 2 / 4 - b) * n ** 3
+        assert (z - printed) / n ** 3 == pytest.approx(
+            -3 / 16 * basic_number(q, 2) ** 2, rel=1e-3, abs=0.0)
+
+    def test_polish_steps_to_the_closest_double(self):
+        # no solve in practice leaves the polish a step to take, so a
+        # synthetic density that is met exactly at z = 0.5 exercises it;
+        # one ulp above 0.5 is 2^-53
+        density = lambda z: z - 0.5 + 1e-6
+        assert thermo._closest_fugacity(density, 0.5 + 5 * 2.0 ** -53, 1.0, 1e-6) == 0.5
+
+    def test_polish_past_its_step_budget_is_convergence_error(self):
+        density = lambda z: z - 0.5 + 1e-6
+        with pytest.raises(ConvergenceError, match="fugacity solve stalled"):
+            thermo._closest_fugacity(density, 0.5 + 20 * 2.0 ** -53, 1.0, 1e-6)
 
     def test_supremum_matches_the_series_limit(self):
         q = 0.5
